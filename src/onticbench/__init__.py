@@ -88,6 +88,7 @@ from .scenarios import (
     build_toy_nlhv_model,
     forbidden_cells,
     lhv_synthesis_spec,
+    pbr_synthesis_spec,
     restrict_responses,
     subsystem_states,
     toy_synthesis_spec,
@@ -99,6 +100,7 @@ from .modelfile import (
     dumps,
     load_model,
     loads,
+    read_model,
     validate_model,
 )
 
@@ -126,8 +128,8 @@ __all__ = [
     "verify_certificate", "extract_responses", "responses_to_witness",
     "PbrScenario", "build_pbr_quantum_scenario", "build_toy_nlhv_model",
     "build_lhv_restriction", "build_pbr_lhv_model", "subsystem_states",
-    "toy_synthesis_spec", "lhv_synthesis_spec", "forbidden_cells",
+    "toy_synthesis_spec", "lhv_synthesis_spec", "pbr_synthesis_spec", "forbidden_cells",
     "restrict_responses",
     "ModelFormatError", "ModelValidationError",
-    "loads", "dumps", "load_model", "dump_model", "validate_model",
+    "loads", "dumps", "read_model", "load_model", "dump_model", "validate_model",
 ]

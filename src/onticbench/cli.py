@@ -16,13 +16,7 @@ import sys
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .independence import analyze_independence, classical_overlap
-from .modelfile import (
-    ModelFormatError,
-    ModelValidationError,
-    dumps,
-    loads,
-    validate_model,
-)
+from .modelfile import load_model, read_model, validate_model
 from .numerics import QSqrt2, ZERO
 from .ontology import (
     EpistemicState,
@@ -38,14 +32,17 @@ from .scenarios import (
     PREP_ORDER,
     SHARED_FACTOR,
     STATE_ORDER,
+    PbrScenario,
     build_pbr_lhv_model,
     build_pbr_quantum_scenario,
     build_toy_nlhv_model,
     forbidden_cells,
+    pbr_born_pairing,
+    pbr_prep_order,
+    pbr_synthesis_spec,
     subsystem_states,
 )
 from .synthesis import (
-    SynthesisSpec,
     build_synthesis_lp,
     extract_responses,
     responses_to_witness,
@@ -63,10 +60,6 @@ _BUILTINS: Dict[str, Callable[[], OntologicalModel]] = {
 }
 
 
-class _UsageError(Exception):
-    pass
-
-
 def fmt(value: QSqrt2) -> str:
     """Exact value with a float approximation for human eyes."""
     approx = value.to_float()
@@ -74,41 +67,14 @@ def fmt(value: QSqrt2) -> str:
 
 
 def _load_any(args, lenient: bool = False) -> Tuple[OntologicalModel, str]:
-    """Resolve --builtin NAME or a model file path."""
-    builtin = getattr(args, "builtin", None)
-    path = getattr(args, "model", None)
-    if builtin and path:
-        raise _UsageError("give either a model file or --builtin, not both")
-    if builtin:
-        return _BUILTINS[builtin](), builtin
-    if not path:
-        raise _UsageError("a model file or --builtin NAME is required")
-    with open(path, "r", encoding="utf-8") as handle:
-        model = loads(handle.read())
-    if not lenient:
-        for name, verdict in validate_model(model).items():
-            if not verdict.ok:
-                raise ModelValidationError(f"{name}: {verdict.failures[0]}")
-    return model, path
-
-
-def _born_pairing(model: OntologicalModel):
-    """Pair model labels with the built-in quantum scenario by convention.
-
-    Preparations nu00, nu0+, nu+0, nu++ map to the product states in the
-    same order; measurement M maps to the antidistinguishing basis.
-    """
-    scenario = build_pbr_quantum_scenario()
-    missing = [l for l in PREP_ORDER if l not in model.preparations]
-    if missing or MEASUREMENT_LABEL not in model.measurements:
-        raise _UsageError(
-            "born-check needs preparations nu00, nu0+, nu+0, nu++ and measurement M "
-            f"(missing: {missing + ([MEASUREMENT_LABEL] if MEASUREMENT_LABEL not in model.measurements else [])})"
-        )
-    prep_states = {
-        label: scenario.product_states[name] for label, name in zip(PREP_ORDER, STATE_ORDER)
-    }
-    return prep_states, {MEASUREMENT_LABEL: scenario.measurement}
+    """Resolve --builtin NAME or a model file path; files are validated unless lenient."""
+    if args.builtin and args.model:
+        raise ValueError("give either a model file or --builtin, not both")
+    if args.builtin:
+        return _BUILTINS[args.builtin](), args.builtin
+    if not args.model:
+        raise ValueError("a model file or --builtin NAME is required")
+    return (read_model if lenient else load_model)(args.model), args.model
 
 
 # ---- command handlers --------------------------------------------------------
@@ -137,10 +103,7 @@ def _cmd_validate(args):
 
 def _cmd_predict(args):
     model, source = _load_any(args)
-    try:
-        stats = predicted_statistics(model, args.prep, args.meas)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    stats = predicted_statistics(model, args.prep, args.meas)
     lines = [f"model: {source}", f"preparation {args.prep}, measurement {args.meas}:"]
     for k, value in enumerate(stats, start=1):
         lines.append(f"  outcome {k}: {fmt(value)}")
@@ -155,8 +118,7 @@ def _cmd_predict(args):
 
 def _cmd_born_check(args):
     model, source = _load_any(args)
-    prep_states, meas_bases = _born_pairing(model)
-    report = check_born_agreement(model, prep_states, meas_bases)
+    report = check_born_agreement(model, *pbr_born_pairing(model))
     lines = [f"model: {source}"]
     for cell in report.cells:
         mark = "ok" if cell.match else "MISMATCH"
@@ -177,10 +139,7 @@ def _cmd_independence(args):
         inaccessible = tuple(args.inaccessible.split(","))
     elif SHARED_FACTOR in model.space.factor_names:
         inaccessible = (SHARED_FACTOR,)
-    try:
-        report = analyze_independence(model.preparations, inaccessible)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    report = analyze_independence(model.preparations, inaccessible)
     lines = [f"model: {source}", f"inaccessible factors: {list(inaccessible) or 'none'}"]
     all_local = True
     for label, state in report.states.items():
@@ -219,7 +178,7 @@ def _overlap_states(model: OntologicalModel, source: str, labels: Sequence[str])
             states.append(extra[label])
         else:
             known = sorted(model.preparations) + sorted(extra)
-            raise _UsageError(f"unknown preparation {label!r}; have {known}")
+            raise ValueError(f"unknown preparation {label!r}; have {known}")
     return states
 
 
@@ -227,12 +186,9 @@ def _cmd_overlap(args):
     model, source = _load_any(args)
     labels = args.preps.split(",")
     if len(labels) != 2:
-        raise _UsageError("--preps takes exactly two comma-separated labels")
+        raise ValueError("--preps takes exactly two comma-separated labels")
     first, second = _overlap_states(model, source, labels)
-    try:
-        value = classical_overlap(first, second)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    value = classical_overlap(first, second)
     lines = [f"classical overlap of {labels[0]} and {labels[1]}: {fmt(value)}"]
     payload = {
         "model": source,
@@ -243,30 +199,32 @@ def _cmd_overlap(args):
     return (0 if value.sign() > 0 else 1), payload, lines
 
 
-def _spec_for_model(model: OntologicalModel, prep_labels: Sequence[str]) -> SynthesisSpec:
-    scenario = build_pbr_quantum_scenario()
-    if len(prep_labels) != len(STATE_ORDER):
-        raise _UsageError(
-            f"synthesis against the built-in quantum scenario needs exactly "
-            f"{len(STATE_ORDER)} preparations, got {len(prep_labels)}"
-        )
-    preps = []
-    for label in prep_labels:
-        if label not in model.preparations:
-            raise _UsageError(f"unknown preparation {label!r}")
-        preps.append((label, model.preparations[label]))
-    return SynthesisSpec(model.space, tuple(preps), 4, scenario.born_table)
+def _certify(
+    model: OntologicalModel, labels: Sequence[str], scenario: Optional[PbrScenario] = None
+):
+    """Spec, LP and solver result for labels in Born-row order, re-checked independently."""
+    spec = pbr_synthesis_spec(model, labels, scenario)
+    lp = build_synthesis_lp(spec)
+    result = solve_feasibility(lp)
+    return spec, lp, result, verify_certificate(lp, result)
 
 
-def _default_prep_order(model: OntologicalModel, source: str) -> List[str]:
-    if source == "toy-nlhv":
-        return list(PREP_ORDER)
-    if source == "pbr-lhv":
-        return list(MARGINAL_PREP_ORDER)
-    return sorted(model.preparations)
+def _synthesis(args):
+    """load -> spec -> LP -> solve -> verify, shared by synthesize and nogo."""
+    model, source = _load_any(args)
+    if args.preps:
+        labels = args.preps.split(",")
+    else:
+        labels = pbr_prep_order(model)
+        if labels is None:
+            raise ValueError(
+                "the model has neither nu00, nu0+, nu+0, nu++ nor mu00, mu0+, mu+0, mu++; "
+                "name its preparations in Born-row order with --preps"
+            )
+    return (source, labels) + _certify(model, labels)
 
 
-def _feasibility_lines(result: FeasibilityResult, lp, spec) -> List[str]:
+def _feasibility_lines(result: FeasibilityResult, spec) -> List[str]:
     lines = []
     if result.feasible:
         lines.append("feasible: response functions exist")
@@ -292,21 +250,16 @@ def _feasibility_lines(result: FeasibilityResult, lp, spec) -> List[str]:
 
 
 def _cmd_synthesize(args):
-    model, source = _load_any(args)
-    prep_labels = args.preps.split(",") if args.preps else _default_prep_order(model, source)
-    spec = _spec_for_model(model, prep_labels)
-    lp = build_synthesis_lp(spec)
-    result = solve_feasibility(lp)
-    check = verify_certificate(lp, result)
+    source, labels, spec, lp, result, check = _synthesis(args)
     lines = [
         f"model: {source}",
         f"LP: {len(lp.variables)} variables, {len(lp.constraints)} constraints",
     ]
-    lines += _feasibility_lines(result, lp, spec)
+    lines += _feasibility_lines(result, spec)
     lines.append(f"verification: {'passed' if check.ok else 'FAILED'}")
     payload = {
         "model": source,
-        "preps": prep_labels,
+        "preps": labels,
         "variables": len(lp.variables),
         "constraints": len(lp.constraints),
         "verified": check.ok,
@@ -316,12 +269,7 @@ def _cmd_synthesize(args):
 
 
 def _cmd_nogo(args):
-    model, source = _load_any(args)
-    prep_labels = args.preps.split(",") if args.preps else _default_prep_order(model, source)
-    spec = _spec_for_model(model, prep_labels)
-    lp = build_synthesis_lp(spec)
-    result = solve_feasibility(lp)
-    check = verify_certificate(lp, result)
+    source, labels, spec, lp, result, check = _synthesis(args)
     lines = [
         f"model: {source}",
         f"question: can response functions on this space reproduce the Born table?",
@@ -329,35 +277,31 @@ def _cmd_nogo(args):
     ]
     payload = {
         "model": source,
-        "preps": prep_labels,
+        "preps": labels,
         "verified": check.ok,
         **result.to_dict(),
     }
     if result.feasible:
         lines.append("answer: yes, a witness exists; no obstruction on this space")
-        lines += _feasibility_lines(result, lp, spec)
+        lines += _feasibility_lines(result, spec)
         lines.append(f"verification: {'passed' if check.ok else 'FAILED'}")
         return 1, payload, lines
     lines.append("answer: no; infeasibility certified")
-    lines += _feasibility_lines(result, lp, spec)
+    lines += _feasibility_lines(result, spec)
     lines.append(f"certificate verification: {'passed' if check.ok else 'FAILED'}")
-    floor = solve_min_violation(spec, forbidden_cells(tuple(prep_labels)))
+    floor = solve_min_violation(spec, forbidden_cells(tuple(labels)))
     lines.append(
         "smallest achievable probability cap on the antidistinguished cells: "
         + fmt(floor.value)
     )
     payload["min_violation"] = str(floor.value)
-    ok = (not result.feasible) and check.ok
-    return (0 if ok else 1), payload, lines
+    return (0 if check.ok else 1), payload, lines
 
 
 def _cmd_simulate(args):
     model, source = _load_any(args)
-    try:
-        counts = simulate(model, args.prep, args.meas, args.samples, args.seed, args.jobs)
-        predicted = predicted_statistics(model, args.prep, args.meas)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    counts = simulate(model, args.prep, args.meas, args.samples, args.seed, args.jobs)
+    predicted = predicted_statistics(model, args.prep, args.meas)
     total = sum(counts) or 1
     lines = [
         f"model: {source}",
@@ -396,10 +340,7 @@ def _cmd_demo(args):
     payload["born_table"] = [[str(v) for v in row] for row in scenario.born_table]
 
     model = build_toy_nlhv_model()
-    prep_states = {
-        label: scenario.product_states[name] for label, name in zip(PREP_ORDER, STATE_ORDER)
-    }
-    report = check_born_agreement(model, prep_states, {MEASUREMENT_LABEL: scenario.measurement})
+    report = check_born_agreement(model, *pbr_born_pairing(model, scenario))
     matched = sum(1 for c in report.cells if c.match)
     lines.append("")
     lines.append("Relational coin model vs quantum predictions")
@@ -429,11 +370,9 @@ def _cmd_demo(args):
     payload["overlap_nu0_nu+"] = str(base_overlap)
     payload["overlaps"] = {f"{a}|{b}": str(v) for (a, b), v in ind.overlaps.items()}
 
-    lhv_model = build_pbr_lhv_model()
-    lhv_spec = _spec_for_model(lhv_model, list(MARGINAL_PREP_ORDER))
-    lhv_lp = build_synthesis_lp(lhv_spec)
-    lhv_result = solve_feasibility(lhv_lp)
-    lhv_check = verify_certificate(lhv_lp, lhv_result)
+    lhv_spec, _, lhv_result, lhv_check = _certify(
+        build_pbr_lhv_model(), MARGINAL_PREP_ORDER, scenario
+    )
     floor = solve_min_violation(lhv_spec, forbidden_cells(MARGINAL_PREP_ORDER))
     lines.append("")
     lines.append("Local-variable obstruction (16-point product space)")
@@ -449,9 +388,7 @@ def _cmd_demo(args):
         "min_violation": str(floor.value),
     }
 
-    toy_spec = _spec_for_model(model, list(PREP_ORDER))
-    toy_lp = build_synthesis_lp(toy_spec)
-    toy_result = solve_feasibility(toy_lp)
+    toy_spec, toy_lp, toy_result, toy_check = _certify(model, PREP_ORDER, scenario)
     tables_witness = responses_to_witness(toy_spec, model.measurements[MEASUREMENT_LABEL])
     tables_check = verify_certificate(
         toy_lp, FeasibilityResult(True, witness=tables_witness)
@@ -460,7 +397,7 @@ def _cmd_demo(args):
     lines.append("Relational circumvention (32-point space with shared factor)")
     lines.append(f"  synthesis feasible: {_yn(toy_result.feasible)}")
     lines.append(f"  built-in response tables verified as a witness: {_yn(tables_check.ok)}")
-    ok = ok and toy_result.feasible and tables_check.ok
+    ok = ok and toy_result.feasible and toy_check.ok and tables_check.ok
     payload["relational"] = {
         "feasible": toy_result.feasible,
         "tables_are_witness": tables_check.ok,
@@ -531,7 +468,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--meas", required=True)
     p.add_argument("--samples", type=int, default=100000)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument(
+        "--jobs", type=int, default=1,
+        help="split the draws into JOBS seeded sub-streams 'SEED:w' (w = 0..JOBS-1); "
+        "they run one after another in this process, not as parallel workers",
+    )
     p.set_defaults(handler=_cmd_simulate)
 
     p = sub.add_parser("demo-pbr", parents=[fmt_parent],
@@ -559,13 +500,10 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     try:
         code, payload, lines = args.handler(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ModelFormatError, ModelValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
+        # Unusable input (an unreadable or malformed file, an invalid model, an
+        # unknown label): the library raises ValueError or OSError for each, so
+        # none exits 1, which is reserved for a scientific "no".
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.format == "json":

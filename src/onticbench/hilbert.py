@@ -17,16 +17,10 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Tuple
 
-from .numerics import ONE, QSqrt2, ZERO, INV_SQRT2
+from .numerics import ONE, QSqrt2, ZERO, INV_SQRT2, as_qsqrt2
 from .verdicts import Verdict
-
-
-def _as_qsqrt2(value) -> QSqrt2:
-    if isinstance(value, QSqrt2):
-        return value
-    return QSqrt2(value)  # rejects floats
 
 
 @dataclass(frozen=True)
@@ -37,8 +31,8 @@ class Amplitude:
     im: QSqrt2 = ZERO
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "re", _as_qsqrt2(self.re))
-        object.__setattr__(self, "im", _as_qsqrt2(self.im))
+        object.__setattr__(self, "re", as_qsqrt2(self.re))
+        object.__setattr__(self, "im", as_qsqrt2(self.im))
 
     def __add__(self, other: "Amplitude") -> "Amplitude":
         return Amplitude(self.re + other.re, self.im + other.im)

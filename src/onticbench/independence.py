@@ -21,9 +21,9 @@ candidate factors).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
-from .numerics import ONE, QSqrt2, ZERO, qmin
+from .numerics import ONE, QSqrt2, ZERO, as_qsqrt2, qmin
 from .ontology import EpistemicState, OnticSpace, Point, format_point
 from .verdicts import Verdict
 
@@ -174,9 +174,7 @@ class JointResponseTable:
         object.__setattr__(self, "settings_b", tuple(self.settings_b))
         cleaned = {}
         for (a, b, point, sa, sb), value in self.table.items():
-            cleaned[(a, b, tuple(point), sa, sb)] = (
-                value if isinstance(value, QSqrt2) else QSqrt2(value)
-            )
+            cleaned[(a, b, tuple(point), sa, sb)] = as_qsqrt2(value)
         object.__setattr__(self, "table", cleaned)
         for point in self.points:
             for sa in self.settings_a:

@@ -35,8 +35,10 @@ byte-identical for text that is already canonical.
 
 loads() performs structural validation only (syntax, label references,
 duplicates), so files describing non-normalized models load and can be
-handed to the validators; load_model() additionally enforces semantic
-validity and is what the non-diagnostic commands use.
+handed to the validators.  read_model() is the one place a model file is
+opened and decoded: it reads a path and hands the text to loads().
+load_model() additionally enforces semantic validity and is what the
+non-diagnostic commands use.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .numerics import ONE, QSqrt2, ZERO
+from .numerics import QSqrt2, ZERO
 from .ontology import (
     EpistemicState,
     Factor,
@@ -105,6 +107,12 @@ def _parse_point(token: str, space: OnticSpace, line: int, col: int) -> Point:
                 f"factor {factor.name!r} has no label {coord!r}", line, col
             )
     return labels
+
+
+def _is_count(token: str) -> bool:
+    # str.isdigit alone also admits non-ASCII digits, such as superscripts,
+    # that int() refuses.
+    return token.isascii() and token.isdigit()
 
 
 def _parse_value(text: str, line: int, col: int) -> QSqrt2:
@@ -212,7 +220,7 @@ def loads(text: str) -> OntologicalModel:
                 col = len(entry.text) - len(stripped) + 1
                 parts = stripped.split(None, 2)
                 if parts[0] == "outcomes":
-                    if len(parts) != 2 or not parts[1].isdigit() or int(parts[1]) < 1:
+                    if len(parts) != 2 or not _is_count(parts[1]) or int(parts[1]) < 1:
                         raise ModelFormatError("expected 'outcomes K'", entry.number, col)
                     outcome_count = int(parts[1])
                 elif parts[0] == "filler":
@@ -230,7 +238,7 @@ def loads(text: str) -> OntologicalModel:
                         raise ModelFormatError(
                             "expected 'OUTCOME POINT VALUE'", entry.number, col
                         )
-                    if not parts[0].isdigit():
+                    if not _is_count(parts[0]):
                         raise ModelFormatError(
                             f"expected an outcome number, got {parts[0]!r}", entry.number, col
                         )
@@ -317,10 +325,26 @@ def validate_model(model: OntologicalModel) -> Dict[str, "object"]:
     return verdicts
 
 
+def read_model(path: str) -> OntologicalModel:
+    """Read, decode, and parse a model file; structural checks only."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # Everything before exc.start decoded, so the column counts characters.
+        line_start = data.rfind(b"\n", 0, exc.start) + 1
+        raise ModelFormatError(
+            f"not UTF-8 text: {exc.reason}",
+            data.count(b"\n", 0, exc.start) + 1,
+            len(data[line_start:exc.start].decode("utf-8")) + 1,
+        ) from None
+    return loads(text)
+
+
 def load_model(path: str) -> OntologicalModel:
     """Read, parse, and fully validate a model file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        model = loads(handle.read())
+    model = read_model(path)
     for name, verdict in validate_model(model).items():
         if not verdict.ok:
             raise ModelValidationError(f"{name}: {verdict.failures[0]}")

@@ -18,7 +18,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
-from typing import Union
 
 # Rational scalars are stdlib fractions: always in lowest terms, with a
 # positive denominator and arbitrary-precision components.
@@ -70,10 +69,6 @@ class QSqrt2:
     def __post_init__(self) -> None:
         object.__setattr__(self, "rat", _as_rational(self.rat))
         object.__setattr__(self, "irr", _as_rational(self.irr))
-
-    @classmethod
-    def from_rational(cls, value: Union[int, Fraction]) -> "QSqrt2":
-        return cls(_as_rational(value))
 
     @classmethod
     def parse(cls, text: str) -> "QSqrt2":
@@ -250,6 +245,13 @@ def _coerce(value):
     if isinstance(value, (int, Fraction)):
         return QSqrt2(value)
     return None
+
+
+def as_qsqrt2(value) -> QSqrt2:
+    """The field element for a QSqrt2, int or Fraction; anything else raises TypeError."""
+    if isinstance(value, QSqrt2):
+        return value
+    return QSqrt2(value)
 
 
 def _sqrt2_term_str(coef: Fraction) -> str:

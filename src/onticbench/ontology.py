@@ -19,12 +19,12 @@ exact Born probabilities cell by cell.
 from __future__ import annotations
 
 import random
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .hilbert import MeasurementBasis, StateVector, born_probabilities
-from .numerics import ONE, QSqrt2, ZERO, is_probability, qmin
+from .numerics import ONE, QSqrt2, ZERO, as_qsqrt2, is_probability, qmin
 from .verdicts import Verdict
 
 Point = Tuple[str, ...]
@@ -122,12 +122,6 @@ class OnticSpace:
         )
 
 
-def _as_weight(value) -> QSqrt2:
-    if isinstance(value, QSqrt2):
-        return value
-    return QSqrt2(value)
-
-
 @dataclass(frozen=True)
 class EpistemicState:
     """A sparsely stored exact distribution over the points of a space.
@@ -147,7 +141,7 @@ class EpistemicState:
             point = tuple(point)
             if point not in self.space:
                 raise ValueError(f"point {format_point(point)} is not in the space")
-            value = _as_weight(value)
+            value = as_qsqrt2(value)
             if value:
                 cleaned[point] = value
         object.__setattr__(self, "weights", cleaned)
@@ -187,13 +181,13 @@ class ResponseFunctions:
     def __post_init__(self) -> None:
         if self.outcome_count < 1:
             raise ValueError("a measurement needs at least one outcome")
-        object.__setattr__(self, "filler", _as_weight(self.filler))
+        object.__setattr__(self, "filler", as_qsqrt2(self.filler))
         dense: Dict[Point, Tuple[QSqrt2, ...]] = {}
         for point, row in self.rows.items():
             point = tuple(point)
             if point not in self.space:
                 raise ValueError(f"point {format_point(point)} is not in the space")
-            row = tuple(_as_weight(v) for v in row)
+            row = tuple(as_qsqrt2(v) for v in row)
             if len(row) != self.outcome_count:
                 raise ValueError(
                     f"row at {format_point(point)} has {len(row)} entries, "
@@ -219,7 +213,7 @@ class ResponseFunctions:
 
         Unlisted entries take the filler value.  Outcomes are 1-based.
         """
-        filler = _as_weight(filler)
+        filler = as_qsqrt2(filler)
         grid: Dict[Point, List[QSqrt2]] = {
             p: [filler] * outcome_count for p in space.points
         }
@@ -229,7 +223,7 @@ class ResponseFunctions:
                 raise ValueError(f"point {format_point(point)} is not in the space")
             if not 1 <= k <= outcome_count:
                 raise ValueError(f"outcome {k} out of range 1..{outcome_count}")
-            grid[point][k - 1] = _as_weight(value)
+            grid[point][k - 1] = as_qsqrt2(value)
         rows = {p: tuple(vals) for p, vals in grid.items()}
         return cls(space, outcome_count, rows, filler)
 

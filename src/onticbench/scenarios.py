@@ -24,8 +24,7 @@ infeasibility certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .hilbert import (
     Amplitude,
@@ -221,23 +220,66 @@ def build_pbr_lhv_model() -> OntologicalModel:
     return OntologicalModel(restricted.space, renamed, {})
 
 
-# ---- synthesis specs ---------------------------------------------------------
+# ---- the PBR pairing ---------------------------------------------------------
+# Preparations listed in Born-row order pair with the product states in
+# STATE_ORDER: the k-th preparation realises the k-th product state, so it
+# must reproduce the k-th row of the Born table.  Measurement M realises the
+# antidistinguishing basis.
+
+
+def pbr_prep_order(model: OntologicalModel) -> Optional[Tuple[str, ...]]:
+    """The Born-row order a model's labels give: nu00..nu++, mu00..mu++, or None."""
+    for order in (PREP_ORDER, MARGINAL_PREP_ORDER):
+        if all(label in model.preparations for label in order):
+            return order
+    return None
+
+
+def pbr_born_pairing(
+    model: OntologicalModel, scenario: Optional[PbrScenario] = None
+) -> Tuple[Dict[str, StateVector], Dict[str, MeasurementBasis]]:
+    """The quantum state each of nu00..nu++ realises, and the basis M realises."""
+    missing = [label for label in PREP_ORDER if label not in model.preparations]
+    if MEASUREMENT_LABEL not in model.measurements:
+        missing.append(MEASUREMENT_LABEL)
+    if missing:
+        raise ValueError(
+            "the PBR pairing needs preparations nu00, nu0+, nu+0, nu++ and "
+            f"measurement M (missing: {missing})"
+        )
+    if scenario is None:
+        scenario = build_pbr_quantum_scenario()
+    prep_states = {
+        label: scenario.product_states[name] for label, name in zip(PREP_ORDER, STATE_ORDER)
+    }
+    return prep_states, {MEASUREMENT_LABEL: scenario.measurement}
+
+
+def pbr_synthesis_spec(
+    model: OntologicalModel, labels: Sequence[str], scenario: Optional[PbrScenario] = None
+) -> SynthesisSpec:
+    """The model's preparations, named in Born-row order, with Born-table targets."""
+    if len(labels) != len(STATE_ORDER):
+        raise ValueError(
+            f"synthesis against the built-in quantum scenario needs exactly "
+            f"{len(STATE_ORDER)} preparations, got {len(labels)}"
+        )
+    preps = tuple((label, model.preparation(label)) for label in labels)
+    if scenario is None:
+        scenario = build_pbr_quantum_scenario()
+    return SynthesisSpec(
+        model.space, preps, scenario.measurement.outcome_count, scenario.born_table
+    )
 
 
 def toy_synthesis_spec() -> SynthesisSpec:
     """Relational space, four composite preparations, Born-table targets."""
-    model = build_toy_nlhv_model()
-    scenario = build_pbr_quantum_scenario()
-    preps = tuple((label, model.preparations[label]) for label in PREP_ORDER)
-    return SynthesisSpec(model.space, preps, 4, scenario.born_table)
+    return pbr_synthesis_spec(build_toy_nlhv_model(), PREP_ORDER)
 
 
 def lhv_synthesis_spec() -> SynthesisSpec:
     """Local coin space, four marginal preparations, Born-table targets."""
-    model = build_pbr_lhv_model()
-    scenario = build_pbr_quantum_scenario()
-    preps = tuple((label, model.preparations[label]) for label in MARGINAL_PREP_ORDER)
-    return SynthesisSpec(model.space, preps, 4, scenario.born_table)
+    return pbr_synthesis_spec(build_pbr_lhv_model(), MARGINAL_PREP_ORDER)
 
 
 def forbidden_cells(prep_order: Tuple[str, ...]) -> Tuple[Tuple[str, int], ...]:

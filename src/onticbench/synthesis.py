@@ -34,9 +34,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
-from .numerics import ONE, QSqrt2, ZERO
+from .numerics import ONE, QSqrt2, ZERO, as_qsqrt2
 from .ontology import (
     EpistemicState,
     OnticSpace,
@@ -71,7 +71,7 @@ class SynthesisSpec:
         object.__setattr__(
             self,
             "targets",
-            tuple(tuple(v if isinstance(v, QSqrt2) else QSqrt2(v) for v in row) for row in targets),
+            tuple(tuple(as_qsqrt2(v) for v in row) for row in targets),
         )
         if self.outcome_count < 1:
             raise ValueError("need at least one outcome")
@@ -172,10 +172,6 @@ def _synthesis_variables(spec: SynthesisSpec) -> Tuple[str, ...]:
         for k in range(1, spec.outcome_count + 1)
         for p in spec.space.points
     )
-
-
-def _var_index(spec: SynthesisSpec, outcome: int, point: Point) -> int:
-    return (outcome - 1) * spec.space.size + spec.space.point_index(point)
 
 
 def build_synthesis_lp(spec: SynthesisSpec) -> LPProblem:

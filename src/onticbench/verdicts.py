@@ -34,11 +34,3 @@ def _plain(value):
     if isinstance(value, (tuple, list)):
         return [_plain(v) for v in value]
     return str(value)
-
-
-def passed() -> Verdict:
-    return Verdict(True)
-
-
-def failed(*failures: str, witnesses: Tuple[Any, ...] = ()) -> Verdict:
-    return Verdict(False, tuple(failures), tuple(witnesses))

@@ -1,13 +1,19 @@
 """Tests for the command-line interface: verdict exit codes and report shapes."""
 
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from onticbench import cli, scenarios
 from onticbench.cli import run
+from onticbench.modelfile import dumps
 
 GOLDEN = Path(__file__).parent / "data" / "toy-nlhv.model"
 
@@ -218,6 +224,87 @@ class TestSynthesisCommands:
         assert "witness exists" in out
 
 
+class TestBornRowOrder:
+    def test_dumped_toy_file_pairs_like_the_builtin(self, capsys):
+        _, from_file, _ = invoke(capsys, "synthesize", str(GOLDEN), "--format", "json")
+        _, builtin, _ = invoke(
+            capsys, "synthesize", "--builtin", "toy-nlhv", "--format", "json"
+        )
+        assert json.loads(from_file)["witness"] == json.loads(builtin)["witness"]
+
+    def test_dumped_lhv_file_takes_marginal_order(self, capsys, tmp_path):
+        path = tmp_path / "pbr-lhv.model"
+        path.write_text(dumps(scenarios.build_pbr_lhv_model()), encoding="utf-8")
+        code, out, _ = invoke(capsys, "nogo", str(path), "--format", "json")
+        assert code == 0
+        assert json.loads(out)["preps"] == list(scenarios.MARGINAL_PREP_ORDER)
+
+    def test_other_labels_ask_for_preps(self, capsys, tmp_path):
+        path = tmp_path / "renamed.model"
+        path.write_text(
+            GOLDEN.read_text(encoding="utf-8").replace("preparation nu", "preparation p"),
+            encoding="utf-8",
+        )
+        code, _, err = invoke(capsys, "synthesize", str(path))
+        assert code == 2
+        assert "--preps" in err
+
+
+@st.composite
+def model_bytes(draw):
+    """Arbitrary bytes, or the golden file with one slice replaced."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=300))
+    golden = GOLDEN.read_bytes()
+    start = draw(st.integers(0, len(golden)))
+    end = draw(st.integers(start, min(len(golden), start + 40)))
+    # Two new bytes hold any two-byte UTF-8 character, yet cannot grow a
+    # count such as 'outcomes 4' past a few thousand dense table rows.
+    return golden[:start] + draw(st.binary(max_size=2)) + golden[end:]
+
+
+class TestExitContract:
+    """Unusable input exits 2 with an error line, never 1 with a traceback."""
+
+    def test_non_utf8_model_file(self, capsys, tmp_path):
+        path = tmp_path / "latin1.model"
+        path.write_bytes(GOLDEN.read_bytes().replace(b"lambda1", b"lambda\xb9"))
+        code, _, err = invoke(capsys, "validate", str(path))
+        assert code == 2
+        assert err.startswith("error:") and "UTF-8" in err
+
+    @pytest.mark.parametrize("command", ["synthesize", "nogo"])
+    def test_duplicate_preps(self, capsys, command):
+        code, _, err = invoke(
+            capsys, command, "--builtin", "toy-nlhv", "--preps", "nu00,nu00,nu+0,nu++"
+        )
+        assert code == 2
+        assert err.startswith("error:") and "duplicate" in err
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [("outcomes 4", "outcomes \u00b2"), ("  1 (HH,HH,2) 1/2", "  \u00b9 (HH,HH,2) 1/2")],
+    )
+    def test_non_ascii_digit(self, capsys, tmp_path, old, new):
+        path = tmp_path / "digits.model"
+        path.write_text(GOLDEN.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
+        code, _, err = invoke(capsys, "validate", str(path))
+        assert code == 2
+        assert err.startswith("error:")
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=model_bytes())
+    def test_any_bytes_validate(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "any.model"
+        path.write_bytes(data)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run(["validate", str(path)])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        assert code != 2 or err.getvalue().startswith("error:")
+
+
 class TestSimulate:
     def test_counts_and_determinism(self, capsys):
         args = (
@@ -265,6 +352,19 @@ class TestDemo:
         assert code == 0
         assert doc["ok"] is True
         assert doc["schema_version"] == 1
+
+    def test_builds_the_quantum_scenario_once(self, capsys, monkeypatch):
+        calls = []
+        build = scenarios.build_pbr_quantum_scenario
+
+        def counting():
+            calls.append(None)
+            return build()
+
+        monkeypatch.setattr(scenarios, "build_pbr_quantum_scenario", counting)
+        monkeypatch.setattr(cli, "build_pbr_quantum_scenario", counting)
+        assert invoke(capsys, "demo-pbr")[0] == 0
+        assert len(calls) == 1
 
 
 class TestUsage:

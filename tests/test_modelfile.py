@@ -11,6 +11,7 @@ from onticbench.modelfile import (
     dumps,
     load_model,
     loads,
+    read_model,
     validate_model,
 )
 from onticbench.numerics import HALF, INV_SQRT2, ONE, QSqrt2
@@ -148,6 +149,21 @@ class TestFormatErrors:
         text = SMALL.replace("(a) 1/2", "(a,b) 1/2")
         with pytest.raises(ModelFormatError):
             loads(text)
+
+    @pytest.mark.parametrize(
+        "old, new", [("outcomes 2", "outcomes \u00b2"), ("  1 (a) 1", "  \u00b9 (a) 1")]
+    )
+    def test_non_ascii_digits_rejected(self, old, new):
+        # str.isdigit accepts superscript digits; int() does not.
+        with pytest.raises(ModelFormatError, match="outcome"):
+            loads(SMALL.replace(old, new))
+
+    def test_non_utf8_file_is_located(self, tmp_path):
+        target = tmp_path / "latin1.model"
+        target.write_bytes(SMALL.replace("factor x a b", "factor x a \u00e9").encode("latin-1"))
+        with pytest.raises(ModelFormatError, match="UTF-8") as err:
+            read_model(target)
+        assert (err.value.line, err.value.column) == (4, 14)
 
 
 class TestValidation:
