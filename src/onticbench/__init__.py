@@ -45,7 +45,6 @@ from .ontology import (
     ResponseFunctions,
     check_born_agreement,
     format_point,
-    is_psi_epistemic,
     predicted_statistics,
     simulate,
     validate_epistemic,
@@ -53,10 +52,8 @@ from .ontology import (
 )
 from .independence import (
     IndependenceReport,
-    JointResponseTable,
     StateIndependence,
     analyze_independence,
-    check_factorizability,
     check_full_independence,
     check_local_independence,
     check_preparation_independence,
@@ -89,7 +86,6 @@ from .scenarios import (
     forbidden_cells,
     lhv_synthesis_spec,
     pbr_synthesis_spec,
-    restrict_responses,
     subsystem_states,
     toy_synthesis_spec,
 )
@@ -116,11 +112,10 @@ __all__ = [
     "Factor", "OnticSpace", "EpistemicState", "ResponseFunctions", "OntologicalModel",
     "PredictionCell", "PredictionReport", "format_point",
     "validate_epistemic", "validate_responses", "predicted_statistics",
-    "check_born_agreement", "is_psi_epistemic", "simulate",
+    "check_born_agreement", "simulate",
     "product_state", "marginalize", "single_factor_marginals",
     "check_preparation_independence", "check_local_independence",
     "check_full_independence", "classical_overlap",
-    "JointResponseTable", "check_factorizability",
     "StateIndependence", "IndependenceReport", "analyze_independence",
     "SynthesisSpec", "Constraint", "LPProblem", "FeasibilityResult",
     "MinViolationResult", "build_synthesis_lp", "build_min_violation_lp",
@@ -129,7 +124,6 @@ __all__ = [
     "PbrScenario", "build_pbr_quantum_scenario", "build_toy_nlhv_model",
     "build_lhv_restriction", "build_pbr_lhv_model", "subsystem_states",
     "toy_synthesis_spec", "lhv_synthesis_spec", "pbr_synthesis_spec", "forbidden_cells",
-    "restrict_responses",
     "ModelFormatError", "ModelValidationError",
     "loads", "dumps", "read_model", "load_model", "dump_model", "validate_model",
 ]

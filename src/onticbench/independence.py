@@ -1,4 +1,4 @@
-"""Independence structure of epistemic states and response functions.
+"""Independence structure and overlap of epistemic states.
 
 Two grades of independence matter for composite preparations:
 
@@ -11,19 +11,14 @@ A joint distribution can be locally independent while failing to be a
 product over its full factor list; the gap is exactly what relational
 (shared) ontic variables buy.  Full independence over every factor always
 implies local independence over any accessible subset.
-
-The module also hosts the classical overlap of two distributions and a
-factorizability check for two-party response tables (parameter
-independence plus outcome independence, with the marginals as the unique
-candidate factors).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Callable, Dict, Mapping, Sequence, Tuple
 
-from .numerics import ONE, QSqrt2, ZERO, as_qsqrt2, qmin
+from .numerics import ONE, QSqrt2, ZERO, qmin
 from .ontology import EpistemicState, OnticSpace, Point, format_point
 from .verdicts import Verdict
 
@@ -57,14 +52,32 @@ def marginalize(joint: EpistemicState, keep: Sequence[str]) -> EpistemicState:
     return EpistemicState(space, totals)
 
 
+def _first_mismatch(
+    joint: EpistemicState, product: Callable[[Point], QSqrt2], what: str
+) -> Verdict:
+    """Compare the joint with ``product(point)`` point by point, in canonical order.
+
+    The verdict's witnesses carry the first counterexample point with the
+    two values; ``what`` names the product side in the failure text.
+    """
+    for point in joint.space.points:
+        joint_w = joint.weight(point)
+        product_w = product(point)
+        if joint_w != product_w:
+            return Verdict(
+                False,
+                (f"at {format_point(point)}: joint weight {joint_w}, {what} {product_w}",),
+                ((point, joint_w, product_w),),
+            )
+    return Verdict(True)
+
+
 def check_preparation_independence(
     joint: EpistemicState, mu: EpistemicState, nu: EpistemicState
 ) -> Verdict:
     """Is the joint exactly the product mu (x) nu over its full space?
 
-    The joint's factor list must be mu's factors followed by nu's.  The
-    verdict's witnesses carry the first counterexample point in canonical
-    order, with the two values.
+    The joint's factor list must be mu's factors followed by nu's.
     """
     expected_factors = mu.space.factors + nu.space.factors
     if joint.space.factors != expected_factors:
@@ -73,20 +86,11 @@ def check_preparation_independence(
             f"{[f.name for f in expected_factors]} vs {list(joint.space.factor_names)}"
         )
     split = len(mu.space.factors)
-    for point in joint.space.points:
-        left, right = point[:split], point[split:]
-        joint_w = joint.weight(point)
-        product_w = mu.weight(left) * nu.weight(right)
-        if joint_w != product_w:
-            return Verdict(
-                False,
-                (
-                    f"at {format_point(point)}: joint weight {joint_w}, "
-                    f"product weight {product_w}",
-                ),
-                ((point, joint_w, product_w),),
-            )
-    return Verdict(True)
+    return _first_mismatch(
+        joint,
+        lambda point: mu.weight(point[:split]) * nu.weight(point[split:]),
+        "product weight",
+    )
 
 
 def check_local_independence(
@@ -120,21 +124,14 @@ def check_full_independence(joint: EpistemicState) -> Verdict:
     any product decomposition over the full factor list exists.
     """
     marginals = single_factor_marginals(joint)
-    for point in joint.space.points:
-        joint_w = joint.weight(point)
+
+    def product(point: Point) -> QSqrt2:
         product_w = ONE
         for coord, marginal in zip(point, marginals):
             product_w = product_w * marginal.weight((coord,))
-        if joint_w != product_w:
-            return Verdict(
-                False,
-                (
-                    f"at {format_point(point)}: joint weight {joint_w}, "
-                    f"marginal product {product_w}",
-                ),
-                ((point, joint_w, product_w),),
-            )
-    return Verdict(True)
+        return product_w
+
+    return _first_mismatch(joint, product, "marginal product")
 
 
 def classical_overlap(mu: EpistemicState, nu: EpistemicState) -> QSqrt2:
@@ -147,127 +144,6 @@ def classical_overlap(mu: EpistemicState, nu: EpistemicState) -> QSqrt2:
         if other is not None:
             total = total + qmin(mu.weights[point], other)
     return total
-
-
-# ---- two-party response tables ---------------------------------------------
-
-
-@dataclass(frozen=True)
-class JointResponseTable:
-    """Joint outcome probabilities p(a, b | point, setting_a, setting_b).
-
-    Outcomes are 1-based on each side.  The table must contain every key;
-    rows (fixed point and settings) must be normalized, which construction
-    enforces since an unnormalized row makes factorizability meaningless.
-    """
-
-    outcomes_a: int
-    outcomes_b: int
-    points: Tuple[Point, ...]
-    settings_a: Tuple[str, ...]
-    settings_b: Tuple[str, ...]
-    table: Mapping[Tuple[int, int, Point, str, str], QSqrt2]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "points", tuple(tuple(p) for p in self.points))
-        object.__setattr__(self, "settings_a", tuple(self.settings_a))
-        object.__setattr__(self, "settings_b", tuple(self.settings_b))
-        cleaned = {}
-        for (a, b, point, sa, sb), value in self.table.items():
-            cleaned[(a, b, tuple(point), sa, sb)] = as_qsqrt2(value)
-        object.__setattr__(self, "table", cleaned)
-        for point in self.points:
-            for sa in self.settings_a:
-                for sb in self.settings_b:
-                    total = ZERO
-                    for a in range(1, self.outcomes_a + 1):
-                        for b in range(1, self.outcomes_b + 1):
-                            key = (a, b, point, sa, sb)
-                            if key not in self.table:
-                                raise ValueError(f"missing table entry {key}")
-                            total = total + self.table[key]
-                    if total != ONE:
-                        raise ValueError(
-                            f"row at point {format_point(point)}, settings "
-                            f"({sa}, {sb}) sums to {total}, not 1"
-                        )
-
-    def prob(self, a: int, b: int, point: Point, sa: str, sb: str) -> QSqrt2:
-        return self.table[(a, b, tuple(point), sa, sb)]
-
-    def marginal_a(self, a: int, point: Point, sa: str, sb: str) -> QSqrt2:
-        total = ZERO
-        for b in range(1, self.outcomes_b + 1):
-            total = total + self.prob(a, b, point, sa, sb)
-        return total
-
-    def marginal_b(self, b: int, point: Point, sa: str, sb: str) -> QSqrt2:
-        total = ZERO
-        for a in range(1, self.outcomes_a + 1):
-            total = total + self.prob(a, b, point, sa, sb)
-        return total
-
-
-def check_factorizability(joint: JointResponseTable) -> Verdict:
-    """Does the table factor as xi_A(a | point, s_A) * xi_B(b | point, s_B)?
-
-    Checked in two stages, because the factors are forced: first parameter
-    independence (each side's marginal ignores the other side's setting),
-    then outcome independence (the joint equals the product of marginals).
-    The verdict names the stage and the witness tuple that fails.
-    """
-    # Stage 1: parameter independence.
-    for point in joint.points:
-        for a in range(1, joint.outcomes_a + 1):
-            for sa in joint.settings_a:
-                reference = joint.marginal_a(a, point, sa, joint.settings_b[0])
-                for sb in joint.settings_b[1:]:
-                    other = joint.marginal_a(a, point, sa, sb)
-                    if other != reference:
-                        return Verdict(
-                            False,
-                            (
-                                "parameter independence fails on side A: "
-                                f"p(a={a} | {format_point(point)}, {sa}) is {reference} "
-                                f"under setting {joint.settings_b[0]} but {other} under {sb}",
-                            ),
-                            (("A", a, point, sa, sb),),
-                        )
-        for b in range(1, joint.outcomes_b + 1):
-            for sb in joint.settings_b:
-                reference = joint.marginal_b(b, point, joint.settings_a[0], sb)
-                for sa in joint.settings_a[1:]:
-                    other = joint.marginal_b(b, point, sa, sb)
-                    if other != reference:
-                        return Verdict(
-                            False,
-                            (
-                                "parameter independence fails on side B: "
-                                f"p(b={b} | {format_point(point)}, {sb}) is {reference} "
-                                f"under setting {joint.settings_a[0]} but {other} under {sa}",
-                            ),
-                            (("B", b, point, sa, sb),),
-                        )
-    # Stage 2: outcome independence against the (now well-defined) marginals.
-    for point in joint.points:
-        for sa in joint.settings_a:
-            for sb in joint.settings_b:
-                for a in range(1, joint.outcomes_a + 1):
-                    pa = joint.marginal_a(a, point, sa, sb)
-                    for b in range(1, joint.outcomes_b + 1):
-                        pb = joint.marginal_b(b, point, sa, sb)
-                        pab = joint.prob(a, b, point, sa, sb)
-                        if pab != pa * pb:
-                            return Verdict(
-                                False,
-                                (
-                                    "outcome independence fails: "
-                                    f"p({a},{b} | {format_point(point)}, {sa}, {sb}) = {pab}, "
-                                    f"marginal product = {pa * pb}",
-                                ),
-                                ((a, b, point, sa, sb),),
-                            )
-    return Verdict(True)
 
 
 # ---- model-level report ------------------------------------------------------
@@ -311,11 +187,16 @@ def analyze_independence(
     preparations: Mapping[str, EpistemicState],
     inaccessible: Sequence[str] = (),
 ) -> IndependenceReport:
-    """Run all three independence checks on each preparation.
+    """Report the three independence verdicts for each preparation.
 
-    Subsystem distributions are taken to be the accessible marginal's own
-    single-factor marginals (the unique candidate factors).  Requires at
-    least two accessible factors per preparation.
+    Subsystem distributions are the joint's marginals on the first
+    accessible factor and on the remaining accessible ones (the unique
+    candidate factors).  Requires at least two accessible factors per
+    preparation.
+
+    ``prep_independent`` and ``locally_independent`` are one verdict, the
+    product check on the accessible marginal, reported under both names
+    (ROADMAP 5(a)); separating them changes golden-pinned report bytes.
     """
     inaccessible = tuple(inaccessible)
     states: Dict[str, StateIndependence] = {}
@@ -327,16 +208,14 @@ def analyze_independence(
             raise ValueError(
                 f"preparation {label!r} has fewer than two accessible factors"
             )
-        reduced = marginalize(joint, accessible) if inaccessible else joint
-        mu = marginalize(reduced, accessible[:1])
-        nu = marginalize(reduced, accessible[1:])
-        prep_v = check_preparation_independence(reduced, mu, nu)
+        mu = marginalize(joint, accessible[:1])
+        nu = marginalize(joint, accessible[1:])
         local_v = check_local_independence(joint, mu, nu, inaccessible)
         full_v = check_full_independence(joint)
         witnesses = tuple(
-            w[0] for v in (prep_v, local_v, full_v) for w in v.witnesses
+            w[0] for v in (local_v, local_v, full_v) for w in v.witnesses
         )
-        states[label] = StateIndependence(prep_v, local_v, full_v, witnesses)
+        states[label] = StateIndependence(local_v, local_v, full_v, witnesses)
     overlaps: Dict[Tuple[str, str], QSqrt2] = {}
     labels = sorted(preparations)
     for i, a in enumerate(labels):

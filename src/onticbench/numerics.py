@@ -28,11 +28,11 @@ _SQRT2_FLOAT = math.sqrt(2.0)
 _TERM_RE = re.compile(
     r"""
     (?:
-        (?:(?P<coef>\d+(?:/\d+)?)\s*\*\s*)?      # optional rational coefficient
+        (?:(?P<coef>[0-9]+(?:/[0-9]+)?)\s*\*\s*)?  # optional rational coefficient
         sqrt2
-        (?:\s*/\s*(?P<div>\d+))?                 # optional divisor
+        (?:\s*/\s*(?P<div>[0-9]+))?                # optional divisor
       |
-        (?P<rat>\d+(?:/\d+)?)                    # plain rational term
+        (?P<rat>[0-9]+(?:/[0-9]+)?)                # plain rational term
     )
     """,
     re.VERBOSE,
@@ -217,6 +217,22 @@ class QSqrt2:
 
     def __bool__(self) -> bool:
         return bool(self.rat) or bool(self.irr)
+
+    def __ceil__(self) -> int:
+        """The least integer n with self <= n, decided in integers.
+
+        Written as (r + p*sqrt2)/d with d > 0, floor(p*sqrt2) is isqrt(2p^2)
+        for p >= 0 and -isqrt(2p^2) - 1 for p < 0; for p != 0 the value is
+        irrational, so its ceiling is one more than its floor.
+        """
+        if not self.irr:
+            return math.ceil(self.rat)
+        d = self.rat.denominator * self.irr.denominator
+        r = self.rat.numerator * self.irr.denominator
+        p = self.irr.numerator * self.rat.denominator
+        root = math.isqrt(2 * p * p)
+        floor_p_sqrt2 = root if p > 0 else -root - 1
+        return (r + floor_p_sqrt2) // d + 1
 
     # ---- display --------------------------------------------------------
 

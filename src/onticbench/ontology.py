@@ -18,13 +18,14 @@ exact Born probabilities cell by cell.
 
 from __future__ import annotations
 
+import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .hilbert import MeasurementBasis, StateVector, born_probabilities
-from .numerics import ONE, QSqrt2, ZERO, as_qsqrt2, is_probability, qmin
+from .numerics import ONE, QSqrt2, ZERO, as_qsqrt2, is_probability
 from .verdicts import Verdict
 
 Point = Tuple[str, ...]
@@ -407,42 +408,14 @@ def check_born_agreement(
     return PredictionReport(tuple(cells))
 
 
-def is_psi_epistemic(
-    mu: EpistemicState, nu: EpistemicState, *, states_nonorthogonal: bool
-) -> Verdict:
-    """Do two epistemic states for nonorthogonal quantum states overlap?
-
-    The verdict is positive iff the caller asserts the underlying quantum
-    states are nonorthogonal and the distributions share support; the
-    witnesses list the shared support points.
-    """
-    if mu.space != nu.space:
-        raise ValueError("epistemic states live on different spaces")
-    shared = tuple(
-        p for p in mu.support() if qmin(mu.weight(p), nu.weight(p)).sign() > 0
-    )
-    if not states_nonorthogonal:
-        return Verdict(
-            False,
-            ("the underlying quantum states are orthogonal; overlap is uninformative",),
-            shared,
-        )
-    if not shared:
-        return Verdict(
-            False,
-            ("distributions for nonorthogonal states have disjoint supports",),
-            (),
-        )
-    return Verdict(True, (), shared)
-
-
 # ---- sampling --------------------------------------------------------------
 
-# Each draw consumes one 64-bit dyadic u = r / 2^64 and walks the cumulative
-# distribution in canonical order, selecting the first index with u < cdf.
-# Comparisons against the exact cumulative weights are decided exactly, so a
-# zero-probability cell can never be selected. One sample costs exactly two
-# draws: point, then outcome.
+# Each draw consumes one 64-bit dyadic u = r / 2^64 and selects the first
+# index with u < cdf in canonical order.  For an integer r, r / 2^64 < c holds
+# exactly when r < ceil(c * 2^64), rational or irrational c alike, so the
+# exact cumulative weights become integer thresholds once and each draw is a
+# bisection: a zero-probability cell can never be selected. One sample costs
+# exactly two draws: point, then outcome.
 _DYADIC_BITS = 64
 _DYADIC_DEN = 1 << _DYADIC_BITS
 
@@ -452,33 +425,14 @@ class _Cdf:
 
     def __init__(self, items: Sequence, weights: Sequence[QSqrt2]):
         self.items = list(items)
-        cumulative: List[QSqrt2] = []
+        self.thresholds: List[int] = []
         running = ZERO
         for w in weights:
             running = running + w
-            cumulative.append(running)
-        # Fast path: when every threshold is rational, u < c reduces to an
-        # integer comparison r * den < num * 2^64 with precomputed parts.
-        if all(not c.irr for c in cumulative):
-            self._int_thresholds = [
-                (c.rat.numerator * _DYADIC_DEN, c.rat.denominator) for c in cumulative
-            ]
-            self._exact_thresholds = None
-        else:
-            self._int_thresholds = None
-            self._exact_thresholds = cumulative
+            self.thresholds.append(math.ceil(running * _DYADIC_DEN))
 
     def pick(self, r: int):
-        if self._int_thresholds is not None:
-            for item, (num, den) in zip(self.items, self._int_thresholds):
-                if r * den < num:
-                    return item
-        else:
-            u = QSqrt2(Fraction(r, _DYADIC_DEN))
-            for item, c in zip(self.items, self._exact_thresholds):
-                if (c - u).sign() > 0:
-                    return item
-        raise AssertionError("u >= 1 cannot happen for a normalized distribution")
+        return self.items[bisect_right(self.thresholds, r)]
 
 
 def _substream(seed: int, worker: int) -> random.Random:
@@ -520,7 +474,8 @@ def simulate(
 
     counts = [0] * meas.outcome_count
     base, extra = divmod(samples, jobs)
-    for worker in range(jobs):
+    # Workers past the sample count draw nothing, so they are never seeded.
+    for worker in range(min(jobs, samples)):
         chunk = base + (1 if worker < extra else 0)
         rng = _substream(seed, worker)
         for _ in range(chunk):

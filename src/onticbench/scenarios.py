@@ -122,12 +122,6 @@ def toy_space() -> OnticSpace:
     )
 
 
-def local_space() -> OnticSpace:
-    return OnticSpace(
-        (Factor("lambda1", COIN_LABELS), Factor("lambda2", COIN_LABELS))
-    )
-
-
 # The composite epistemic states: four points at weight 1/4 each.  The
 # shared variable is 2 exactly when both coin pairs landed HH under
 # different preparations, and 1 otherwise.
@@ -286,27 +280,3 @@ def forbidden_cells(prep_order: Tuple[str, ...]) -> Tuple[Tuple[str, int], ...]:
     """The antidistinguished diagonal: outcome k forbidden under the k-th preparation."""
     return tuple((label, k) for k, label in enumerate(prep_order, start=1))
 
-
-def restrict_responses(
-    responses: ResponseFunctions, factor_name: str, label: str
-) -> ResponseFunctions:
-    """The section of a response table at factor = label, on the reduced space.
-
-    Fixing a value of an inaccessible factor is the natural way to squeeze
-    a response table onto the accessible factors; each reduced row is still
-    normalized, but nothing guarantees the reduced table reproduces the
-    statistics the full table did.
-    """
-    space = responses.space
-    axis = space.axis(factor_name)
-    if label not in space.factors[axis].labels:
-        raise ValueError(f"factor {factor_name!r} has no label {label!r}")
-    keep = [n for n in space.factor_names if n != factor_name]
-    if not keep:
-        raise ValueError("cannot restrict away the only factor")
-    reduced_space = space.subspace(keep)
-    rows = {}
-    for point in reduced_space.points:
-        full = point[:axis] + (label,) + point[axis:]
-        rows[point] = responses.rows[full]
-    return ResponseFunctions(reduced_space, responses.outcome_count, rows, responses.filler)

@@ -174,6 +174,18 @@ def _synthesis_variables(spec: SynthesisSpec) -> Tuple[str, ...]:
     )
 
 
+def _norm_rows(spec: SynthesisSpec, width: int) -> List[Constraint]:
+    """One equality sum_k x(k, p) = 1 per point, over ``width`` LP columns."""
+    size = spec.space.size
+    rows: List[Constraint] = []
+    for p_idx, point in enumerate(spec.space.points):
+        coeffs = [_F0] * width
+        for k in range(spec.outcome_count):
+            coeffs[k * size + p_idx] = _F1
+        rows.append(Constraint(f"norm@{format_point(point)}", tuple(coeffs), _F1, "eq"))
+    return rows
+
+
 def build_synthesis_lp(spec: SynthesisSpec) -> LPProblem:
     """Encode the synthesis question as a rational feasibility LP.
 
@@ -184,12 +196,7 @@ def build_synthesis_lp(spec: SynthesisSpec) -> LPProblem:
     """
     n = spec.variable_count
     size = spec.space.size
-    constraints: List[Constraint] = []
-    for p_idx, point in enumerate(spec.space.points):
-        coeffs = [_F0] * n
-        for k in range(spec.outcome_count):
-            coeffs[k * size + p_idx] = _F1
-        constraints.append(Constraint(f"norm@{format_point(point)}", tuple(coeffs), _F1, "eq"))
+    constraints = _norm_rows(spec, n)
     for (label, prep), target_row in zip(spec.preparations, spec.targets):
         for k in range(1, spec.outcome_count + 1):
             rat = [_F0] * n
@@ -472,12 +479,7 @@ def build_min_violation_lp(
     n = spec.variable_count
     size = spec.space.size
     variables = _synthesis_variables(spec) + ("t",)
-    constraints: List[Constraint] = []
-    for p_idx, point in enumerate(spec.space.points):
-        coeffs = [_F0] * (n + 1)
-        for k in range(spec.outcome_count):
-            coeffs[k * size + p_idx] = _F1
-        constraints.append(Constraint(f"norm@{format_point(point)}", tuple(coeffs), _F1, "eq"))
+    constraints = _norm_rows(spec, n + 1)
     seen = set()
     for label, k in forbidden:
         if not 1 <= k <= spec.outcome_count:
@@ -509,10 +511,6 @@ def solve_min_violation(
     spec: SynthesisSpec, forbidden: Sequence[Tuple[str, int]]
 ) -> MinViolationResult:
     lp = build_min_violation_lp(spec, forbidden)
-    if not forbidden:
-        zeros = tuple([_F0] * len(lp.variables))
-        # No caps: any valid response family gives violation zero.
-        return MinViolationResult(ZERO, lp, FeasibilityResult(True, witness=zeros, objective_value=_F0))
     result = _solve(lp, optimize=True)
     return MinViolationResult(QSqrt2(result.objective_value), lp, result)
 

@@ -283,7 +283,11 @@ class TestExitContract:
 
     @pytest.mark.parametrize(
         "old, new",
-        [("outcomes 4", "outcomes \u00b2"), ("  1 (HH,HH,2) 1/2", "  \u00b9 (HH,HH,2) 1/2")],
+        [
+            ("outcomes 4", "outcomes \u00b2"),
+            ("  1 (HH,HH,2) 1/2", "  \u00b9 (HH,HH,2) 1/2"),
+            ("(HH,HH,1) 1/4", "(HH,HH,1) \u0661/\u0664"),
+        ],
     )
     def test_non_ascii_digit(self, capsys, tmp_path, old, new):
         path = tmp_path / "digits.model"

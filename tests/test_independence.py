@@ -1,14 +1,11 @@
-"""Tests for marginals, independence checks, overlap, and factorizability."""
+"""Tests for marginals, independence checks, and overlap."""
 
 from fractions import Fraction
-from itertools import product
 
 import pytest
 
 from onticbench.independence import (
-    JointResponseTable,
     analyze_independence,
-    check_factorizability,
     check_full_independence,
     check_local_independence,
     check_preparation_independence,
@@ -190,56 +187,3 @@ class TestClassicalOverlap:
     def test_spaces_must_match(self):
         with pytest.raises(ValueError):
             classical_overlap(state_a(ONE, ZERO), state_b(ONE, ZERO))
-
-
-def uniform_table(point, settings):
-    # p(a, b) = 1/4 for all four outcome pairs, independent of everything
-    return {
-        (a, b, point, sa, sb): QUARTER
-        for a, b in product((1, 2), repeat=2)
-        for sa in settings
-        for sb in settings
-    }
-
-
-class TestFactorizability:
-    POINT = ("p",)
-    SPACE_POINTS = (("p",),)
-    SETTINGS = ("s0", "s1")
-
-    def table(self, entries):
-        return JointResponseTable(2, 2, self.SPACE_POINTS, self.SETTINGS, self.SETTINGS, entries)
-
-    def test_product_table_passes(self):
-        table = self.table(uniform_table(self.POINT, self.SETTINGS))
-        assert check_factorizability(table).ok
-
-    def test_pr_box_fails_outcome_independence(self):
-        # perfectly correlated unless both settings are s1, then anticorrelated
-        entries = {}
-        for sa, sb in product(self.SETTINGS, repeat=2):
-            flip = sa == "s1" and sb == "s1"
-            for a, b in product((1, 2), repeat=2):
-                correlated = (a == b) != flip
-                entries[(a, b, self.POINT, sa, sb)] = HALF if correlated else ZERO
-        verdict = check_factorizability(self.table(entries))
-        assert not verdict.ok
-        assert any("outcome independence" in f for f in verdict.failures)
-
-    def test_setting_dependent_marginal_fails_parameter_independence(self):
-        # A's marginal leaks B's setting choice
-        entries = {}
-        for sa, sb in product(self.SETTINGS, repeat=2):
-            p_a1 = QUARTER if sb == "s1" else HALF
-            for a, b in product((1, 2), repeat=2):
-                pa = p_a1 if a == 1 else ONE - p_a1
-                entries[(a, b, self.POINT, sa, sb)] = pa * HALF
-        verdict = check_factorizability(self.table(entries))
-        assert not verdict.ok
-        assert any("parameter independence" in f for f in verdict.failures)
-
-    def test_rows_must_normalize(self):
-        entries = uniform_table(self.POINT, self.SETTINGS)
-        entries[(1, 1, self.POINT, "s0", "s0")] = HALF
-        with pytest.raises(ValueError):
-            self.table(entries)

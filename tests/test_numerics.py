@@ -1,5 +1,6 @@
 """Tests for the exact field arithmetic."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -75,6 +76,11 @@ class TestParse:
     def test_rejected(self, text):
         with pytest.raises(ValueError):
             QSqrt2.parse(text)
+
+    def test_non_ascii_digits_rejected(self):
+        # Arabic-Indic digits are Unicode decimals; only ASCII digits are values.
+        with pytest.raises(ValueError):
+            QSqrt2.parse("\u0661/\u0664")
 
     def test_error_names_offset(self):
         with pytest.raises(ValueError, match="offset"):
@@ -185,6 +191,12 @@ class TestFieldAxioms:
         assert a + ZERO == a
         assert a * ONE == a
         assert a + (-a) == ZERO
+
+    @given(elements, st.integers(min_value=0, max_value=64))
+    def test_ceil_brackets_the_value(self, a, bits):
+        x = a * (1 << bits)
+        n = math.ceil(x)
+        assert n - 1 < x <= n
 
     @given(nonzero)
     def test_multiplicative_inverse(self, a):

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from onticbench import ontology
 from onticbench.hilbert import MeasurementBasis, ket
-from onticbench.numerics import HALF, ONE, QSqrt2, QUARTER, ZERO
+from onticbench.numerics import HALF, ONE, QSqrt2, QUARTER, SQRT2, ZERO
 from onticbench.ontology import (
     EpistemicState,
     Factor,
@@ -14,12 +15,12 @@ from onticbench.ontology import (
     ResponseFunctions,
     check_born_agreement,
     format_point,
-    is_psi_epistemic,
     predicted_statistics,
     simulate,
     validate_epistemic,
     validate_responses,
 )
+from onticbench.scenarios import build_toy_nlhv_model
 
 
 def q(rat, irr=0):
@@ -195,27 +196,6 @@ class TestBornAgreement:
         assert cell.predicted == QUARTER and cell.target == HALF
 
 
-class TestPsiEpistemic:
-    def test_overlapping_supports(self):
-        mu = two_state(HALF, HALF)
-        nu = two_state(ONE, ZERO)
-        verdict = is_psi_epistemic(mu, nu, states_nonorthogonal=True)
-        assert verdict.ok
-        assert ("a",) in verdict.witnesses
-
-    def test_disjoint_supports(self):
-        mu = two_state(ONE, ZERO)
-        nu = two_state(ZERO, ONE)
-        verdict = is_psi_epistemic(mu, nu, states_nonorthogonal=True)
-        assert not verdict.ok
-
-    def test_orthogonal_states_uninformative(self):
-        mu = two_state(HALF, HALF)
-        verdict = is_psi_epistemic(mu, mu, states_nonorthogonal=False)
-        assert not verdict.ok
-        assert "orthogonal" in verdict.failures[0]
-
-
 class TestSimulate:
     def test_reproducible(self):
         model = plus_model()
@@ -263,9 +243,7 @@ class TestSimulate:
             simulate(plus_model(), "plus", "Z", -1, seed=0)
 
     def test_irrational_weights_sampled_exactly(self):
-        # weights (sqrt2 - 1, 2 - sqrt2) exercise the non-dyadic comparison path
-        from onticbench.numerics import SQRT2
-
+        # weights (sqrt2 - 1, 2 - sqrt2) give irrational CDF thresholds
         prep = EpistemicState(TWO, {("a",): SQRT2 - ONE, ("b",): q(2) - SQRT2})
         xi = ResponseFunctions(TWO, 2, {("a",): (ONE, ZERO), ("b",): (ZERO, ONE)})
         model = OntologicalModel(TWO, {"p": prep}, {"M": xi})
@@ -273,3 +251,39 @@ class TestSimulate:
         assert sum(counts) == 4000
         # sqrt2 - 1 = 0.414...; 4000 draws put outcome 1 well inside (1300, 2000)
         assert 1300 < counts[0] < 2000
+
+    def test_idle_workers_are_not_seeded(self, monkeypatch):
+        seeded = []
+        real = ontology._substream
+
+        def counting(seed, worker):
+            seeded.append(worker)
+            return real(seed, worker)
+
+        monkeypatch.setattr(ontology, "_substream", counting)
+        counts = simulate(build_toy_nlhv_model(), "nu00", "M", 10, 7, jobs=5000)
+        assert counts == [0, 3, 2, 5]
+        assert len(seeded) <= 10
+
+
+class TestCdf:
+    # cumulative weights sqrt2 - 1, sqrt2 - 1, sqrt2 - 1/2, 1; item "zero" has weight 0
+    ITEMS = ("a", "zero", "b", "c")
+    WEIGHTS = (SQRT2 - ONE, ZERO, HALF, q(Fraction(3, 2)) - SQRT2)
+
+    def exact_pick(self, r):
+        u = QSqrt2(Fraction(r, 1 << 64))
+        running = ZERO
+        for item, weight in zip(self.ITEMS, self.WEIGHTS):
+            running = running + weight
+            if (running - u).sign() > 0:
+                return item
+        raise AssertionError("u >= 1")
+
+    def test_pick_matches_exact_comparison_at_each_threshold(self):
+        cdf = ontology._Cdf(self.ITEMS, self.WEIGHTS)
+        assert cdf.thresholds[-1] == 1 << 64
+        for threshold in cdf.thresholds:
+            for r in (threshold - 1, threshold):
+                if 0 <= r < 1 << 64:
+                    assert cdf.pick(r) == self.exact_pick(r)

@@ -23,7 +23,6 @@ from onticbench.scenarios import (
     build_pbr_lhv_model,
     build_pbr_quantum_scenario,
     build_toy_nlhv_model,
-    restrict_responses,
     subsystem_states,
     support_union,
     toy_space,
@@ -184,23 +183,3 @@ class TestLhvRestriction:
         model = OntologicalModel(subs["nu0"].space, {"nu0": subs["nu0"]}, {})
         with pytest.raises(ValueError):
             build_lhv_restriction(model, "lambda1")
-
-
-class TestRestrictResponses:
-    def test_section_at_shared_value(self, toy):
-        xi = toy.measurements[MEASUREMENT_LABEL]
-        reduced = restrict_responses(xi, SHARED_FACTOR, "1")
-        assert reduced.space.size == 16
-        assert reduced.row(("TH", "TH")) == (ONE, ZERO, ZERO, ZERO)
-        assert reduced.row(("TT", "TT")) == (QUARTER,) * 4
-
-    def test_section_rows_stay_normalized(self, toy):
-        xi = toy.measurements[MEASUREMENT_LABEL]
-        for label in ("1", "2"):
-            reduced = restrict_responses(xi, SHARED_FACTOR, label)
-            assert validate_responses(reduced).ok
-
-    def test_unknown_label_rejected(self, toy):
-        xi = toy.measurements[MEASUREMENT_LABEL]
-        with pytest.raises(ValueError):
-            restrict_responses(xi, SHARED_FACTOR, "3")

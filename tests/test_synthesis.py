@@ -239,6 +239,10 @@ class TestMinViolationEdges:
         result = solve_min_violation(toy_synthesis_spec(), ())
         assert result.value == ZERO
 
+    def test_no_forbidden_cells_result_verifies(self):
+        result = solve_min_violation(toy_synthesis_spec(), ())
+        assert verify_certificate(result.lp, result.raw).ok
+
     def test_point_mass_conflict_floor(self):
         # two preparations on the same single point demand outcome 1 with
         # probability 0 and 1; the best cap on the zero cell is 1/2
