@@ -17,8 +17,11 @@ Inequality rows cannot be split that way, because the field order does not
 act componentwise, so the violation-minimizing program insists on rational
 data; every built-in scenario satisfies that.
 
-The solver is a two-phase primal simplex over Fractions with Bland's rule,
-which cannot cycle, so termination is unconditional.  Infeasibility comes
+The solver is a two-phase primal simplex with Bland's rule, which cannot
+cycle, so termination is unconditional.  Each tableau row is a list of
+integers over one positive denominator, kept reduced, so the simplex holds
+exactly the rationals a Fraction tableau would while creating no Fraction
+per entry; results come back as Fractions.  Infeasibility comes
 with a Farkas certificate: row multipliers y with
 
     sum_i y_i * row_i <= 0 componentwise over the variables,
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import List, Mapping, Optional, Sequence, Tuple
 
 from .numerics import ONE, QSqrt2, ZERO, as_qsqrt2
@@ -104,6 +108,12 @@ class SynthesisSpec:
         return self.outcome_count * self.space.size
 
 
+def _as_fraction(value) -> Fraction:
+    # A Fraction is kept as it is: rebuilding every coefficient made building an
+    # LP about ten times slower.
+    return value if isinstance(value, Fraction) else Fraction(value)
+
+
 @dataclass(frozen=True)
 class Constraint:
     cid: str
@@ -114,8 +124,8 @@ class Constraint:
     def __post_init__(self) -> None:
         if self.kind not in ("eq", "le"):
             raise ValueError(f"unknown constraint kind {self.kind!r}")
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
-        object.__setattr__(self, "rhs", Fraction(self.rhs))
+        object.__setattr__(self, "coeffs", tuple(map(_as_fraction, self.coeffs)))
+        object.__setattr__(self, "rhs", _as_fraction(self.rhs))
 
 
 @dataclass(frozen=True)
@@ -223,30 +233,57 @@ def build_synthesis_lp(spec: SynthesisSpec) -> LPProblem:
 # ---- exact simplex ---------------------------------------------------------
 
 
-def _pivot(T: List[List[Fraction]], z: List[Fraction], basis: List[int], r: int, col: int) -> None:
+# The tableau T is a list of integer rows, the reduced-cost row z last, and
+# D holds one denominator per row: row i stands for the rationals
+# T[i][j] / D[i], with D[i] > 0 and gcd(D[i], *T[i]) == 1.  A sign test reads
+# the numerator alone, and every value is the rational a Fraction tableau
+# would hold, so Bland's rule makes the same pivots.
+
+
+def _int_row(values: Sequence[Fraction]) -> Tuple[List[int], int]:
+    """Numerators of ``values`` over their least common denominator."""
+    d = lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
+def _pivot(T: List[List[int]], D: List[int], basis: List[int], r: int, col: int) -> None:
+    """Pivot on T[r][col]: scale row r to a unit pivot, clear ``col`` from every other row."""
     prow = T[r]
-    piv = prow[col]
-    if piv != _F1:
-        inv = _F1 / piv
-        T[r] = prow = [v * inv for v in prow]
+    g = gcd(*prow)
+    if prow[col] < 0:
+        g = -g
+    if g != 1:
+        T[r] = prow = [v // g for v in prow]
+    pd = D[r] = prow[col]
     nonzero = [j for j, v in enumerate(prow) if v]
     for i, row in enumerate(T):
-        if i == r:
-            continue
         f = row[col]
-        if f:
+        if not f or i == r:
+            continue
+        # N/d - (f/d) * prow/pd == (s*N - f'*prow) / (s*d), s = pd/g, f' = f/g.
+        g = gcd(f, pd)
+        s, f = pd // g, f // g
+        d = D[i]
+        if s == 1:
             for j in nonzero:
                 row[j] -= f * prow[j]
-    f = z[col]
-    if f:
-        for j in nonzero:
-            z[j] -= f * prow[j]
+        else:
+            row = [s * a - f * b for a, b in zip(row, prow)]
+            d *= s
+        if d != 1:
+            g = gcd(d, *row)
+            if g != 1:
+                row = [v // g for v in row]
+                d //= g
+        T[i] = row
+        D[i] = d
     basis[r] = col
 
 
-def _bland(T: List[List[Fraction]], z: List[Fraction], basis: List[int], eligible: int) -> str:
+def _bland(T: List[List[int]], D: List[int], basis: List[int], eligible: int) -> str:
     """Run Bland's-rule pivots to optimality. ``eligible`` bounds entering columns."""
     while True:
+        z = T[-1]
         enter = -1
         for j in range(eligible):
             if z[j] < 0:
@@ -254,99 +291,116 @@ def _bland(T: List[List[Fraction]], z: List[Fraction], basis: List[int], eligibl
                 break
         if enter < 0:
             return "optimal"
+        # The ratio of row i is T[i][-1] / T[i][enter]: its denominator cancels.
         leave = -1
-        best: Optional[Fraction] = None
-        for i, row in enumerate(T):
+        for i in range(len(basis)):
+            row = T[i]
             a = row[enter]
             if a > 0:
-                ratio = row[-1] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
+                rhs = row[-1]
+                if leave >= 0:
+                    lhs, best = rhs * best_a, best_rhs * a
+                    if lhs > best or (lhs == best and basis[i] > basis[leave]):
+                        continue
+                best_rhs, best_a, leave = rhs, a, i
         if leave < 0:
             return "unbounded"
-        _pivot(T, z, basis, leave, enter)
+        _pivot(T, D, basis, leave, enter)
 
 
 def _simplex(
-    A: List[List[Fraction]], b: List[Fraction], c: Optional[List[Fraction]]
+    A: List[List[Fraction]], b: List[Fraction], c: Optional[List[Fraction]], n: int
 ):
-    """min c.x subject to Ax = b, x >= 0, in exact rational arithmetic.
+    """min c.x subject to Ax = b, x >= 0 over ``n`` columns, in exact rational arithmetic.
 
     Returns ("infeasible", y) with y a Farkas certificate of the system
     (sum_i y_i A_i <= 0 componentwise and y.b > 0), or ("optimal", x, value).
     """
     m = len(A)
-    n = len(A[0]) if m else 0
     width = n + m + 1
 
-    flips = [(-_F1 if b[i] < 0 else _F1) for i in range(m)]
-    T: List[List[Fraction]] = []
+    flips = [-1 if b[i] < 0 else 1 for i in range(m)]
+    T: List[List[int]] = []
+    D: List[int] = []
     for i in range(m):
-        f = flips[i]
-        row = [f * v for v in A[i]] + [_F0] * m + [f * b[i]]
-        row[n + i] = _F1
+        N, d = _int_row(A[i] + [b[i]])
+        if flips[i] < 0:
+            N = [-v for v in N]
+        row = N[:n] + [0] * m + N[n:]
+        row[n + i] = d
         T.append(row)
+        D.append(d)
     basis = list(range(n, n + m))
 
     # Phase 1: minimize the artificial total. Initial reduced costs are the
     # negated column sums; the artificial columns start at zero.
-    z = [_F0] * width
-    for row in T:
+    zd = lcm(*D)
+    z = [0] * width
+    for row, d in zip(T, D):
+        s = zd // d
         for j in range(n):
             if row[j]:
-                z[j] -= row[j]
-        z[-1] -= row[-1]
-    status = _bland(T, z, basis, n + m)
+                z[j] -= s * row[j]
+        z[-1] -= s * row[-1]
+    g = gcd(zd, *z)
+    T.append([v // g for v in z])
+    D.append(zd // g)
+    status = _bland(T, D, basis, n + m)
     if status != "optimal":
         raise AssertionError("phase 1 is always bounded below by zero")
-    infeasibility = -z[-1]
-    if infeasibility > 0:
-        # Simplex multipliers: the reduced cost of artificial i is 1 - y_i.
-        y = [flips[i] * (_F1 - z[n + i]) for i in range(m)]
+    z, zd = T[-1], D[-1]
+    if z[-1] < 0:
+        # The artificial total -z[-1] is positive. Simplex multipliers: the
+        # reduced cost of artificial i is 1 - y_i.
+        y = [Fraction(flips[i] * (zd - z[n + i]), zd) for i in range(m)]
         return ("infeasible", y)
 
     if c is None:
         x = [_F0] * n
         for r, var in enumerate(basis):
             if var < n:
-                x[var] = T[r][-1]
+                x[var] = Fraction(T[r][-1], D[r])
         return ("optimal", x, _F0)
 
     # Drive artificials out of the basis; rows that cannot pivot are
     # redundant (zero in every original column, zero rhs) and are dropped.
     keep: List[int] = []
-    for r in range(len(T)):
+    for r in range(m):
         if basis[r] >= n:
             col = next((j for j in range(n) if T[r][j]), None)
             if col is None:
                 continue  # redundant row
-            _pivot(T, z, basis, r, col)
+            _pivot(T, D, basis, r, col)
         keep.append(r)
     T = [T[r] for r in keep]
+    D = [D[r] for r in keep]
     basis = [basis[r] for r in keep]
     if any(var >= n for var in basis):
         raise AssertionError("artificial variable left in the basis after cleanup")
 
-    # Phase 2 with the real objective.
-    z = list(c) + [_F0] * m + [_F0]
-    for r, row in enumerate(T):
-        cb = c[basis[r]]
+    # Phase 2 with the real objective: reduced costs c - c_B B^-1 A.
+    zf = list(c) + [_F0] * (m + 1)
+    for r, var in enumerate(basis):
+        cb = c[var]
         if cb:
-            for j in range(width):
-                if row[j]:
-                    z[j] -= cb * row[j]
-    status = _bland(T, z, basis, n)
+            cb /= D[r]
+            for j, v in enumerate(T[r]):
+                if v:
+                    zf[j] -= cb * v
+    z, zd = _int_row(zf)
+    T.append(z)
+    D.append(zd)
+    status = _bland(T, D, basis, n)
     if status == "unbounded":
         raise ValueError("objective is unbounded below")
     x = [_F0] * n
     for r, var in enumerate(basis):
-        x[var] = T[r][-1]
-    return ("optimal", x, -z[-1])
+        x[var] = Fraction(T[r][-1], D[r])
+    return ("optimal", x, Fraction(-T[-1][-1], D[-1]))
 
 
 def _standard_form(lp: LPProblem):
-    """Append one slack column per '<=' row, giving Ax = b, x >= 0."""
+    """Append one slack column per '<=' row, giving Ax = b, x >= 0 over n columns."""
     n0 = len(lp.variables)
     le_rows = [i for i, con in enumerate(lp.constraints) if con.kind == "le"]
     slack_of = {row: n0 + j for j, row in enumerate(le_rows)}
@@ -359,17 +413,17 @@ def _standard_form(lp: LPProblem):
             row[slack_of[i]] = _F1
         A.append(row)
         b.append(con.rhs)
-    return A, b, n0
+    return A, b, n, n0
 
 
 def _solve(lp: LPProblem, optimize: bool) -> FeasibilityResult:
-    A, b, n0 = _standard_form(lp)
+    A, b, n, n0 = _standard_form(lp)
     c = None
     if optimize:
         if lp.objective is None:
             raise ValueError("LP has no objective to optimize")
-        c = list(lp.objective) + [_F0] * (len(A[0]) - n0 if A else 0)
-    outcome = _simplex(A, b, c)
+        c = list(lp.objective) + [_F0] * (n - n0)
+    outcome = _simplex(A, b, c, n)
     if outcome[0] == "infeasible":
         y = outcome[1]
         certificate = {
@@ -417,11 +471,13 @@ def verify_certificate(lp: LPProblem, result: FeasibilityResult) -> Verdict:
         for j, value in enumerate(x):
             if value < 0:
                 failures.append(f"variable {lp.variables[j]} is negative: {value}")
+        support = [(j, value) for j, value in enumerate(x) if value]
         for con in lp.constraints:
+            coeffs = con.coeffs
             lhs = _F0
-            for coeff, value in zip(con.coeffs, x):
-                if coeff:
-                    lhs += coeff * value
+            for j, value in support:
+                if coeffs[j]:
+                    lhs += coeffs[j] * value
             if con.kind == "eq" and lhs != con.rhs:
                 failures.append(f"constraint {con.cid} violated: lhs {lhs}, rhs {con.rhs}")
             elif con.kind == "le" and lhs > con.rhs:

@@ -388,6 +388,12 @@ class TestSolverCore:
         assert result.feasible
         assert sum(result.witness) == 1
 
+    def test_no_constraints_gives_the_zero_witness(self):
+        lp = LPProblem(("x", "y"), ())
+        result = solve_feasibility(lp)
+        assert result.feasible
+        assert result.witness == (0, 0)
+
     def test_tiny_infeasible_system(self):
         # x = 2 contradicts x <= 1
         lp = LPProblem(
