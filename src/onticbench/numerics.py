@@ -6,6 +6,12 @@ arithmetic operations, totally ordered, and has a decidable sign, so every
 comparison made anywhere in the package is exact.  Floating point exists
 only for display, via :meth:`QSqrt2.to_float`.
 
+An element is stored in integers, as ``(a + b*sqrt2)/d`` with ``d > 0`` and
+``gcd(a, b, d) == 1``.  That form is unique, so equality is componentwise;
+the four operations are integer products reduced by one gcd, and the sign
+is decided by comparing ``a*a`` with ``2*b*b``.  The rational and sqrt2
+parts are available as Fractions through ``rat`` and ``irr``.
+
 Values render as ``a + b*sqrt2`` with rationals written ``p/q``, e.g.
 ``1/2``, ``sqrt2/2``, ``3*sqrt2/4``, ``1/3 + sqrt2/7``, ``1 - sqrt2``.
 :meth:`QSqrt2.parse` reads the same forms back.
@@ -15,9 +21,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
+from math import gcd
 
 # Rational scalars are stdlib fractions: always in lowest terms, with a
 # positive denominator and arbitrary-precision components.
@@ -50,25 +55,65 @@ def _as_rational(value) -> Fraction:
     )
 
 
-@total_ordering
-@dataclass(frozen=True)
+def _sign(a: int, b: int) -> int:
+    """The sign of a + b*sqrt2 for integers a and b, decided without floats.
+
+    When a and b disagree in sign, |a| vs |b|*sqrt2 is settled by squaring;
+    the squares are never equal for nonzero b since sqrt2 is irrational.
+    """
+    if not b:
+        return (a > 0) - (a < 0)
+    sb = 1 if b > 0 else -1
+    if not a or (a > 0) == (b > 0):
+        return sb
+    return -sb if a * a > 2 * b * b else sb
+
+
+def _ratio(text: str):
+    """The (numerator, denominator) ints of a ``p`` or ``p/q`` digit string."""
+    num, _, den = text.partition("/")
+    return int(num), int(den) if den else 1
+
+
 class QSqrt2:
-    """The field element ``rat + irr*sqrt2``.
+    """The field element ``rat + irr*sqrt2``, stored as ``(a + b*sqrt2)/d``.
 
     The (rat, irr) pair is a coordinate vector over the basis {1, sqrt2},
     which is linearly independent over the rationals, so representation is
-    unique and equality is componentwise.
+    unique and equality is componentwise.  Instances are immutable.
 
     Arithmetic accepts ``int`` and ``Fraction`` operands and promotes them.
     Floats are rejected at construction.
     """
 
-    rat: Fraction = Fraction(0)
-    irr: Fraction = Fraction(0)
+    __slots__ = ("_a", "_b", "_d")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rat", _as_rational(self.rat))
-        object.__setattr__(self, "irr", _as_rational(self.irr))
+    def __new__(cls, rat=0, irr=0) -> "QSqrt2":
+        rat = _as_rational(rat)
+        irr = _as_rational(irr)
+        q, s = rat.denominator, irr.denominator
+        g = gcd(q, s)
+        return _make(rat.numerator * (s // g), irr.numerator * (q // g), q // g * s)
+
+    def __setattr__(self, name, value) -> None:
+        raise AttributeError(f"QSqrt2 is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name) -> None:
+        raise AttributeError(f"QSqrt2 is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, not by setting slots.
+        return QSqrt2, (self.rat, self.irr)
+
+    @property
+    def rat(self) -> Fraction:
+        """The rational part."""
+        return Fraction(self._a, self._d)
+
+    @property
+    def irr(self) -> Fraction:
+        """The coefficient of sqrt2."""
+        return Fraction(self._b, self._d)
 
     @classmethod
     def parse(cls, text: str) -> "QSqrt2":
@@ -80,7 +125,8 @@ class QSqrt2:
         s = text.strip()
         if not s:
             raise ValueError("empty value")
-        total = cls()
+        # The running sum (a + b*sqrt2)/d, reduced once at the end.
+        a, b, d = 0, 0, 1
         pos = 0
         first = True
         while pos < len(s):
@@ -100,36 +146,48 @@ class QSqrt2:
             match = _TERM_RE.match(s, pos)
             if match is None or match.end() == pos:
                 raise ValueError(f"malformed value at offset {pos} in {text!r}")
-            try:
-                if match.group("rat") is not None:
-                    term = cls(Fraction(match.group("rat")))
-                else:
-                    coef = Fraction(match.group("coef")) if match.group("coef") else Fraction(1)
-                    if match.group("div"):
-                        coef /= int(match.group("div"))
-                    term = cls(Fraction(0), coef)
-            except ZeroDivisionError:
-                raise ValueError(f"zero denominator at offset {pos} in {text!r}") from None
-            total = total + term * sign
+            rat, coef, div = match.group("rat", "coef", "div")
+            if rat is not None:
+                p, q = _ratio(rat)
+                ta, tb = sign * p, 0
+            else:
+                p, q = _ratio(coef) if coef else (1, 1)
+                if div:
+                    q *= int(div)
+                ta, tb = 0, sign * p
+            if not q:
+                raise ValueError(f"zero denominator at offset {pos} in {text!r}")
+            if q == d:
+                a, b = a + ta, b + tb
+            else:
+                a, b, d = a * q + ta * d, b * q + tb * d, d * q
             pos = match.end()
             first = False
-        return total
+        return _make(a, b, d)
 
     # ---- arithmetic -----------------------------------------------------
 
     def __add__(self, other) -> "QSqrt2":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return QSqrt2(self.rat + other.rat, self.irr + other.irr)
+        if type(other) is not QSqrt2:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        d, e = self._d, other._d
+        if d == e:
+            return _make(self._a + other._a, self._b + other._b, d)
+        return _make(self._a * e + other._a * d, self._b * e + other._b * d, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "QSqrt2":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return QSqrt2(self.rat - other.rat, self.irr - other.irr)
+        if type(other) is not QSqrt2:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        d, e = self._d, other._d
+        if d == e:
+            return _make(self._a - other._a, self._b - other._b, d)
+        return _make(self._a * e - other._a * d, self._b * e - other._b * d, d * e)
 
     def __rsub__(self, other) -> "QSqrt2":
         other = _coerce(other)
@@ -138,28 +196,29 @@ class QSqrt2:
         return other - self
 
     def __mul__(self, other) -> "QSqrt2":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return QSqrt2(
-            self.rat * other.rat + 2 * self.irr * other.irr,
-            self.rat * other.irr + self.irr * other.rat,
-        )
+        if type(other) is not QSqrt2:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b, c, e = self._a, self._b, other._a, other._b
+        return _make(a * c + 2 * b * e, a * e + b * c, self._d * other._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "QSqrt2":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        # Multiply by the conjugate: (c + d*sqrt2)(c - d*sqrt2) = c^2 - 2d^2,
+        if type(other) is not QSqrt2:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        # Multiply by the conjugate: (c + e*sqrt2)(c - e*sqrt2) = c^2 - 2e^2,
         # which vanishes only at zero because sqrt2 is irrational.
-        norm = other.rat * other.rat - 2 * other.irr * other.irr
-        if norm == 0:
+        a, b, c, e, f = self._a, self._b, other._a, other._b, other._d
+        norm = c * c - 2 * e * e
+        if not norm:
             raise ZeroDivisionError("division by zero in Q(sqrt2)")
-        conj = other.conjugate()
-        num = self * conj
-        return QSqrt2(num.rat / norm, num.irr / norm)
+        if norm < 0:
+            norm, f = -norm, -f
+        return _make((a * c - 2 * b * e) * f, (b * c - a * e) * f, self._d * norm)
 
     def __rtruediv__(self, other) -> "QSqrt2":
         other = _coerce(other)
@@ -168,7 +227,7 @@ class QSqrt2:
         return other / self
 
     def __neg__(self) -> "QSqrt2":
-        return QSqrt2(-self.rat, -self.irr)
+        return _make(-self._a, -self._b, self._d)
 
     def __pos__(self) -> "QSqrt2":
         return self
@@ -178,88 +237,117 @@ class QSqrt2:
 
     def conjugate(self) -> "QSqrt2":
         """The field automorphism sqrt2 -> -sqrt2."""
-        return QSqrt2(self.rat, -self.irr)
+        return _make(self._a, -self._b, self._d)
 
     # ---- order ----------------------------------------------------------
 
     def sign(self) -> int:
-        """Exact sign: -1, 0, or +1, decided without floating point.
-
-        When the two components disagree in sign the comparison
-        |rat| vs |irr|*sqrt2 is settled by squaring; equality of the squares
-        is impossible for nonzero components since sqrt2 is irrational.
-        """
-        a, b = self.rat, self.irr
-        sa = (a > 0) - (a < 0)
-        sb = (b > 0) - (b < 0)
-        if sa == 0:
-            return sb
-        if sb == 0 or sa == sb:
-            return sa
-        return sa if a * a > 2 * b * b else sb
+        """Exact sign: -1, 0, or +1, decided in integers (d > 0)."""
+        return _sign(self._a, self._b)
 
     def __eq__(self, other) -> bool:
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.rat == other.rat and self.irr == other.irr
+        if type(other) is not QSqrt2:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self) -> int:
-        if not self.irr:
-            return hash(self.rat)
+        if not self._b:
+            return hash(self._a) if self._d == 1 else hash(Fraction(self._a, self._d))
         return hash((self.rat, self.irr))
 
+    def _cmp(self, other):
+        """The sign of self - other, or None for an operand of another type."""
+        if type(other) is not QSqrt2:
+            other = _coerce(other)
+            if other is None:
+                return None
+        d, e = self._d, other._d
+        return _sign(self._a * e - other._a * d, self._b * e - other._b * d)
+
     def __lt__(self, other) -> bool:
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return (self - other).sign() < 0
+        s = self._cmp(other)
+        return NotImplemented if s is None else s < 0
+
+    def __le__(self, other) -> bool:
+        s = self._cmp(other)
+        return NotImplemented if s is None else s <= 0
+
+    def __gt__(self, other) -> bool:
+        s = self._cmp(other)
+        return NotImplemented if s is None else s > 0
+
+    def __ge__(self, other) -> bool:
+        s = self._cmp(other)
+        return NotImplemented if s is None else s >= 0
 
     def __bool__(self) -> bool:
-        return bool(self.rat) or bool(self.irr)
+        return bool(self._a or self._b)
 
     def __ceil__(self) -> int:
         """The least integer n with self <= n, decided in integers.
 
-        Written as (r + p*sqrt2)/d with d > 0, floor(p*sqrt2) is isqrt(2p^2)
-        for p >= 0 and -isqrt(2p^2) - 1 for p < 0; for p != 0 the value is
-        irrational, so its ceiling is one more than its floor.
+        For (a + b*sqrt2)/d, floor(b*sqrt2) is isqrt(2b^2) for b >= 0 and
+        -isqrt(2b^2) - 1 for b < 0; for b != 0 the value is irrational, so
+        its ceiling is one more than its floor.
         """
-        if not self.irr:
-            return math.ceil(self.rat)
-        d = self.rat.denominator * self.irr.denominator
-        r = self.rat.numerator * self.irr.denominator
-        p = self.irr.numerator * self.rat.denominator
-        root = math.isqrt(2 * p * p)
-        floor_p_sqrt2 = root if p > 0 else -root - 1
-        return (r + floor_p_sqrt2) // d + 1
+        a, b, d = self._a, self._b, self._d
+        if not b:
+            return -(-a // d)
+        root = math.isqrt(2 * b * b)
+        floor_b_sqrt2 = root if b > 0 else -root - 1
+        return (a + floor_b_sqrt2) // d + 1
 
     # ---- display --------------------------------------------------------
 
     def to_float(self) -> float:
         """Nearest float, for display only: never feeds back into a decision."""
-        return float(self.rat) + float(self.irr) * _SQRT2_FLOAT
+        # int / int is correctly rounded, as float(Fraction) is.
+        return self._a / self._d + self._b / self._d * _SQRT2_FLOAT
 
     __float__ = to_float
 
     def __str__(self) -> str:
-        if not self.irr:
+        if not self._b:
             return str(self.rat)
-        irr_part = _sqrt2_term_str(abs(self.irr))
-        if not self.rat:
-            return irr_part if self.irr > 0 else "-" + irr_part
-        op = " + " if self.irr > 0 else " - "
+        irr = self.irr
+        irr_part = _sqrt2_term_str(abs(irr))
+        if not self._a:
+            return irr_part if irr > 0 else "-" + irr_part
+        op = " + " if irr > 0 else " - "
         return str(self.rat) + op + irr_part
 
     def __repr__(self) -> str:
         return f"QSqrt2({self.rat}, {self.irr})"
 
 
+_new = object.__new__
+_set_a = QSqrt2._a.__set__
+_set_b = QSqrt2._b.__set__
+_set_d = QSqrt2._d.__set__
+
+
+def _make(a: int, b: int, d: int) -> QSqrt2:
+    """The trusted constructor: (a + b*sqrt2)/d for ints with d > 0, reduced."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    x = _new(QSqrt2)
+    _set_a(x, a)
+    _set_b(x, b)
+    _set_d(x, d)
+    return x
+
+
 def _coerce(value):
-    if isinstance(value, QSqrt2):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return QSqrt2(value)
+    """The QSqrt2 for an int or Fraction operand; None for any other type."""
+    if isinstance(value, int):
+        return _make(value, 0, 1)
+    if isinstance(value, Fraction):
+        return _make(value.numerator, 0, value.denominator)
     return None
 
 
@@ -288,13 +376,14 @@ INV_SQRT2 = QSqrt2(0, Fraction(1, 2))
 
 
 def qmin(a: QSqrt2, b: QSqrt2) -> QSqrt2:
-    return a if (a - b).sign() <= 0 else b
+    return a if a <= b else b
 
 
 def qmax(a: QSqrt2, b: QSqrt2) -> QSqrt2:
-    return a if (a - b).sign() >= 0 else b
+    return a if a >= b else b
 
 
 def is_probability(value: QSqrt2) -> bool:
-    """True iff the value lies in [0, 1], decided exactly."""
-    return value.sign() >= 0 and (ONE - value).sign() >= 0
+    """True iff the value lies in [0, 1], decided exactly: 0 <= a + b*sqrt2 <= d."""
+    a, b = value._a, value._b
+    return _sign(a, b) >= 0 and _sign(value._d - a, -b) >= 0

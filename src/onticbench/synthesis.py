@@ -196,6 +196,14 @@ def _norm_rows(spec: SynthesisSpec, width: int) -> List[Constraint]:
     return rows
 
 
+def _weight_parts(spec: SynthesisSpec, prep: EpistemicState):
+    """(point index, rational part, sqrt2 part) of each weight, read once per point."""
+    return [
+        (spec.space.point_index(point), weight.rat, weight.irr)
+        for point, weight in prep.weights.items()
+    ]
+
+
 def build_synthesis_lp(spec: SynthesisSpec) -> LPProblem:
     """Encode the synthesis question as a rational feasibility LP.
 
@@ -208,24 +216,23 @@ def build_synthesis_lp(spec: SynthesisSpec) -> LPProblem:
     size = spec.space.size
     constraints = _norm_rows(spec, n)
     for (label, prep), target_row in zip(spec.preparations, spec.targets):
+        parts = _weight_parts(spec, prep)
+        any_irr = any(w_irr for _, _, w_irr in parts)
         for k in range(1, spec.outcome_count + 1):
             rat = [_F0] * n
             irr = [_F0] * n
-            any_irr = False
-            for point, weight in prep.weights.items():
-                idx = (k - 1) * size + spec.space.point_index(point)
-                rat[idx] = weight.rat
-                irr[idx] = weight.irr
-                if weight.irr:
-                    any_irr = True
-            target = target_row[k - 1]
-            if any(rat) or target.rat:
+            base = (k - 1) * size
+            for p_idx, w_rat, w_irr in parts:
+                rat[base + p_idx] = w_rat
+                irr[base + p_idx] = w_irr
+            t_rat, t_irr = target_row[k - 1].rat, target_row[k - 1].irr
+            if any(rat) or t_rat:
                 constraints.append(
-                    Constraint(f"born@{label}#k{k}", tuple(rat), target.rat, "eq")
+                    Constraint(f"born@{label}#k{k}", tuple(rat), t_rat, "eq")
                 )
-            if any_irr or target.irr:
+            if any_irr or t_irr:
                 constraints.append(
-                    Constraint(f"born@{label}#k{k}:irr", tuple(irr), target.irr, "eq")
+                    Constraint(f"born@{label}#k{k}:irr", tuple(irr), t_irr, "eq")
                 )
     return LPProblem(_synthesis_variables(spec), tuple(constraints))
 
@@ -550,13 +557,14 @@ def build_min_violation_lp(
             )
         prep = spec.preparations[i][1]
         coeffs = [_F0] * (n + 1)
-        for point, weight in prep.weights.items():
-            if weight.irr:
+        for p_idx, w_rat, w_irr in _weight_parts(spec, prep):
+            if w_irr:
+                point = spec.space.points[p_idx]
                 raise ValueError(
                     "violation floor requires rational preparation weights; "
-                    f"{label!r} has {weight} at {format_point(point)}"
+                    f"{label!r} has {prep.weights[point]} at {format_point(point)}"
                 )
-            coeffs[(k - 1) * size + spec.space.point_index(point)] = weight.rat
+            coeffs[(k - 1) * size + p_idx] = w_rat
         coeffs[n] = -_F1
         constraints.append(Constraint(f"cap@{label}#k{k}", tuple(coeffs), _F0, "le"))
     objective = tuple([_F0] * n + [_F1])

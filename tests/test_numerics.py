@@ -1,7 +1,13 @@
-"""Tests for the exact field arithmetic."""
+"""Tests for the exact field arithmetic, and a differential test of its integer form."""
 
+import copy
 import math
+import operator
+import pickle
+import re
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 
 import pytest
 from hypothesis import given, settings
@@ -232,3 +238,369 @@ class TestFieldAxioms:
     @given(elements)
     def test_string_round_trip(self, a):
         assert QSqrt2.parse(str(a)) == a
+
+
+# ---- oracle: the Fraction-pair field element ------------------------------------
+#
+# The element as it was stored before it became integers over one
+# denominator: a frozen dataclass of two Fractions, coerced on every
+# construction.  The integer form must agree with it value for value.
+
+_ORACLE_TERM_RE = re.compile(
+    r"""
+    (?:
+        (?:(?P<coef>[0-9]+(?:/[0-9]+)?)\s*\*\s*)?
+        sqrt2
+        (?:\s*/\s*(?P<div>[0-9]+))?
+      |
+        (?P<rat>[0-9]+(?:/[0-9]+)?)
+    )
+    """,
+    re.VERBOSE,
+)
+
+
+def _oracle_rational(value):
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    raise TypeError(
+        f"expected an exact rational (int or Fraction), got {type(value).__name__}: {value!r}"
+    )
+
+
+@total_ordering
+@dataclass(frozen=True)
+class Oracle:
+    rat: Fraction = Fraction(0)
+    irr: Fraction = Fraction(0)
+
+    def __post_init__(self):
+        object.__setattr__(self, "rat", _oracle_rational(self.rat))
+        object.__setattr__(self, "irr", _oracle_rational(self.irr))
+
+    @classmethod
+    def parse(cls, text):
+        s = text.strip()
+        if not s:
+            raise ValueError("empty value")
+        total = cls()
+        pos = 0
+        first = True
+        while pos < len(s):
+            while pos < len(s) and s[pos].isspace():
+                pos += 1
+            if pos >= len(s):
+                break
+            sign = 1
+            if s[pos] in "+-":
+                if s[pos] == "-":
+                    sign = -1
+                pos += 1
+                while pos < len(s) and s[pos].isspace():
+                    pos += 1
+            elif not first:
+                raise ValueError(f"expected '+' or '-' at offset {pos} in {text!r}")
+            match = _ORACLE_TERM_RE.match(s, pos)
+            if match is None or match.end() == pos:
+                raise ValueError(f"malformed value at offset {pos} in {text!r}")
+            try:
+                if match.group("rat") is not None:
+                    term = cls(Fraction(match.group("rat")))
+                else:
+                    coef = Fraction(match.group("coef")) if match.group("coef") else Fraction(1)
+                    if match.group("div"):
+                        coef /= int(match.group("div"))
+                    term = cls(Fraction(0), coef)
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator at offset {pos} in {text!r}") from None
+            total = total + term * sign
+            pos = match.end()
+            first = False
+        return total
+
+    def __add__(self, other):
+        other = _oracle_coerce(other)
+        if other is None:
+            return NotImplemented
+        return Oracle(self.rat + other.rat, self.irr + other.irr)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = _oracle_coerce(other)
+        if other is None:
+            return NotImplemented
+        return Oracle(self.rat - other.rat, self.irr - other.irr)
+
+    def __rsub__(self, other):
+        other = _oracle_coerce(other)
+        if other is None:
+            return NotImplemented
+        return other - self
+
+    def __mul__(self, other):
+        other = _oracle_coerce(other)
+        if other is None:
+            return NotImplemented
+        return Oracle(
+            self.rat * other.rat + 2 * self.irr * other.irr,
+            self.rat * other.irr + self.irr * other.rat,
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = _oracle_coerce(other)
+        if other is None:
+            return NotImplemented
+        norm = other.rat * other.rat - 2 * other.irr * other.irr
+        if norm == 0:
+            raise ZeroDivisionError("division by zero in Q(sqrt2)")
+        num = self * other.conjugate()
+        return Oracle(num.rat / norm, num.irr / norm)
+
+    def __rtruediv__(self, other):
+        other = _oracle_coerce(other)
+        if other is None:
+            return NotImplemented
+        return other / self
+
+    def __neg__(self):
+        return Oracle(-self.rat, -self.irr)
+
+    def __abs__(self):
+        return -self if self.sign() < 0 else self
+
+    def conjugate(self):
+        return Oracle(self.rat, -self.irr)
+
+    def sign(self):
+        a, b = self.rat, self.irr
+        sa = (a > 0) - (a < 0)
+        sb = (b > 0) - (b < 0)
+        if sa == 0:
+            return sb
+        if sb == 0 or sa == sb:
+            return sa
+        return sa if a * a > 2 * b * b else sb
+
+    def __eq__(self, other):
+        other = _oracle_coerce(other)
+        if other is None:
+            return NotImplemented
+        return self.rat == other.rat and self.irr == other.irr
+
+    def __hash__(self):
+        if not self.irr:
+            return hash(self.rat)
+        return hash((self.rat, self.irr))
+
+    def __lt__(self, other):
+        other = _oracle_coerce(other)
+        if other is None:
+            return NotImplemented
+        return (self - other).sign() < 0
+
+    def __ceil__(self):
+        if not self.irr:
+            return math.ceil(self.rat)
+        d = self.rat.denominator * self.irr.denominator
+        r = self.rat.numerator * self.irr.denominator
+        p = self.irr.numerator * self.rat.denominator
+        root = math.isqrt(2 * p * p)
+        floor_p_sqrt2 = root if p > 0 else -root - 1
+        return (r + floor_p_sqrt2) // d + 1
+
+    def to_float(self):
+        return float(self.rat) + float(self.irr) * math.sqrt(2.0)
+
+    def __str__(self):
+        if not self.irr:
+            return str(self.rat)
+        irr_part = _oracle_sqrt2_term_str(abs(self.irr))
+        if not self.rat:
+            return irr_part if self.irr > 0 else "-" + irr_part
+        op = " + " if self.irr > 0 else " - "
+        return str(self.rat) + op + irr_part
+
+    def __repr__(self):
+        return f"QSqrt2({self.rat}, {self.irr})"
+
+
+def _oracle_coerce(value):
+    if isinstance(value, Oracle):
+        return value
+    if isinstance(value, (int, Fraction)):
+        return Oracle(value)
+    return None
+
+
+def _oracle_sqrt2_term_str(coef):
+    p, q = coef.numerator, coef.denominator
+    if p == 1:
+        return "sqrt2" if q == 1 else f"sqrt2/{q}"
+    if q == 1:
+        return f"{p}*sqrt2"
+    return f"{p}*sqrt2/{q}"
+
+
+# ---- the integer form against the oracle ----------------------------------------
+
+wide_rationals = st.one_of(
+    rationals,
+    st.fractions(max_denominator=10**12),
+    st.integers(min_value=-3, max_value=3).map(Fraction),
+)
+pairs = st.tuples(wide_rationals, wide_rationals)
+scalars = st.one_of(st.integers(min_value=-10**6, max_value=10**6), wide_rationals)
+
+
+def _outcome(op, *args):
+    """An operation's value, or the type and text of what it raised."""
+    try:
+        return op(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _same(new, old):
+    """The integer-form result equals the oracle's, as a value and as a dict key."""
+    if isinstance(old, Oracle):
+        assert type(new) is QSqrt2
+        assert (new.rat, new.irr) == (old.rat, old.irr)
+        assert type(new.rat) is Fraction and type(new.irr) is Fraction
+        # Equality and hashing are componentwise only on the canonical form.
+        canonical = QSqrt2(old.rat, old.irr)
+        assert new == canonical and hash(new) == hash(canonical) == hash(old)
+        assert {canonical: True}.get(new, False)
+    else:
+        assert new == old and type(new) is type(old)
+
+
+_BINARY = [
+    operator.add, operator.sub, operator.mul, operator.truediv,
+    operator.lt, operator.le, operator.gt, operator.ge, operator.eq, operator.ne,
+]
+
+
+class TestAgreesWithFractionPair:
+    @given(pairs, pairs)
+    @settings(max_examples=300)
+    def test_binary_operators(self, x, y):
+        a, b = QSqrt2(*x), QSqrt2(*y)
+        oa, ob = Oracle(*x), Oracle(*y)
+        for op in _BINARY:
+            _same(_outcome(op, a, b), _outcome(op, oa, ob))
+
+    @given(pairs, scalars)
+    @settings(max_examples=300)
+    def test_mixed_and_reflected_operators(self, x, c):
+        a, oa = QSqrt2(*x), Oracle(*x)
+        for op in _BINARY:
+            _same(_outcome(op, a, c), _outcome(op, oa, c))
+            _same(_outcome(op, c, a), _outcome(op, c, oa))
+
+    @given(pairs, st.integers(min_value=0, max_value=64))
+    @settings(max_examples=300)
+    def test_unary_operations_and_display(self, x, bits):
+        a, oa = QSqrt2(*x) * (1 << bits), Oracle(*x) * (1 << bits)
+        assert a.sign() == oa.sign()
+        assert bool(a) == bool(oa.rat or oa.irr)
+        assert math.ceil(a) == math.ceil(oa)
+        _same(-a, -oa)
+        _same(abs(a), abs(oa))
+        _same(a.conjugate(), oa.conjugate())
+        assert str(a) == str(oa)
+        assert repr(a) == repr(oa)
+        assert a.to_float() == oa.to_float() and float(a) == oa.to_float()
+        assert is_probability(a) == (oa.sign() >= 0 and (Oracle(1) - oa).sign() >= 0)
+        _same(QSqrt2.parse(str(a)), Oracle.parse(str(oa)))
+        assert QSqrt2.parse(str(a)) == a
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["", "+", "-", " - ", "+ "]),
+                st.sampled_from(["{p}", "{p}/{q}", "sqrt2", "sqrt2/{q}", "{p}*sqrt2",
+                                 "{p}/{q}*sqrt2", "{p}*sqrt2/{q}", "{p}/{q} * sqrt2 / {r}"]),
+                st.integers(min_value=0, max_value=10**9),
+                st.integers(min_value=0, max_value=40),
+                st.integers(min_value=0, max_value=12),
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    @settings(max_examples=300)
+    def test_parse(self, terms):
+        text = " ".join(
+            sign + form.format(p=p, q=q, r=r) for sign, form, p, q, r in terms
+        )
+        _same(_outcome(QSqrt2.parse, text), _outcome(Oracle.parse, text))
+
+    @pytest.mark.parametrize(
+        "x, expected",
+        [
+            (QSqrt2(2, 0) / 2, ONE),
+            (QSqrt2(6, 4) / 2, q(3, 2)),
+            (QSqrt2(Fraction(1, 3), Fraction(2, 3)) * 3, q(1, 2)),
+            (QSqrt2.parse("2/4 + 2*sqrt2/4"), HALF + INV_SQRT2),
+            (QSqrt2(1, 1) - SQRT2, ONE),
+        ],
+    )
+    def test_results_are_reduced(self, x, expected):
+        # Unreduced (a, b, d) would break componentwise equality and dict lookup.
+        assert x == expected and hash(x) == hash(expected)
+        assert {expected: True}.get(x, False)
+
+
+class TestImmutableAndSlotted:
+    @pytest.mark.parametrize("name", ["rat", "irr", "_a", "_b", "_d", "extra"])
+    def test_attribute_assignment_raises(self, name):
+        x = QSqrt2(Fraction(1, 2), 3)
+        with pytest.raises(AttributeError):
+            setattr(x, name, 5)
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+        assert x == QSqrt2(Fraction(1, 2), 3)
+
+    def test_no_instance_dict(self):
+        assert not hasattr(QSqrt2(1, 1), "__dict__")
+        assert "__dict__" not in QSqrt2.__dict__
+
+    def test_copy_and_pickle_round_trip(self):
+        x = QSqrt2(Fraction(-3, 4), Fraction(5, 6))
+        assert copy.copy(x) == copy.deepcopy(x) == pickle.loads(pickle.dumps(x)) == x
+
+    def test_keyword_construction(self):
+        assert QSqrt2(rat=Fraction(1, 2), irr=1) == HALF + SQRT2
+        assert QSqrt2(irr=Fraction(1, 2)) == INV_SQRT2
+
+
+class TestErrorWording:
+    def test_division_by_zero(self):
+        for zero in (0, Fraction(0), ZERO):
+            with pytest.raises(ZeroDivisionError, match=r"^division by zero in Q\(sqrt2\)$"):
+                ONE / zero
+        with pytest.raises(ZeroDivisionError, match=r"^division by zero in Q\(sqrt2\)$"):
+            1 / ZERO
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1/0", "zero denominator at offset 0 in '1/0'"),
+            ("sqrt2/0", "zero denominator at offset 0 in 'sqrt2/0'"),
+            ("1 + 3/0*sqrt2", "zero denominator at offset 4 in '1 + 3/0*sqrt2'"),
+            ("", "empty value"),
+            ("1 2", "expected '+' or '-' at offset 2 in '1 2'"),
+            ("1 + x", "malformed value at offset 4 in '1 + x'"),
+        ],
+    )
+    def test_parse_errors(self, text, message):
+        with pytest.raises(ValueError) as new:
+            QSqrt2.parse(text)
+        with pytest.raises(ValueError) as old:
+            Oracle.parse(text)
+        assert str(new.value) == str(old.value) == message
