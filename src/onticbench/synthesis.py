@@ -17,6 +17,11 @@ Inequality rows cannot be split that way, because the field order does not
 act componentwise, so the violation-minimizing program insists on rational
 data; every built-in scenario satisfies that.
 
+LP rows are sparse: a Constraint holds only its nonzero coefficients, as
+(column index, Fraction) pairs sorted by index, and every layer around the
+simplex (the builders, the standard form, the tableau fill and the
+verifier) walks only those pairs.  Only the working tableau is dense.
+
 The solver is a two-phase primal simplex with Bland's rule, which cannot
 cycle, so termination is unconditional.  Each tableau row is a list of
 integers over one positive denominator, kept reduced, so the simplex holds
@@ -38,7 +43,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import List, Mapping, Optional, Sequence, Tuple
+from operator import index
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .numerics import ONE, QSqrt2, ZERO, as_qsqrt2
 from .ontology import (
@@ -110,21 +116,37 @@ class SynthesisSpec:
 
 def _as_fraction(value) -> Fraction:
     # A Fraction is kept as it is: rebuilding every coefficient made building an
-    # LP about ten times slower.
-    return value if isinstance(value, Fraction) else Fraction(value)
+    # LP about ten times slower.  A float is refused: Fraction(0.1) is exact,
+    # but it is the binary double, not the tenth the caller wrote.
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, float):
+        raise TypeError(f"LP data must be exact, got float {value!r}")
+    return Fraction(value)
 
 
 @dataclass(frozen=True)
 class Constraint:
+    """One row: sum of coeff * x[index] over ``coeffs``, compared with ``rhs``.
+
+    ``coeffs`` holds (index, coefficient) pairs, one per nonzero coefficient,
+    with integer indices strictly increasing; a zero coefficient is dropped
+    here, and LPProblem checks the indices against its variables.
+    """
+
     cid: str
-    coeffs: Tuple[Fraction, ...]
+    coeffs: Tuple[Tuple[int, Fraction], ...]
     rhs: Fraction
     kind: str  # "eq" or "le"
 
     def __post_init__(self) -> None:
         if self.kind not in ("eq", "le"):
             raise ValueError(f"unknown constraint kind {self.kind!r}")
-        object.__setattr__(self, "coeffs", tuple(map(_as_fraction, self.coeffs)))
+        object.__setattr__(
+            self,
+            "coeffs",
+            tuple((index(j), v) for j, c in self.coeffs if (v := _as_fraction(c))),
+        )
         object.__setattr__(self, "rhs", _as_fraction(self.rhs))
 
 
@@ -144,10 +166,15 @@ class LPProblem:
         if len(set(cids)) != len(cids):
             raise ValueError("duplicate constraint ids")
         for c in self.constraints:
-            if len(c.coeffs) != n:
-                raise ValueError(f"constraint {c.cid} has {len(c.coeffs)} coefficients, expected {n}")
+            last = -1
+            for j, _ in c.coeffs:
+                if not 0 <= j < n:
+                    raise ValueError(f"constraint {c.cid} has index {j}, expected 0..{n - 1}")
+                if j <= last:
+                    raise ValueError(f"constraint {c.cid} has index {j} after {last}")
+                last = j
         if self.objective is not None:
-            objective = tuple(Fraction(v) for v in self.objective)
+            objective = tuple(map(_as_fraction, self.objective))
             if len(objective) != n:
                 raise ValueError("objective length must match the variable count")
             object.__setattr__(self, "objective", objective)
@@ -184,24 +211,27 @@ def _synthesis_variables(spec: SynthesisSpec) -> Tuple[str, ...]:
     )
 
 
-def _norm_rows(spec: SynthesisSpec, width: int) -> List[Constraint]:
-    """One equality sum_k x(k, p) = 1 per point, over ``width`` LP columns."""
+def _norm_rows(spec: SynthesisSpec) -> List[Constraint]:
+    """One equality sum_k x(k, p) = 1 per point."""
     size = spec.space.size
-    rows: List[Constraint] = []
-    for p_idx, point in enumerate(spec.space.points):
-        coeffs = [_F0] * width
-        for k in range(spec.outcome_count):
-            coeffs[k * size + p_idx] = _F1
-        rows.append(Constraint(f"norm@{format_point(point)}", tuple(coeffs), _F1, "eq"))
-    return rows
+    outcomes = range(spec.outcome_count)
+    return [
+        Constraint(
+            f"norm@{format_point(point)}",
+            tuple((k * size + p_idx, _F1) for k in outcomes),
+            _F1,
+            "eq",
+        )
+        for p_idx, point in enumerate(spec.space.points)
+    ]
 
 
 def _weight_parts(spec: SynthesisSpec, prep: EpistemicState):
-    """(point index, rational part, sqrt2 part) of each weight, read once per point."""
-    return [
+    """(point index, rational part, sqrt2 part) of each weight, by point index."""
+    return sorted(
         (spec.space.point_index(point), weight.rat, weight.irr)
         for point, weight in prep.weights.items()
-    ]
+    )
 
 
 def build_synthesis_lp(spec: SynthesisSpec) -> LPProblem:
@@ -212,28 +242,20 @@ def build_synthesis_lp(spec: SynthesisSpec) -> LPProblem:
     present, the sqrt2-component row.  Rows that are identically 0 = 0 are
     dropped.
     """
-    n = spec.variable_count
     size = spec.space.size
-    constraints = _norm_rows(spec, n)
+    constraints = _norm_rows(spec)
     for (label, prep), target_row in zip(spec.preparations, spec.targets):
         parts = _weight_parts(spec, prep)
         any_irr = any(w_irr for _, _, w_irr in parts)
         for k in range(1, spec.outcome_count + 1):
-            rat = [_F0] * n
-            irr = [_F0] * n
             base = (k - 1) * size
-            for p_idx, w_rat, w_irr in parts:
-                rat[base + p_idx] = w_rat
-                irr[base + p_idx] = w_irr
+            rat = tuple((base + p_idx, w_rat) for p_idx, w_rat, _ in parts if w_rat)
             t_rat, t_irr = target_row[k - 1].rat, target_row[k - 1].irr
-            if any(rat) or t_rat:
-                constraints.append(
-                    Constraint(f"born@{label}#k{k}", tuple(rat), t_rat, "eq")
-                )
+            if rat or t_rat:
+                constraints.append(Constraint(f"born@{label}#k{k}", rat, t_rat, "eq"))
             if any_irr or t_irr:
-                constraints.append(
-                    Constraint(f"born@{label}#k{k}:irr", tuple(irr), t_irr, "eq")
-                )
+                irr = tuple((base + p_idx, w_irr) for p_idx, _, w_irr in parts if w_irr)
+                constraints.append(Constraint(f"born@{label}#k{k}:irr", irr, t_irr, "eq"))
     return LPProblem(_synthesis_variables(spec), tuple(constraints))
 
 
@@ -316,12 +338,16 @@ def _bland(T: List[List[int]], D: List[int], basis: List[int], eligible: int) ->
 
 
 def _simplex(
-    A: List[List[Fraction]], b: List[Fraction], c: Optional[List[Fraction]], n: int
+    A: List[Tuple[Tuple[int, Fraction], ...]],
+    b: List[Fraction],
+    c: Optional[List[Fraction]],
+    n: int,
 ):
     """min c.x subject to Ax = b, x >= 0 over ``n`` columns, in exact rational arithmetic.
 
-    Returns ("infeasible", y) with y a Farkas certificate of the system
-    (sum_i y_i A_i <= 0 componentwise and y.b > 0), or ("optimal", x, value).
+    Each row of A is its (index, coefficient) pairs.  Returns ("infeasible",
+    y) with y a Farkas certificate of the system (sum_i y_i A_i <= 0
+    componentwise and y.b > 0), or ("optimal", x, value).
     """
     m = len(A)
     width = n + m + 1
@@ -329,12 +355,16 @@ def _simplex(
     flips = [-1 if b[i] < 0 else 1 for i in range(m)]
     T: List[List[int]] = []
     D: List[int] = []
-    for i in range(m):
-        N, d = _int_row(A[i] + [b[i]])
-        if flips[i] < 0:
-            N = [-v for v in N]
-        row = N[:n] + [0] * m + N[n:]
+    for i, (pairs, rhs) in enumerate(zip(A, b)):
+        # Numerators over the lcm of the row's denominators, sign-flipped so
+        # that the rhs is nonnegative; the artificial column holds d.
+        d = lcm(rhs.denominator, *(v.denominator for _, v in pairs))
+        f = flips[i]
+        row = [0] * width
+        for j, v in pairs:
+            row[j] = f * v.numerator * (d // v.denominator)
         row[n + i] = d
+        row[-1] = f * rhs.numerator * (d // rhs.denominator)
         T.append(row)
         D.append(d)
     basis = list(range(n, n + m))
@@ -343,11 +373,10 @@ def _simplex(
     # negated column sums; the artificial columns start at zero.
     zd = lcm(*D)
     z = [0] * width
-    for row, d in zip(T, D):
+    for pairs, row, d in zip(A, T, D):
         s = zd // d
-        for j in range(n):
-            if row[j]:
-                z[j] -= s * row[j]
+        for j, _ in pairs:
+            z[j] -= s * row[j]
         z[-1] -= s * row[-1]
     g = gcd(zd, *z)
     T.append([v // g for v in z])
@@ -407,18 +436,20 @@ def _simplex(
 
 
 def _standard_form(lp: LPProblem):
-    """Append one slack column per '<=' row, giving Ax = b, x >= 0 over n columns."""
-    n0 = len(lp.variables)
-    le_rows = [i for i, con in enumerate(lp.constraints) if con.kind == "le"]
-    slack_of = {row: n0 + j for j, row in enumerate(le_rows)}
-    n = n0 + len(le_rows)
-    A: List[List[Fraction]] = []
+    """Append one slack column per '<=' row, giving Ax = b, x >= 0 over n columns.
+
+    Rows stay (index, coefficient) pairs; a slack is one more pair, past
+    every original column, so each row stays sorted.
+    """
+    n0 = n = len(lp.variables)
+    A: List[Tuple[Tuple[int, Fraction], ...]] = []
     b: List[Fraction] = []
-    for i, con in enumerate(lp.constraints):
-        row = list(con.coeffs) + [_F0] * len(le_rows)
+    for con in lp.constraints:
         if con.kind == "le":
-            row[slack_of[i]] = _F1
-        A.append(row)
+            A.append(con.coeffs + ((n, _F1),))
+            n += 1
+        else:
+            A.append(con.coeffs)
         b.append(con.rhs)
     return A, b, n, n0
 
@@ -475,16 +506,16 @@ def verify_certificate(lp: LPProblem, result: FeasibilityResult) -> Verdict:
             return Verdict(False, ("feasible result carries no witness",))
         if len(x) != len(lp.variables):
             return Verdict(False, (f"witness has {len(x)} values, expected {len(lp.variables)}",))
-        for j, value in enumerate(x):
+        support = {j: value for j, value in enumerate(x) if value}
+        for j, value in support.items():
             if value < 0:
                 failures.append(f"variable {lp.variables[j]} is negative: {value}")
-        support = [(j, value) for j, value in enumerate(x) if value]
         for con in lp.constraints:
-            coeffs = con.coeffs
             lhs = _F0
-            for j, value in support:
-                if coeffs[j]:
-                    lhs += coeffs[j] * value
+            for j, coeff in con.coeffs:
+                value = support.get(j)
+                if value is not None:
+                    lhs += coeff * value
             if con.kind == "eq" and lhs != con.rhs:
                 failures.append(f"constraint {con.cid} violated: lhs {lhs}, rhs {con.rhs}")
             elif con.kind == "le" and lhs > con.rhs:
@@ -498,18 +529,18 @@ def verify_certificate(lp: LPProblem, result: FeasibilityResult) -> Verdict:
     unknown = sorted(set(cert) - set(by_cid))
     if unknown:
         return Verdict(False, (f"certificate references unknown constraints: {unknown}",))
-    combo = [_F0] * len(lp.variables)
+    combo: Dict[int, Fraction] = {}
     total = _F0
     for cid, mult in cert.items():
         con = by_cid[cid]
         if con.kind == "le" and mult > 0:
             failures.append(f"multiplier for '<=' row {cid} must be <= 0, got {mult}")
         if mult:
-            for j, coeff in enumerate(con.coeffs):
-                if coeff:
-                    combo[j] += mult * coeff
+            for j, coeff in con.coeffs:
+                combo[j] = combo.get(j, _F0) + mult * coeff
             total += mult * con.rhs
-    for j, value in enumerate(combo):
+    for j in sorted(combo):
+        value = combo[j]
         if value > 0:
             failures.append(
                 f"combined coefficient of {lp.variables[j]} is {value}, not <= 0"
@@ -542,7 +573,7 @@ def build_min_violation_lp(
     n = spec.variable_count
     size = spec.space.size
     variables = _synthesis_variables(spec) + ("t",)
-    constraints = _norm_rows(spec, n + 1)
+    constraints = _norm_rows(spec)
     seen = set()
     for label, k in forbidden:
         if not 1 <= k <= spec.outcome_count:
@@ -556,7 +587,7 @@ def build_min_violation_lp(
                 f"forbidden cell ({label}, {k}) has nonzero target {spec.targets[i][k - 1]}"
             )
         prep = spec.preparations[i][1]
-        coeffs = [_F0] * (n + 1)
+        coeffs = []
         for p_idx, w_rat, w_irr in _weight_parts(spec, prep):
             if w_irr:
                 point = spec.space.points[p_idx]
@@ -564,8 +595,8 @@ def build_min_violation_lp(
                     "violation floor requires rational preparation weights; "
                     f"{label!r} has {prep.weights[point]} at {format_point(point)}"
                 )
-            coeffs[(k - 1) * size + p_idx] = w_rat
-        coeffs[n] = -_F1
+            coeffs.append(((k - 1) * size + p_idx, w_rat))
+        coeffs.append((n, -_F1))
         constraints.append(Constraint(f"cap@{label}#k{k}", tuple(coeffs), _F0, "le"))
     objective = tuple([_F0] * n + [_F1])
     return LPProblem(variables, tuple(constraints), objective)

@@ -1,8 +1,9 @@
 """The integer-row simplex against a dense Fraction simplex, and pinned pivot counts.
 
 The oracle below is the dense Fraction tableau the solver used before its
-rows became integers over one denominator each.  Both run the same Bland
-pivots on the same rationals, so every answer must match exactly.
+rows became integers over one denominator each, fed dense rows that it
+expands from the sparse constraints itself.  Both run the same Bland pivots
+on the same rationals, so every answer must match exactly.
 """
 
 from fractions import Fraction
@@ -130,9 +131,25 @@ def _oracle_simplex(A, b, c):
     return ("optimal", x, -z[-1])
 
 
+def _oracle_standard_form(lp: LPProblem):
+    """Dense rows of the constraints, with one slack column per '<=' row."""
+    n0 = len(lp.variables)
+    le_rows = [i for i, con in enumerate(lp.constraints) if con.kind == "le"]
+    n = n0 + len(le_rows)
+    A: List[List[Fraction]] = []
+    for i, con in enumerate(lp.constraints):
+        row = [_F0] * n
+        for j, v in con.coeffs:
+            row[j] = v
+        if con.kind == "le":
+            row[n0 + le_rows.index(i)] = _F1
+        A.append(row)
+    return A, [con.rhs for con in lp.constraints], n, n0
+
+
 def _oracle_solve(lp: LPProblem, optimize: bool) -> FeasibilityResult:
     """``synthesis._solve`` on the oracle tableau, without the final re-check."""
-    A, b, n, n0 = synthesis._standard_form(lp)
+    A, b, n, n0 = _oracle_standard_form(lp)
     c = list(lp.objective) + [_F0] * (n - n0) if optimize else None
     outcome = _oracle_simplex(A, b, c)
     if outcome[0] == "infeasible":
@@ -179,8 +196,17 @@ def small_lps(draw):
                 rhs += draw(st.integers(0, 2))
         rows.append((coeffs, rhs, kind))
     objective = draw(st.none() | st.lists(_small, min_size=n, max_size=n))
+    # Rows go in as (index, coefficient) pairs; sometimes an explicit zero
+    # pair is kept, which the Constraint must drop.
+    keep_zeros = draw(st.booleans())
     constraints = tuple(
-        Constraint(f"r{i}", tuple(coeffs), rhs, kind) for i, (coeffs, rhs, kind) in enumerate(rows)
+        Constraint(
+            f"r{i}",
+            tuple((j, v) for j, v in enumerate(coeffs) if v or keep_zeros),
+            rhs,
+            kind,
+        )
+        for i, (coeffs, rhs, kind) in enumerate(rows)
     )
     return LPProblem(tuple(f"x{j}" for j in range(n)), constraints, objective)
 

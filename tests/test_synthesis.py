@@ -12,6 +12,7 @@ from onticbench.ontology import (
     Factor,
     OnticSpace,
     ResponseFunctions,
+    format_point,
     predicted_statistics,
     validate_responses,
 )
@@ -81,6 +82,130 @@ class TestLpConstruction:
         prep = point_mass(space, ("p0",))
         with pytest.raises(ValueError):
             SynthesisSpec(space, (("m", prep),), 2, ((HALF, HALF + QUARTER),))
+
+
+def _padded(spec: SynthesisSpec) -> SynthesisSpec:
+    """``spec`` times a uniform two-value factor: every weight halved onto two points."""
+    space = OnticSpace(spec.space.factors + (Factor("pad", ("e0", "e1")),))
+    half = QSqrt2(Fraction(1, 2))
+    preps = tuple(
+        (
+            label,
+            EpistemicState(
+                space, {p + (e,): w * half for p, w in st.weights.items() for e in ("e0", "e1")}
+            ),
+        )
+        for label, st in spec.preparations
+    )
+    return SynthesisSpec(space, preps, spec.outcome_count, spec.targets)
+
+
+def _sqrt2_shifted(spec: SynthesisSpec) -> SynthesisSpec:
+    """``spec`` with sqrt2/128 of the first preparation's weight moved between two points."""
+    (label, state), rest = spec.preparations[0], spec.preparations[1:]
+    weights = dict(state.weights)
+    source, sink = state.support()[:2]
+    moved = QSqrt2(0, Fraction(1, 128))
+    weights[source] -= moved
+    weights[sink] += moved
+    preps = ((label, EpistemicState(spec.space, weights)),) + rest
+    return SynthesisSpec(spec.space, preps, spec.outcome_count, spec.targets)
+
+
+def _sqrt2_weights() -> SynthesisSpec:
+    """Two points weighted 1 - 1/sqrt2 and 1/sqrt2, so one weight has no rational part."""
+    space = small_space(2)
+    prep = EpistemicState(space, {("p0",): ONE - INV_SQRT2, ("p1",): INV_SQRT2})
+    return SynthesisSpec(space, (("m", prep),), 2, ((INV_SQRT2, ONE - INV_SQRT2),))
+
+
+def _dense(con: Constraint, width: int) -> list:
+    row = [Fraction(0)] * width
+    for j, v in con.coeffs:
+        row[j] = v
+    return row
+
+
+def _dense_norm_rows(spec: SynthesisSpec, width: int) -> list:
+    size = spec.space.size
+    rows = []
+    for p_idx, point in enumerate(spec.space.points):
+        row = [Fraction(0)] * width
+        for k in range(spec.outcome_count):
+            row[k * size + p_idx] = Fraction(1)
+        rows.append((f"norm@{format_point(point)}", row, Fraction(1), "eq"))
+    return rows
+
+
+def _expected_synthesis_rows(spec: SynthesisSpec) -> list:
+    """Every row straight from the weights and targets, dense; 0 = 0 rows left out."""
+    n, size = spec.variable_count, spec.space.size
+    rows = _dense_norm_rows(spec, n)
+    for (label, prep), target_row in zip(spec.preparations, spec.targets):
+        for k in range(1, spec.outcome_count + 1):
+            for part, suffix in (("rat", ""), ("irr", ":irr")):
+                row = [Fraction(0)] * n
+                for p_idx, point in enumerate(spec.space.points):
+                    row[(k - 1) * size + p_idx] = getattr(prep.weight(point), part)
+                target = getattr(target_row[k - 1], part)
+                if any(row) or target:
+                    rows.append((f"born@{label}#k{k}{suffix}", row, target, "eq"))
+    return rows
+
+
+def _expected_min_violation_rows(spec: SynthesisSpec, forbidden) -> list:
+    n, size = spec.variable_count, spec.space.size
+    rows = _dense_norm_rows(spec, n + 1)
+    for label, k in forbidden:
+        prep = spec.preparations[spec.prep_index(label)][1]
+        row = [Fraction(0)] * (n + 1)
+        for p_idx, point in enumerate(spec.space.points):
+            row[(k - 1) * size + p_idx] = prep.weight(point).rat
+        row[n] = Fraction(-1)
+        rows.append((f"cap@{label}#k{k}", row, Fraction(0), "le"))
+    return rows
+
+
+def _assert_rows(lp: LPProblem, expected: list) -> None:
+    width = len(lp.variables)
+    for con in lp.constraints:
+        indices = [j for j, _ in con.coeffs]
+        assert indices == sorted(set(indices))
+        assert all(type(pair) is tuple and len(pair) == 2 and pair[1] for pair in con.coeffs)
+    got = [(con.cid, _dense(con, width), con.rhs, con.kind) for con in lp.constraints]
+    assert [row[0] for row in got] == [row[0] for row in expected]
+    assert got == expected
+
+
+_BUILD_CASES = {
+    "toy-nlhv": toy_synthesis_spec,
+    "pbr-lhv": lhv_synthesis_spec,
+    "padded": lambda: _padded(lhv_synthesis_spec()),
+    "sqrt2-shifted": lambda: _sqrt2_shifted(toy_synthesis_spec()),
+    "sqrt2-weights": _sqrt2_weights,
+}
+
+
+class TestSparseRowsMatchDenseBuild:
+    @pytest.mark.parametrize("case", sorted(_BUILD_CASES))
+    def test_synthesis_lp(self, case):
+        spec = _BUILD_CASES[case]()
+        lp = build_synthesis_lp(spec)
+        outcomes = range(1, spec.outcome_count + 1)
+        assert lp.variables == tuple(
+            f"x{k}@{format_point(p)}" for k in outcomes for p in spec.space.points
+        )
+        assert lp.objective is None
+        _assert_rows(lp, _expected_synthesis_rows(spec))
+
+    @pytest.mark.parametrize("case", ["toy-nlhv", "pbr-lhv", "padded"])
+    def test_min_violation_lp(self, case):
+        spec = _BUILD_CASES[case]()
+        forbidden = forbidden_cells(tuple(label for label, _ in spec.preparations))
+        lp = build_min_violation_lp(spec, forbidden)
+        assert lp.variables == build_synthesis_lp(spec).variables + ("t",)
+        assert lp.objective == (0,) * spec.variable_count + (1,)
+        _assert_rows(lp, _expected_min_violation_rows(spec, forbidden))
 
 
 @pytest.fixture(scope="module")
@@ -372,17 +497,54 @@ class TestSolverCore:
     def test_rejects_field_coefficients(self):
         # LP rows hold plain rationals; field values must be split upstream
         with pytest.raises(TypeError):
-            Constraint("c", (INV_SQRT2,), Fraction(1), "le")
+            Constraint("c", ((0, INV_SQRT2),), Fraction(1), "le")
+
+    def test_rejects_float_coefficient(self):
+        # Fraction(0.1) would be the binary double 3602879701896397/2**55
+        with pytest.raises(TypeError, match="float"):
+            Constraint("c", ((0, 0.1), (1, 1)), Fraction(3, 10), "eq")
+
+    def test_rejects_float_rhs(self):
+        with pytest.raises(TypeError, match="float"):
+            Constraint("c", ((0, Fraction(1)),), 0.3, "eq")
+
+    def test_rejects_float_objective(self):
+        with pytest.raises(TypeError, match="float"):
+            LPProblem(("x",), (), objective=(0.5,))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            Constraint("c", (Fraction(1),), Fraction(1), "ge")
+            Constraint("c", ((0, Fraction(1)),), Fraction(1), "ge")
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            ((2, Fraction(1)),),
+            ((-1, Fraction(1)),),
+            ((0, Fraction(1)), (0, Fraction(2))),
+            ((1, Fraction(1)), (0, Fraction(1))),
+        ],
+        ids=["index-past-the-end", "negative-index", "repeated-index", "unsorted"],
+    )
+    def test_bad_indices_rejected(self, coeffs):
+        with pytest.raises(ValueError):
+            LPProblem(("x", "y"), (Constraint("c", coeffs, Fraction(1), "eq"),))
+
+    def test_non_integer_index_rejected(self):
+        with pytest.raises(TypeError):
+            Constraint("c", ((0.0, Fraction(1)),), Fraction(1), "eq")
+
+    def test_zero_coefficient_dropped(self):
+        con = Constraint("c", ((0, 0), (1, Fraction(2)), (3, Fraction(0))), 1, "eq")
+        assert con.coeffs == ((1, Fraction(2)),)
+        assert all(type(pair) is tuple for pair in con.coeffs)
+        assert type(con.coeffs[0][1]) is Fraction
 
     def test_tiny_feasible_system(self):
         # x + y = 1 with x, y >= 0
         lp = LPProblem(
             ("x", "y"),
-            (Constraint("sum", (Fraction(1), Fraction(1)), Fraction(1), "eq"),),
+            (Constraint("sum", ((0, Fraction(1)), (1, Fraction(1))), Fraction(1), "eq"),),
         )
         result = solve_feasibility(lp)
         assert result.feasible
@@ -399,8 +561,8 @@ class TestSolverCore:
         lp = LPProblem(
             ("x",),
             (
-                Constraint("fix", (Fraction(1),), Fraction(2), "eq"),
-                Constraint("cap", (Fraction(1),), Fraction(1), "le"),
+                Constraint("fix", ((0, Fraction(1)),), Fraction(2), "eq"),
+                Constraint("cap", ((0, Fraction(1)),), Fraction(1), "le"),
             ),
         )
         result = solve_feasibility(lp)
