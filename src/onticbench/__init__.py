@@ -23,7 +23,6 @@ from .numerics import (
 )
 from .verdicts import Verdict
 from .hilbert import (
-    Amplitude,
     MeasurementBasis,
     StateVector,
     born_probabilities,
@@ -106,7 +105,7 @@ __all__ = [
     "QSqrt2", "Rational", "ZERO", "ONE", "HALF", "QUARTER", "SQRT2", "INV_SQRT2",
     "is_probability", "qmin", "qmax",
     "Verdict",
-    "Amplitude", "StateVector", "MeasurementBasis",
+    "StateVector", "MeasurementBasis",
     "inner_product", "tensor_product", "born_probabilities", "check_orthonormal",
     "ket", "ket_product", "parse_state", "format_state",
     "Factor", "OnticSpace", "EpistemicState", "ResponseFunctions", "OntologicalModel",

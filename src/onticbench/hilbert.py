@@ -1,15 +1,14 @@
 """Exact finite-dimensional state vectors and Born probabilities.
 
-Amplitudes are complex numbers whose real and imaginary parts live in
-Q(sqrt2), which is enough to express qubit states built from the
-computational and Hadamard bases and their tensor products.  Inner
+Amplitudes are real numbers in Q(sqrt2), which is enough to express qubit
+states built from the computational and Hadamard bases, their tensor
+products, and the real entangled basis of the PBR measurement.  Inner
 products, norms, and outcome probabilities all come out exactly: a state
 is normalized iff its norm squared equals one as a field element.
 
 Conventions:
   * tensor products are row-major: the first factor varies slowest,
     so (a (x) b)[i*dim_b + j] = a[i] * b[j];
-  * inner products are conjugate-linear in the first argument;
   * measurement outcomes are indexed 1..K in reports, matching the
     positional order of the basis vectors.
 """
@@ -24,48 +23,6 @@ from .verdicts import Verdict
 
 
 @dataclass(frozen=True)
-class Amplitude:
-    """A complex amplitude re + im*i with components in Q(sqrt2)."""
-
-    re: QSqrt2 = ZERO
-    im: QSqrt2 = ZERO
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "re", as_qsqrt2(self.re))
-        object.__setattr__(self, "im", as_qsqrt2(self.im))
-
-    def __add__(self, other: "Amplitude") -> "Amplitude":
-        return Amplitude(self.re + other.re, self.im + other.im)
-
-    def __neg__(self) -> "Amplitude":
-        return Amplitude(-self.re, -self.im)
-
-    def __mul__(self, other: "Amplitude") -> "Amplitude":
-        return Amplitude(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def conjugate(self) -> "Amplitude":
-        return Amplitude(self.re, -self.im)
-
-    def abs_squared(self) -> QSqrt2:
-        return self.re * self.re + self.im * self.im
-
-    def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
-
-    def __str__(self) -> str:
-        if not self.im:
-            return str(self.re)
-        return f"({self.re}) + ({self.im})i"
-
-
-AMP_ZERO = Amplitude()
-AMP_ONE = Amplitude(ONE)
-
-
-@dataclass(frozen=True)
 class StateVector:
     """A pure state as a tuple of exact amplitudes.
 
@@ -74,13 +31,11 @@ class StateVector:
     vectors, e.g. when exercising the checkers.
     """
 
-    amplitudes: Tuple[Amplitude, ...]
+    amplitudes: Tuple[QSqrt2, ...]
     validate: InitVar[bool] = True
 
     def __post_init__(self, validate: bool) -> None:
-        amps = tuple(
-            a if isinstance(a, Amplitude) else Amplitude(a) for a in self.amplitudes
-        )
+        amps = tuple(as_qsqrt2(a) for a in self.amplitudes)
         if not amps:
             raise ValueError("a state vector needs at least one amplitude")
         object.__setattr__(self, "amplitudes", amps)
@@ -94,7 +49,7 @@ class StateVector:
     def norm_squared(self) -> QSqrt2:
         total = ZERO
         for a in self.amplitudes:
-            total = total + a.abs_squared()
+            total = total + a * a
         return total
 
     def is_normalized(self) -> bool:
@@ -136,13 +91,13 @@ class MeasurementBasis:
         return len(self.outcomes)
 
 
-def inner_product(first: StateVector, second: StateVector) -> Amplitude:
-    """<first|second>, conjugate-linear in the first argument."""
+def inner_product(first: StateVector, second: StateVector) -> QSqrt2:
+    """<first|second>."""
     if first.dim != second.dim:
         raise ValueError(f"dimension mismatch: {first.dim} vs {second.dim}")
-    total = AMP_ZERO
+    total = ZERO
     for a, b in zip(first.amplitudes, second.amplitudes):
-        total = total + a.conjugate() * b
+        total = total + a * b
     return total
 
 
@@ -152,10 +107,11 @@ def tensor_product(first: StateVector, second: StateVector) -> StateVector:
 
 
 def born_probabilities(state: StateVector, basis: MeasurementBasis) -> List[QSqrt2]:
-    """The outcome distribution (|<xi_k|psi>|^2) for k = 1..K."""
+    """The outcome distribution (<xi_k|psi>^2) for k = 1..K."""
     if state.dim != basis.dim:
         raise ValueError(f"dimension mismatch: state {state.dim}, basis {basis.dim}")
-    return [inner_product(vec, state).abs_squared() for vec in basis.outcomes]
+    overlaps = [inner_product(vec, state) for vec in basis.outcomes]
+    return [ip * ip for ip in overlaps]
 
 
 def check_orthonormal(basis: MeasurementBasis) -> Verdict:
@@ -166,18 +122,18 @@ def check_orthonormal(basis: MeasurementBasis) -> Verdict:
     for i in range(len(vecs)):
         for j in range(i, len(vecs)):
             ip = inner_product(vecs[i], vecs[j])
-            expected = AMP_ONE if i == j else AMP_ZERO
-            if ip.re != expected.re or ip.im != expected.im:
+            expected = ONE if i == j else ZERO
+            if ip != expected:
                 failures.append(f"<xi_{i + 1}|xi_{j + 1}> = {ip}, expected {expected}")
                 witnesses.append((i + 1, j + 1))
     return Verdict(not failures, tuple(failures), tuple(witnesses))
 
 
 _NAMED_KETS = {
-    "0": (AMP_ONE, AMP_ZERO),
-    "1": (AMP_ZERO, AMP_ONE),
-    "+": (Amplitude(INV_SQRT2), Amplitude(INV_SQRT2)),
-    "-": (Amplitude(INV_SQRT2), Amplitude(-INV_SQRT2)),
+    "0": (ONE, ZERO),
+    "1": (ZERO, ONE),
+    "+": (INV_SQRT2, INV_SQRT2),
+    "-": (INV_SQRT2, -INV_SQRT2),
 }
 
 
@@ -200,13 +156,8 @@ def ket_product(names: str) -> StateVector:
 
 
 def format_state(state: StateVector) -> str:
-    """Comma-separated amplitude list; the text form covers real states only."""
-    parts = []
-    for a in state.amplitudes:
-        if a.im:
-            raise ValueError("the text form only covers states with real amplitudes")
-        parts.append(str(a.re))
-    return ", ".join(parts)
+    """Comma-separated amplitude list."""
+    return ", ".join(str(a) for a in state.amplitudes)
 
 
 def parse_state(text: str, validate: bool = True) -> StateVector:
@@ -214,5 +165,5 @@ def parse_state(text: str, validate: bool = True) -> StateVector:
     stripped = text.strip()
     if stripped and all(c in _NAMED_KETS for c in stripped):
         return ket_product(stripped)
-    amps = tuple(Amplitude(QSqrt2.parse(part)) for part in stripped.split(","))
+    amps = tuple(QSqrt2.parse(part) for part in stripped.split(","))
     return StateVector(amps, validate=validate)

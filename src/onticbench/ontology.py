@@ -11,9 +11,10 @@ A model is a triple (space, preparations, measurements):
     distribution, stored densely.
 
 Validators return verdicts rather than raising, so a malformed model can
-be loaded, inspected, and reported on.  The quantum side enters only
-through check_born_agreement, which compares a model's predictions with
-exact Born probabilities cell by cell.
+be loaded, inspected, and reported on.  The quantum side enters only as
+data: check_born_agreement compares a model's predictions cell by cell
+with target rows, one exact outcome distribution per preparation, such as
+the Born rows of a quantum scenario.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from .hilbert import MeasurementBasis, StateVector, born_probabilities
 from .numerics import ONE, QSqrt2, ZERO, as_qsqrt2, is_probability
 from .verdicts import Verdict
 
@@ -381,30 +381,25 @@ class PredictionReport:
 
 
 def check_born_agreement(
-    model: OntologicalModel,
-    prep_states: Mapping[str, StateVector],
-    meas_bases: Mapping[str, MeasurementBasis],
+    model: OntologicalModel, meas_label: str, targets: Mapping[str, Sequence[QSqrt2]]
 ) -> PredictionReport:
-    """Compare model predictions against Born probabilities, cell by cell.
+    """Compare model predictions with target rows, cell by cell.
 
-    prep_states maps preparation labels to the quantum states they are
-    supposed to realize; meas_bases likewise for measurements.  Every
-    (preparation, measurement, outcome) cell is compared exactly.
+    targets maps each preparation label to the outcome distribution it must
+    reproduce under measurement meas_label, such as a row of Born
+    probabilities.  Every (preparation, outcome) cell is compared exactly.
     """
+    meas = model.measurement(meas_label)
     cells: List[PredictionCell] = []
-    for meas_label, basis in meas_bases.items():
-        meas = model.measurement(meas_label)
-        if basis.outcome_count != meas.outcome_count:
+    for prep_label, row in targets.items():
+        if len(row) != meas.outcome_count:
             raise ValueError(
                 f"measurement {meas_label!r} has {meas.outcome_count} outcomes, "
-                f"basis has {basis.outcome_count}"
+                f"the target row for {prep_label!r} has {len(row)}"
             )
-        for prep_label, state in prep_states.items():
-            model.preparation(prep_label)
-            predicted = predicted_statistics(model, prep_label, meas_label)
-            targets = born_probabilities(state, basis)
-            for k, (p, t) in enumerate(zip(predicted, targets), start=1):
-                cells.append(PredictionCell(prep_label, meas_label, k, p, t))
+        predicted = predicted_statistics(model, prep_label, meas_label)
+        for k, (p, t) in enumerate(zip(predicted, row), start=1):
+            cells.append(PredictionCell(prep_label, meas_label, k, p, t))
     return PredictionReport(tuple(cells))
 
 

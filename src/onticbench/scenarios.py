@@ -26,13 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
-from .hilbert import (
-    Amplitude,
-    MeasurementBasis,
-    StateVector,
-    born_probabilities,
-    ket_product,
-)
+from .hilbert import MeasurementBasis, StateVector, born_probabilities, ket_product
 from .independence import marginalize
 from .numerics import HALF, ONE, QSqrt2, QUARTER, ZERO, INV_SQRT2
 from .ontology import (
@@ -55,9 +49,8 @@ SHARED_FACTOR = "lambda_s"
 
 @dataclass(frozen=True)
 class PbrScenario:
-    """The quantum data: subsystem states, product states, and the basis."""
+    """The quantum data: product states, the basis, and their Born table."""
 
-    subsystem_states: Mapping[str, StateVector]
     product_states: Mapping[str, StateVector]
     measurement: MeasurementBasis
     born_table: Tuple[Tuple[QSqrt2, ...], ...]  # row order = STATE_ORDER
@@ -65,7 +58,6 @@ class PbrScenario:
 
 def build_pbr_quantum_scenario() -> PbrScenario:
     """Construct the two-qubit scenario; the Born table is computed, not typed in."""
-    subsystem = {name: ket_product(name) for name in ("0", "+")}
     product = {name: ket_product(name) for name in STATE_ORDER}
     s = INV_SQRT2
     # Outcome k is orthogonal to the k-th product state in STATE_ORDER.
@@ -80,15 +72,11 @@ def build_pbr_quantum_scenario() -> PbrScenario:
     table = tuple(
         tuple(born_probabilities(product[name], basis)) for name in STATE_ORDER
     )
-    return PbrScenario(subsystem, product, basis, table)
+    return PbrScenario(product, basis, table)
 
 
 def _superpose(a: StateVector, b: StateVector, scale: QSqrt2) -> StateVector:
-    amps = tuple(
-        Amplitude((x.re + y.re) * scale, (x.im + y.im) * scale)
-        for x, y in zip(a.amplitudes, b.amplitudes)
-    )
-    return StateVector(amps)
+    return StateVector(tuple((x + y) * scale for x, y in zip(a.amplitudes, b.amplitudes)))
 
 
 # ---- ontic spaces -----------------------------------------------------------
@@ -231,8 +219,8 @@ def pbr_prep_order(model: OntologicalModel) -> Optional[Tuple[str, ...]]:
 
 def pbr_born_pairing(
     model: OntologicalModel, scenario: Optional[PbrScenario] = None
-) -> Tuple[Dict[str, StateVector], Dict[str, MeasurementBasis]]:
-    """The quantum state each of nu00..nu++ realises, and the basis M realises."""
+) -> Tuple[str, Dict[str, Tuple[QSqrt2, ...]]]:
+    """Measurement M, and the Born row each of nu00..nu++ must reproduce under it."""
     missing = [label for label in PREP_ORDER if label not in model.preparations]
     if MEASUREMENT_LABEL not in model.measurements:
         missing.append(MEASUREMENT_LABEL)
@@ -243,10 +231,7 @@ def pbr_born_pairing(
         )
     if scenario is None:
         scenario = build_pbr_quantum_scenario()
-    prep_states = {
-        label: scenario.product_states[name] for label, name in zip(PREP_ORDER, STATE_ORDER)
-    }
-    return prep_states, {MEASUREMENT_LABEL: scenario.measurement}
+    return MEASUREMENT_LABEL, dict(zip(PREP_ORDER, scenario.born_table))
 
 
 def pbr_synthesis_spec(

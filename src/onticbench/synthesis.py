@@ -65,8 +65,7 @@ class SynthesisSpec:
     """Preparations plus target outcome rows on one ontic space.
 
     ``targets[i][k-1]`` is the required probability of outcome k under
-    preparation i.  Rows must sum to one; pass ``validate=False`` to study
-    deliberately inconsistent targets.
+    preparation i.  Rows must sum to one.
     """
 
     space: OnticSpace
@@ -74,7 +73,7 @@ class SynthesisSpec:
     outcome_count: int
     targets: Tuple[Tuple[QSqrt2, ...], ...]
 
-    def __init__(self, space, preparations, outcome_count, targets, validate=True):
+    def __init__(self, space, preparations, outcome_count, targets):
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "preparations", tuple((l, s) for l, s in preparations))
         object.__setattr__(self, "outcome_count", int(outcome_count))
@@ -96,12 +95,11 @@ class SynthesisSpec:
         for (label, _), row in zip(self.preparations, self.targets):
             if len(row) != self.outcome_count:
                 raise ValueError(f"target row for {label!r} has wrong length")
-            if validate:
-                total = ZERO
-                for v in row:
-                    total = total + v
-                if total != ONE:
-                    raise ValueError(f"target row for {label!r} sums to {total}, not 1")
+            total = ZERO
+            for v in row:
+                total = total + v
+            if total != ONE:
+                raise ValueError(f"target row for {label!r} sums to {total}, not 1")
 
     def prep_index(self, label: str) -> int:
         for i, (l, _) in enumerate(self.preparations):

@@ -11,9 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onticbench import cli, scenarios
+from onticbench import hilbert, scenarios, synthesis
 from onticbench.cli import run
 from onticbench.modelfile import dumps
+from onticbench.numerics import QSqrt2
+from onticbench.ontology import OntologicalModel, ResponseFunctions
 
 GOLDEN = Path(__file__).parent / "data" / "toy-nlhv.model"
 
@@ -38,6 +40,22 @@ def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def count_calls(monkeypatch, original):
+    """Count calls of ``original`` through every onticbench module that holds it."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "onticbench":
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
 
 
 class TestValidate:
@@ -127,6 +145,25 @@ class TestBornCheck:
         code, _, err = invoke(capsys, "born-check", str(small))
         assert code == 2
         assert "needs preparations" in err
+
+    def test_measurement_with_other_outcome_count(self, capsys, tmp_path):
+        toy = scenarios.build_toy_nlhv_model()
+        third = QSqrt2.parse("1/3")
+        three = ResponseFunctions(
+            toy.space, 3, {p: (third,) * 3 for p in toy.space.points}, filler=third
+        )
+        model = OntologicalModel(toy.space, toy.preparations, {"M": three})
+        path = tmp_path / "three.model"
+        path.write_text(dumps(model), encoding="utf-8")
+        code, out, err = invoke(capsys, "born-check", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "'M'" in err
+
+    def test_born_table_computed_once(self, capsys, monkeypatch):
+        calls = count_calls(monkeypatch, hilbert.born_probabilities)
+        assert invoke(capsys, "born-check", "--builtin", "toy-nlhv")[0] == 0
+        assert len(calls) == 4
 
 
 class TestIndependence:
@@ -222,6 +259,21 @@ class TestSynthesisCommands:
         code, out, _ = invoke(capsys, "nogo", "--builtin", "toy-nlhv")
         assert code == 1
         assert "witness exists" in out
+
+    @pytest.mark.parametrize(
+        "argv, checks",
+        [
+            (("synthesize", "--builtin", "toy-nlhv"), 1),
+            # the feasibility LP and the min-violation LP
+            (("nogo", "--builtin", "pbr-lhv"), 2),
+            # both LPs of the local side, the relational LP, the built-in tables
+            (("demo-pbr",), 4),
+        ],
+    )
+    def test_each_lp_answer_verified_once(self, capsys, monkeypatch, argv, checks):
+        calls = count_calls(monkeypatch, synthesis.verify_certificate)
+        invoke(capsys, *argv)
+        assert len(calls) == checks
 
 
 class TestBornRowOrder:
@@ -358,15 +410,7 @@ class TestDemo:
         assert doc["schema_version"] == 1
 
     def test_builds_the_quantum_scenario_once(self, capsys, monkeypatch):
-        calls = []
-        build = scenarios.build_pbr_quantum_scenario
-
-        def counting():
-            calls.append(None)
-            return build()
-
-        monkeypatch.setattr(scenarios, "build_pbr_quantum_scenario", counting)
-        monkeypatch.setattr(cli, "build_pbr_quantum_scenario", counting)
+        calls = count_calls(monkeypatch, scenarios.build_pbr_quantum_scenario)
         assert invoke(capsys, "demo-pbr")[0] == 0
         assert len(calls) == 1
 

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from onticbench.hilbert import (
-    Amplitude,
     MeasurementBasis,
     StateVector,
     born_probabilities,
@@ -24,8 +23,8 @@ def q(rat, irr=0):
     return QSqrt2(Fraction(rat), Fraction(irr))
 
 
-def real(value) -> Amplitude:
-    return Amplitude(value, ZERO)
+def real(value) -> QSqrt2:
+    return value
 
 
 # The four antidistinguishing two-qubit states, written out amplitude by
@@ -46,23 +45,6 @@ BORN_ROWS = [
     (QUARTER, HALF, ZERO, QUARTER),
     (HALF, QUARTER, QUARTER, ZERO),
 ]
-
-
-class TestAmplitude:
-    def test_product_rule(self):
-        # (1 + 2i)(3 + 4i) = -5 + 10i
-        a = Amplitude(q(1), q(2))
-        b = Amplitude(q(3), q(4))
-        assert a * b == Amplitude(q(-5), q(10))
-
-    def test_conjugate_and_modulus(self):
-        a = Amplitude(HALF, INV_SQRT2)
-        assert a.conjugate() == Amplitude(HALF, -INV_SQRT2)
-        assert a.abs_squared() == QUARTER + HALF
-
-    def test_truthiness(self):
-        assert not Amplitude(ZERO, ZERO)
-        assert Amplitude(ZERO, INV_SQRT2)
 
 
 class TestStateVector:
@@ -88,11 +70,6 @@ class TestInnerProduct:
 
     def test_orthogonal_pair(self):
         assert not inner_product(ket("0"), ket("1"))
-
-    def test_conjugate_linear_in_first_argument(self):
-        i_zero = StateVector((Amplitude(ZERO, ONE), Amplitude(ZERO, ZERO)))
-        assert inner_product(i_zero, ket("0")) == Amplitude(ZERO, -ONE)
-        assert inner_product(ket("0"), i_zero) == Amplitude(ZERO, ONE)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -176,11 +153,6 @@ class TestTextForm:
     def test_sqrt2_amplitudes(self):
         s = parse_state("sqrt2/2, sqrt2/2")
         assert s == ket("+")
-
-    def test_imaginary_amplitude_not_formattable(self):
-        i_zero = StateVector((Amplitude(ZERO, ONE), Amplitude(ZERO, ZERO)))
-        with pytest.raises(ValueError):
-            format_state(i_zero)
 
     def test_unnormalized_rejected_unless_asked(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from onticbench import ontology
-from onticbench.hilbert import MeasurementBasis, ket
+from onticbench.hilbert import MeasurementBasis, born_probabilities, ket
 from onticbench.numerics import HALF, ONE, QSqrt2, QUARTER, SQRT2, ZERO
 from onticbench.ontology import (
     EpistemicState,
@@ -176,10 +176,14 @@ class TestModel:
         assert predicted_statistics(skewed, "plus", "Z") == [QUARTER, HALF + QUARTER]
 
 
+def plus_in_z() -> dict:
+    """The Born row of |+> in the computational basis, keyed by preparation."""
+    return {"plus": born_probabilities(ket("+"), MeasurementBasis((ket("0"), ket("1"))))}
+
+
 class TestBornAgreement:
     def test_exact_match(self):
-        basis = MeasurementBasis((ket("0"), ket("1")))
-        report = check_born_agreement(plus_model(), {"plus": ket("+")}, {"Z": basis})
+        report = check_born_agreement(plus_model(), "Z", plus_in_z())
         assert report.all_match
         assert len(report.cells) == 2
 
@@ -188,8 +192,7 @@ class TestBornAgreement:
         skewed = OntologicalModel(
             TWO, {"plus": two_state(QUARTER, HALF + QUARTER)}, model.measurements
         )
-        basis = MeasurementBasis((ket("0"), ket("1")))
-        report = check_born_agreement(skewed, {"plus": ket("+")}, {"Z": basis})
+        report = check_born_agreement(skewed, "Z", plus_in_z())
         assert not report.all_match
         assert len(report.mismatches) == 2
         cell = report.mismatches[0]

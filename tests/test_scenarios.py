@@ -4,7 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from onticbench.hilbert import check_orthonormal, inner_product, ket_product
+from onticbench.hilbert import (
+    born_probabilities,
+    check_orthonormal,
+    inner_product,
+    ket_product,
+)
 from onticbench.numerics import HALF, ONE, QSqrt2, QUARTER, ZERO
 from onticbench.ontology import (
     check_born_agreement,
@@ -132,13 +137,11 @@ class TestToyModel:
             assert predicted_statistics(toy, label, MEASUREMENT_LABEL) == list(row)
 
     def test_full_agreement_with_quantum_scenario(self, toy, scenario):
-        prep_states = {
-            label: scenario.product_states[name]
+        rows = {
+            label: born_probabilities(scenario.product_states[name], scenario.measurement)
             for label, name in zip(PREP_ORDER, STATE_ORDER)
         }
-        report = check_born_agreement(
-            toy, prep_states, {MEASUREMENT_LABEL: scenario.measurement}
-        )
+        report = check_born_agreement(toy, MEASUREMENT_LABEL, rows)
         assert report.all_match
         assert len(report.cells) == 16
 

@@ -83,6 +83,29 @@ class TestLpConstruction:
         with pytest.raises(ValueError):
             SynthesisSpec(space, (("m", prep),), 2, ((HALF, HALF + QUARTER),))
 
+    @pytest.mark.parametrize(
+        "preps, outcomes, targets, message",
+        [
+            ((("m", "p0"),), 2, ((HALF, HALF + QUARTER),), "sums to 5/4, not 1"),
+            ((("m", "p0"), ("m", "p1")), 2, ((ONE, ZERO),) * 2, "duplicate preparation labels"),
+            ((("m", "p0"),), 2, ((HALF, QUARTER, QUARTER),), "has wrong length"),
+            ((("m", "p0"), ("n", "p1")), 2, ((ONE, ZERO),), "one target row per preparation"),
+            ((("m", "p0"),), 0, ((),), "at least one outcome"),
+            ((("m", "other"),), 2, ((ONE, ZERO),), "lives on a different space"),
+        ],
+        ids=["row-sum", "duplicate-labels", "row-length", "row-count", "no-outcomes",
+             "other-space"],
+    )
+    def test_spec_rejects(self, preps, outcomes, targets, message):
+        space = small_space(2)
+        states = {
+            "p0": point_mass(space, ("p0",)),
+            "p1": point_mass(space, ("p1",)),
+            "other": point_mass(small_space(1), ("p0",)),
+        }
+        with pytest.raises(ValueError, match=message):
+            SynthesisSpec(space, tuple((l, states[s]) for l, s in preps), outcomes, targets)
+
 
 def _padded(spec: SynthesisSpec) -> SynthesisSpec:
     """``spec`` times a uniform two-value factor: every weight halved onto two points."""
