@@ -3,9 +3,10 @@
 Every command maps onto one library pipeline and follows one exit-code
 convention: 0 means success or verdict-true, 1 means verdict-false (an
 invalid model, a Born mismatch, an infeasible synthesis, a zero overlap),
-and 2 means the invocation or its input could not be used at all.  Reports
-print exact values with a float approximation in parentheses; ``--format
-json`` emits a schema-versioned document instead.
+and 2 means the invocation or its input could not be used at all, or an
+internal check failed.  Reports print exact values with a float
+approximation in parentheses; ``--format json`` emits a schema-versioned
+document instead.
 """
 
 from __future__ import annotations
@@ -507,6 +508,10 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         # unknown label): the library raises ValueError or OSError for each, so
         # none exits 1, which is reserved for a scientific "no".
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        # A failed internal check is a bug, not a scientific "no".
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     if args.format == "json":
         document = {"schema_version": SCHEMA_VERSION, "command": args.command}

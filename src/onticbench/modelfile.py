@@ -34,17 +34,22 @@ terms.  loads(dumps(m)) reproduces the model and dumps(loads(text)) is
 byte-identical for text that is already canonical.
 
 loads() performs structural validation only (syntax, label references,
-duplicates), so files describing non-normalized models load and can be
-handed to the validators.  read_model() is the one place a model file is
-opened and decoded: it reads a path and hands the text to loads().
-load_model() additionally enforces semantic validity and is what the
-non-diagnostic commands use.
+duplicates, size), so files describing non-normalized models load and can
+be handed to the validators.  A space may have at most MAX_POINTS points
+and a measurement at most MAX_CELLS response cells (outcomes times
+points); a larger one is a ModelFormatError at its ``space`` or
+``outcomes K`` line, raised before it is allocated.
+
+read_model() is the one place a model file is opened and decoded: it
+reads a path and hands the text to loads().  load_model() additionally
+enforces semantic validity and is what the non-diagnostic commands use.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .numerics import QSqrt2, ZERO
 from .ontology import (
@@ -61,6 +66,8 @@ from .ontology import (
 
 FORMAT_NAME = "onticbench-model"
 SCHEMA_VERSION = 1
+MAX_POINTS = 1 << 16  # points of the ontic space
+MAX_CELLS = 1 << 18  # outcome count times points, per measurement
 
 
 class ModelFormatError(ValueError):
@@ -79,15 +86,17 @@ class ModelValidationError(ValueError):
 @dataclass
 class _Line:
     number: int
-    text: str  # comment-stripped, right-trimmed
+    text: str  # comment-stripped, trimmed at both ends
+    column: int  # where text starts
 
 
 def _logical_lines(text: str) -> List[_Line]:
     lines = []
     for number, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0].rstrip()
-        if body.strip():
-            lines.append(_Line(number, body))
+        stripped = body.lstrip()
+        if stripped:
+            lines.append(_Line(number, stripped, len(body) - len(stripped) + 1))
     return lines
 
 
@@ -122,12 +131,117 @@ def _parse_value(text: str, line: int, col: int) -> QSqrt2:
         raise ModelFormatError(str(exc), line, col) from None
 
 
+# Entry parsers, one per section kind: each takes the lines between a
+# header and its 'end' and the space read so far.  loads() runs them before
+# it looks for the 'end', so an entry error is reported first.  Columns
+# assume one space between fields.
+
+
+def _space_entries(body: Sequence[_Line], _space: None) -> List[Factor]:
+    factors: Dict[str, Factor] = {}
+    for entry in body:
+        parts = entry.text.split()
+        if parts[0] != "factor" or len(parts) < 3:
+            raise ModelFormatError("expected 'factor NAME LABEL...' or 'end'", entry.number)
+        if parts[1] in factors:
+            raise ModelFormatError(f"duplicate factor {parts[1]!r}", entry.number)
+        try:
+            factors[parts[1]] = Factor(parts[1], tuple(parts[2:]))
+        except ValueError as exc:
+            raise ModelFormatError(str(exc), entry.number) from None
+    return list(factors.values())
+
+
+def _preparation_entries(body: Sequence[_Line], space: OnticSpace) -> Dict[Point, QSqrt2]:
+    weights: Dict[Point, QSqrt2] = {}
+    for entry in body:
+        line, col = entry.number, entry.column
+        parts = entry.text.split(None, 1)
+        if len(parts) != 2:
+            raise ModelFormatError("expected 'POINT VALUE'", line, col)
+        point = _parse_point(parts[0], space, line, col)
+        if point in weights:
+            raise ModelFormatError(f"duplicate point {format_point(point)}", line, col)
+        weights[point] = _parse_value(parts[1], line, col + len(parts[0]) + 1)
+    return weights
+
+
+def _measurement_entries(body: Sequence[_Line], space: OnticSpace):
+    """(outcome count or None, filler, {(outcome, point): value})."""
+    outcome_count: Optional[int] = None
+    filler = ZERO
+    entries: Dict[Tuple[int, Point], QSqrt2] = {}
+    for entry in body:
+        line, col = entry.number, entry.column
+        parts = entry.text.split(None, 2)
+        if parts[0] == "outcomes":
+            if len(parts) != 2 or not _is_count(parts[1]) or int(parts[1]) < 1:
+                raise ModelFormatError("expected 'outcomes K'", line, col)
+            outcome_count = int(parts[1])
+            if outcome_count * space.size > MAX_CELLS:
+                raise ModelFormatError(
+                    f"{outcome_count} outcomes at {space.size} points make more than "
+                    f"{MAX_CELLS} response cells",
+                    line,
+                    col,
+                )
+        elif parts[0] == "filler":
+            if len(parts) < 2:
+                raise ModelFormatError("expected 'filler VALUE'", line, col)
+            filler = _parse_value(entry.text.split(None, 1)[1], line, col + len("filler "))
+        else:
+            if outcome_count is None:
+                raise ModelFormatError("'outcomes K' must precede entries", line, col)
+            if len(parts) != 3:
+                raise ModelFormatError("expected 'OUTCOME POINT VALUE'", line, col)
+            if not _is_count(parts[0]):
+                raise ModelFormatError(
+                    f"expected an outcome number, got {parts[0]!r}", line, col
+                )
+            outcome = int(parts[0])
+            if not 1 <= outcome <= outcome_count:
+                raise ModelFormatError(
+                    f"outcome {outcome} out of range 1..{outcome_count}", line, col
+                )
+            point_col = col + len(parts[0]) + 1
+            point = _parse_point(parts[1], space, line, point_col)
+            if (outcome, point) in entries:
+                raise ModelFormatError(
+                    f"duplicate entry for outcome {outcome} at {format_point(point)}",
+                    line,
+                    col,
+                )
+            entries[(outcome, point)] = _parse_value(
+                parts[2], line, point_col + len(parts[1]) + 1
+            )
+    return outcome_count, filler, entries
+
+
+def _responses(space, label, line, outcome_count, filler, entries) -> ResponseFunctions:
+    """Dense rows: the filler everywhere, then the listed entries."""
+    if outcome_count is None:
+        raise ModelFormatError(f"measurement {label!r} declares no outcome count", line)
+    rows = {p: [filler] * outcome_count for p in space.points}
+    for (k, point), value in entries.items():
+        if k > outcome_count:  # listed under an earlier, larger 'outcomes K'
+            raise ValueError(f"outcome {k} out of range 1..{outcome_count}")
+        rows[point][k - 1] = value
+    return ResponseFunctions(space, outcome_count, rows, filler)
+
+
+_ENTRIES = {
+    "space": _space_entries,
+    "preparation": _preparation_entries,
+    "measurement": _measurement_entries,
+}
+
+
 def loads(text: str) -> OntologicalModel:
     """Parse a model file; structural errors raise ModelFormatError."""
     lines = _logical_lines(text)
     if not lines:
         raise ModelFormatError("empty model file", 1)
-    header = lines[0].text.strip().split()
+    header = lines[0].text.split()
     if len(header) != 2 or header[0] != FORMAT_NAME:
         raise ModelFormatError(
             f"expected header '{FORMAT_NAME} {SCHEMA_VERSION}'", lines[0].number
@@ -136,152 +250,51 @@ def loads(text: str) -> OntologicalModel:
         raise ModelFormatError(f"unsupported schema version {header[1]}", lines[0].number)
 
     space: Optional[OnticSpace] = None
-    factors: List[Factor] = []
-    preparations: Dict[str, EpistemicState] = {}
-    measurements: Dict[str, ResponseFunctions] = {}
-
+    labelled: Dict[str, dict] = {"preparation": {}, "measurement": {}}
     i = 1
     while i < len(lines):
-        line = lines[i]
-        tokens = line.text.split()
-        keyword = tokens[0]
-        if keyword == "space":
-            if len(tokens) != 1:
-                raise ModelFormatError("'space' takes no arguments", line.number)
+        head = lines[i]
+        kind, *args = head.text.split()
+        if kind == "space":
+            if args:
+                raise ModelFormatError("'space' takes no arguments", head.number)
             if space is not None:
-                raise ModelFormatError("duplicate space section", line.number)
-            i += 1
-            while i < len(lines) and lines[i].text.split() != ["end"]:
-                entry = lines[i]
-                parts = entry.text.split()
-                if parts[0] != "factor" or len(parts) < 3:
-                    raise ModelFormatError(
-                        "expected 'factor NAME LABEL...' or 'end'", entry.number
-                    )
-                name = parts[1]
-                if any(f.name == name for f in factors):
-                    raise ModelFormatError(f"duplicate factor {name!r}", entry.number)
-                try:
-                    factors.append(Factor(name, tuple(parts[2:])))
-                except ValueError as exc:
-                    raise ModelFormatError(str(exc), entry.number) from None
-                i += 1
-            if i >= len(lines):
-                raise ModelFormatError("unterminated space section", line.number)
-            try:
-                space = OnticSpace(tuple(factors))
-            except ValueError as exc:
-                raise ModelFormatError(str(exc), line.number) from None
-            i += 1
-        elif keyword == "preparation":
+                raise ModelFormatError("duplicate space section", head.number)
+        elif kind in labelled:
             if space is None:
-                raise ModelFormatError("space section must come first", line.number)
-            if len(tokens) != 2:
-                raise ModelFormatError("expected 'preparation LABEL'", line.number)
-            label = tokens[1]
-            if label in preparations:
-                raise ModelFormatError(f"duplicate preparation {label!r}", line.number)
-            weights: Dict[Point, QSqrt2] = {}
-            i += 1
-            while i < len(lines) and lines[i].text.split() != ["end"]:
-                entry = lines[i]
-                stripped = entry.text.strip()
-                col = len(entry.text) - len(stripped) + 1
-                parts = stripped.split(None, 1)
-                if len(parts) != 2:
-                    raise ModelFormatError("expected 'POINT VALUE'", entry.number, col)
-                point = _parse_point(parts[0], space, entry.number, col)
-                if point in weights:
-                    raise ModelFormatError(
-                        f"duplicate point {format_point(point)}", entry.number, col
-                    )
-                value_col = col + len(parts[0]) + 1
-                weights[point] = _parse_value(parts[1], entry.number, value_col)
-                i += 1
-            if i >= len(lines):
-                raise ModelFormatError("unterminated preparation section", line.number)
-            preparations[label] = EpistemicState(space, weights)
-            i += 1
-        elif keyword == "measurement":
-            if space is None:
-                raise ModelFormatError("space section must come first", line.number)
-            if len(tokens) != 2:
-                raise ModelFormatError("expected 'measurement LABEL'", line.number)
-            label = tokens[1]
-            if label in measurements:
-                raise ModelFormatError(f"duplicate measurement {label!r}", line.number)
-            outcome_count: Optional[int] = None
-            filler = ZERO
-            entries: Dict[Tuple[int, Point], QSqrt2] = {}
-            i += 1
-            while i < len(lines) and lines[i].text.split() != ["end"]:
-                entry = lines[i]
-                stripped = entry.text.strip()
-                col = len(entry.text) - len(stripped) + 1
-                parts = stripped.split(None, 2)
-                if parts[0] == "outcomes":
-                    if len(parts) != 2 or not _is_count(parts[1]) or int(parts[1]) < 1:
-                        raise ModelFormatError("expected 'outcomes K'", entry.number, col)
-                    outcome_count = int(parts[1])
-                elif parts[0] == "filler":
-                    if len(parts) < 2:
-                        raise ModelFormatError("expected 'filler VALUE'", entry.number, col)
-                    filler = _parse_value(
-                        stripped.split(None, 1)[1], entry.number, col + len("filler ")
-                    )
-                else:
-                    if outcome_count is None:
-                        raise ModelFormatError(
-                            "'outcomes K' must precede entries", entry.number, col
-                        )
-                    if len(parts) != 3:
-                        raise ModelFormatError(
-                            "expected 'OUTCOME POINT VALUE'", entry.number, col
-                        )
-                    if not _is_count(parts[0]):
-                        raise ModelFormatError(
-                            f"expected an outcome number, got {parts[0]!r}", entry.number, col
-                        )
-                    outcome = int(parts[0])
-                    if not 1 <= outcome <= outcome_count:
-                        raise ModelFormatError(
-                            f"outcome {outcome} out of range 1..{outcome_count}",
-                            entry.number,
-                            col,
-                        )
-                    point_col = col + len(parts[0]) + 1
-                    point = _parse_point(parts[1], space, entry.number, point_col)
-                    if (outcome, point) in entries:
-                        raise ModelFormatError(
-                            f"duplicate entry for outcome {outcome} at {format_point(point)}",
-                            entry.number,
-                            col,
-                        )
-                    value_col = point_col + len(parts[1]) + 1
-                    entries[(outcome, point)] = _parse_value(
-                        parts[2], entry.number, value_col
-                    )
-                i += 1
-            if i >= len(lines):
-                raise ModelFormatError("unterminated measurement section", line.number)
-            if outcome_count is None:
-                raise ModelFormatError(
-                    f"measurement {label!r} declares no outcome count", line.number
-                )
-            measurements[label] = ResponseFunctions.from_entries(
-                space, outcome_count, entries, filler
-            )
-            i += 1
+                raise ModelFormatError("space section must come first", head.number)
+            if len(args) != 1:
+                raise ModelFormatError(f"expected '{kind} LABEL'", head.number)
+            if args[0] in labelled[kind]:
+                raise ModelFormatError(f"duplicate {kind} {args[0]!r}", head.number)
         else:
             raise ModelFormatError(
-                f"expected 'space', 'preparation', or 'measurement', got {keyword!r}",
-                line.number,
+                f"expected 'space', 'preparation', or 'measurement', got {kind!r}",
+                head.number,
             )
+        end = i + 1
+        while end < len(lines) and lines[end].text != "end":
+            end += 1
+        parsed = _ENTRIES[kind](lines[i + 1:end], space)
+        if end == len(lines):
+            raise ModelFormatError(f"unterminated {kind} section", head.number)
+        if kind == "space":
+            if math.prod(len(f.labels) for f in parsed) > MAX_POINTS:
+                raise ModelFormatError(f"space has more than {MAX_POINTS} points", head.number)
+            try:
+                space = OnticSpace(tuple(parsed))
+            except ValueError as exc:
+                raise ModelFormatError(str(exc), head.number) from None
+        elif kind == "preparation":
+            labelled[kind][args[0]] = EpistemicState(space, parsed)
+        else:
+            labelled[kind][args[0]] = _responses(space, args[0], head.number, *parsed)
+        i = end + 1
 
     if space is None:
         raise ModelFormatError("model file has no space section", lines[-1].number)
     try:
-        return OntologicalModel(space, preparations, measurements)
+        return OntologicalModel(space, labelled["preparation"], labelled["measurement"])
     except ValueError as exc:
         raise ModelFormatError(str(exc), lines[-1].number) from None
 

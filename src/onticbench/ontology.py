@@ -10,11 +10,13 @@ A model is a triple (space, preparations, measurements):
   * a response function family assigns each point a length-K outcome
     distribution, stored densely.
 
-Validators return verdicts rather than raising, so a malformed model can
-be loaded, inspected, and reported on.  The quantum side enters only as
-data: check_born_agreement compares a model's predictions cell by cell
-with target rows, one exact outcome distribution per preparation, such as
-the Born rows of a quantum scenario.
+Constructors check shape only.  OnticSpace.check_point is the one
+point-membership check, used by every constructor and lookup that takes a
+point.  Validators return verdicts rather than raising, so a malformed
+model can be loaded, inspected, and reported on.  The quantum side enters
+only as data: check_born_agreement compares a model's predictions cell by
+cell with target rows, one exact outcome distribution per preparation,
+such as the Born rows of a quantum scenario.
 """
 
 from __future__ import annotations
@@ -92,20 +94,15 @@ class OnticSpace:
     def factor_names(self) -> Tuple[str, ...]:
         return tuple(f.name for f in self.factors)
 
-    def axis(self, name: str) -> int:
-        for i, factor in enumerate(self.factors):
-            if factor.name == name:
-                return i
-        raise ValueError(f"no factor named {name!r} in space {self.factor_names}")
-
-    def __contains__(self, point) -> bool:
-        return tuple(point) in self._index
+    def check_point(self, point: Sequence[str]) -> Point:
+        """The point as a tuple; ValueError unless it belongs to this space."""
+        point = tuple(point)
+        if point not in self._index:
+            raise ValueError(f"point {format_point(point)} is not in the space")
+        return point
 
     def point_index(self, point: Point) -> int:
-        try:
-            return self._index[tuple(point)]
-        except KeyError:
-            raise ValueError(f"point {format_point(tuple(point))} is not in the space") from None
+        return self._index[self.check_point(point)]
 
     def subspace(self, names: Sequence[str]) -> "OnticSpace":
         """The space of the named factors, kept in this space's order."""
@@ -139,19 +136,14 @@ class EpistemicState:
     def __post_init__(self) -> None:
         cleaned: Dict[Point, QSqrt2] = {}
         for point, value in self.weights.items():
-            point = tuple(point)
-            if point not in self.space:
-                raise ValueError(f"point {format_point(point)} is not in the space")
+            point = self.space.check_point(point)
             value = as_qsqrt2(value)
             if value:
                 cleaned[point] = value
         object.__setattr__(self, "weights", cleaned)
 
     def weight(self, point: Point) -> QSqrt2:
-        point = tuple(point)
-        if point not in self.space:
-            raise ValueError(f"point {format_point(point)} is not in the space")
-        return self.weights.get(point, ZERO)
+        return self.weights.get(self.space.check_point(point), ZERO)
 
     def support(self) -> Tuple[Point, ...]:
         """Support points in canonical space order."""
@@ -185,9 +177,7 @@ class ResponseFunctions:
         object.__setattr__(self, "filler", as_qsqrt2(self.filler))
         dense: Dict[Point, Tuple[QSqrt2, ...]] = {}
         for point, row in self.rows.items():
-            point = tuple(point)
-            if point not in self.space:
-                raise ValueError(f"point {format_point(point)} is not in the space")
+            point = self.space.check_point(point)
             row = tuple(as_qsqrt2(v) for v in row)
             if len(row) != self.outcome_count:
                 raise ValueError(
@@ -201,47 +191,6 @@ class ResponseFunctions:
                 f"rows missing for {len(missing)} points, first {format_point(missing[0])}"
             )
         object.__setattr__(self, "rows", dense)
-
-    @classmethod
-    def from_entries(
-        cls,
-        space: OnticSpace,
-        outcome_count: int,
-        entries: Mapping[Tuple[int, Point], QSqrt2],
-        filler: QSqrt2 = ZERO,
-    ) -> "ResponseFunctions":
-        """Build dense rows from sparse (outcome, point) -> value entries.
-
-        Unlisted entries take the filler value.  Outcomes are 1-based.
-        """
-        filler = as_qsqrt2(filler)
-        grid: Dict[Point, List[QSqrt2]] = {
-            p: [filler] * outcome_count for p in space.points
-        }
-        for (k, point), value in entries.items():
-            point = tuple(point)
-            if point not in space:
-                raise ValueError(f"point {format_point(point)} is not in the space")
-            if not 1 <= k <= outcome_count:
-                raise ValueError(f"outcome {k} out of range 1..{outcome_count}")
-            grid[point][k - 1] = as_qsqrt2(value)
-        rows = {p: tuple(vals) for p, vals in grid.items()}
-        return cls(space, outcome_count, rows, filler)
-
-    def value(self, outcome: int, point: Point) -> QSqrt2:
-        """Response probability for outcome k (1-based) at a point."""
-        if not 1 <= outcome <= self.outcome_count:
-            raise ValueError(f"outcome {outcome} out of range 1..{self.outcome_count}")
-        point = tuple(point)
-        if point not in self.space:
-            raise ValueError(f"point {format_point(point)} is not in the space")
-        return self.rows[point][outcome - 1]
-
-    def row(self, point: Point) -> Tuple[QSqrt2, ...]:
-        point = tuple(point)
-        if point not in self.space:
-            raise ValueError(f"point {format_point(point)} is not in the space")
-        return self.rows[point]
 
 
 @dataclass(frozen=True)
@@ -358,10 +307,6 @@ class PredictionReport:
     @property
     def all_match(self) -> bool:
         return all(cell.match for cell in self.cells)
-
-    @property
-    def mismatches(self) -> Tuple[PredictionCell, ...]:
-        return tuple(cell for cell in self.cells if not cell.match)
 
     def to_dict(self) -> dict:
         return {

@@ -264,7 +264,9 @@ def build_synthesis_lp(spec: SynthesisSpec) -> LPProblem:
 # D holds one denominator per row: row i stands for the rationals
 # T[i][j] / D[i], with D[i] > 0 and gcd(D[i], *T[i]) == 1.  A sign test reads
 # the numerator alone, and every value is the rational a Fraction tableau
-# would hold, so Bland's rule makes the same pivots.
+# would hold, so Bland's rule makes the same pivots.  A constraint row also
+# holds its basic entry as T[i][basis[i]] == D[i], so gcd(*T[i]) == 1 and
+# scaling the pivot row to a unit pivot needs at most a sign flip.
 
 
 def _int_row(values: Sequence[Fraction]) -> Tuple[List[int], int]:
@@ -276,11 +278,8 @@ def _int_row(values: Sequence[Fraction]) -> Tuple[List[int], int]:
 def _pivot(T: List[List[int]], D: List[int], basis: List[int], r: int, col: int) -> None:
     """Pivot on T[r][col]: scale row r to a unit pivot, clear ``col`` from every other row."""
     prow = T[r]
-    g = gcd(*prow)
     if prow[col] < 0:
-        g = -g
-    if g != 1:
-        T[r] = prow = [v // g for v in prow]
+        T[r] = prow = [-v for v in prow]
     pd = D[r] = prow[col]
     nonzero = [j for j, v in enumerate(prow) if v]
     for i, row in enumerate(T):
@@ -643,7 +642,7 @@ def responses_to_witness(
     values: List[Fraction] = []
     for k in range(1, spec.outcome_count + 1):
         for point in spec.space.points:
-            value = responses.value(k, point)
+            value = responses.rows[point][k - 1]
             if value.irr:
                 raise ValueError(
                     f"response value {value} at {format_point(point)} is not rational"

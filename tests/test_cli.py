@@ -2,8 +2,10 @@
 
 import io
 import json
+import re
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -315,6 +317,19 @@ def model_bytes(draw):
     return golden[:start] + draw(st.binary(max_size=2)) + golden[end:]
 
 
+# Every command that reads a model file, with fixed small arguments.
+FILE_COMMANDS = (
+    ("validate",),
+    ("predict", "--prep", "nu00", "--meas", "M"),
+    ("born-check",),
+    ("independence",),
+    ("overlap", "--preps", "nu00,nu0+"),
+    ("synthesize",),
+    ("nogo",),
+    ("simulate", "--prep", "nu00", "--meas", "M", "--samples", "100"),
+)
+
+
 class TestExitContract:
     """Unusable input exits 2 with an error line, never 1 with a traceback."""
 
@@ -353,12 +368,42 @@ class TestExitContract:
     def test_any_bytes_validate(self, tmp_path_factory, data):
         path = tmp_path_factory.getbasetemp() / "any.model"
         path.write_bytes(data)
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            code = run(["validate", str(path)])
-        assert code in (0, 1, 2)
-        assert "Traceback" not in err.getvalue()
-        assert code != 2 or err.getvalue().startswith("error:")
+        for command, *args in FILE_COMMANDS:
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = run([command, str(path), *args])
+            assert code in (0, 1, 2), command
+            assert "Traceback" not in err.getvalue(), command
+            assert code != 2 or err.getvalue().startswith("error:"), command
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "onticbench-model 1\n\nspace\n"
+            + "".join(f"  factor f{j} a b c d e f g h\n" for j in range(9))
+            + "end\n",
+            GOLDEN.read_text(encoding="utf-8").replace("outcomes 4", "outcomes 99999"),
+        ],
+        ids=["nine-factor-space", "outcomes-99999"],
+    )
+    def test_oversize_model_file(self, capsys, tmp_path, text):
+        path = tmp_path / "oversize.model"
+        path.write_text(text, encoding="utf-8")
+        start = time.perf_counter()
+        code, _, err = invoke(capsys, "validate", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert re.match(r"error: line \d+, column \d+: ", err)
+
+    @pytest.mark.parametrize("command", ["synthesize", "nogo"])
+    def test_internal_failure_exits_two(self, capsys, monkeypatch, command):
+        def failing(*args, **kwargs):
+            raise AssertionError("internal verification failed: forced")
+
+        monkeypatch.setattr(synthesis, "verify_certificate", failing)
+        code, _, err = invoke(capsys, command, "--builtin", "toy-nlhv")
+        assert code == 2
+        assert err == "error: internal error: AssertionError: internal verification failed: forced\n"
 
 
 class TestSimulate:

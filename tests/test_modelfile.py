@@ -1,10 +1,18 @@
 """Tests for the model file format: parsing, canonical dumps, strict loading."""
 
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Dict, List, Optional, Tuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from onticbench.modelfile import (
+    FORMAT_NAME,
+    MAX_CELLS,
+    MAX_POINTS,
+    SCHEMA_VERSION,
     ModelFormatError,
     ModelValidationError,
     dump_model,
@@ -14,7 +22,16 @@ from onticbench.modelfile import (
     read_model,
     validate_model,
 )
-from onticbench.numerics import HALF, INV_SQRT2, ONE, QSqrt2
+from onticbench.numerics import HALF, INV_SQRT2, ONE, QSqrt2, ZERO, as_qsqrt2
+from onticbench.ontology import (
+    EpistemicState,
+    Factor,
+    OnticSpace,
+    OntologicalModel,
+    Point,
+    ResponseFunctions,
+    format_point,
+)
 from onticbench.scenarios import build_toy_nlhv_model
 
 GOLDEN = Path(__file__).parent / "data" / "toy-nlhv.model"
@@ -158,6 +175,11 @@ class TestFormatErrors:
         with pytest.raises(ModelFormatError, match="outcome"):
             loads(SMALL.replace(old, new))
 
+    def test_outcome_count_lowered_after_entries(self):
+        text = SMALL.replace("  2 (b) 1\n", "  2 (b) 1\n  outcomes 1\n")
+        with pytest.raises(ValueError, match=r"^outcome 2 out of range 1\.\.1$"):
+            loads(text)
+
     def test_non_utf8_file_is_located(self, tmp_path):
         target = tmp_path / "latin1.model"
         target.write_bytes(SMALL.replace("factor x a b", "factor x a \u00e9").encode("latin-1"))
@@ -199,3 +221,313 @@ class TestValidation:
         target.write_text(SMALL.replace("1 (a) 1", "1 (a) 1/2"), encoding="utf-8")
         with pytest.raises(ModelValidationError, match="measurement M"):
             load_model(target)
+
+
+def space_text(factors: int, labels: int) -> str:
+    row = " ".join(f"l{i}" for i in range(labels))
+    lines = [f"  factor f{j} {row}" for j in range(factors)]
+    return f"{FORMAT_NAME} {SCHEMA_VERSION}\n\nspace\n" + "\n".join(lines) + "\nend\n"
+
+
+class TestSizeLimits:
+    """A file cannot make the loader build more than the limits allow."""
+
+    def test_largest_space_and_table_load(self):
+        model = loads(space_text(4, 16) + "\nmeasurement M\n  outcomes 4\n  filler 1/4\nend\n")
+        assert model.space.size == MAX_POINTS
+        assert model.space.size * model.measurements["M"].outcome_count == MAX_CELLS
+
+    def test_oversize_space_located_at_space_line(self):
+        with pytest.raises(ModelFormatError, match="more than 65536 points") as err:
+            loads(space_text(9, 8))
+        assert (err.value.line, err.value.column) == (3, 1)
+
+    def test_oversize_table_located_at_outcomes_line(self):
+        text = GOLDEN.read_text(encoding="utf-8").replace("outcomes 4", "outcomes 8193")
+        with pytest.raises(ModelFormatError, match="more than 262144 response cells") as err:
+            loads(text)
+        line = text.splitlines().index("  outcomes 8193") + 1
+        assert (err.value.line, err.value.column) == (line, 3)
+        assert loads(text.replace("outcomes 8193", "outcomes 8192")).space.size == 32
+
+
+# ---- the previous loader, kept as an oracle ----------------------------------
+# loads() as it was when it framed each section kind on its own and built
+# measurements through ResponseFunctions.from_entries; the one-pass loader
+# must give the same model or the same error for every input.
+
+
+@dataclass
+class _ParentLine:
+    number: int
+    text: str  # comment-stripped, right-trimmed
+
+
+def _parent_logical_lines(text: str) -> List[_ParentLine]:
+    lines = []
+    for number, raw in enumerate(text.splitlines(), start=1):
+        body = raw.split("#", 1)[0].rstrip()
+        if body.strip():
+            lines.append(_ParentLine(number, body))
+    return lines
+
+
+def _parent_parse_point(token: str, space: OnticSpace, line: int, col: int) -> Point:
+    if not (token.startswith("(") and token.endswith(")")):
+        raise ModelFormatError(f"expected a point like (a,b), got {token!r}", line, col)
+    labels = tuple(token[1:-1].split(","))
+    if len(labels) != len(space.factors):
+        raise ModelFormatError(
+            f"point {token} has {len(labels)} coordinates, space has {len(space.factors)}",
+            line,
+            col,
+        )
+    for coord, factor in zip(labels, space.factors):
+        if coord not in factor.labels:
+            raise ModelFormatError(
+                f"factor {factor.name!r} has no label {coord!r}", line, col
+            )
+    return labels
+
+
+def _parent_is_count(token: str) -> bool:
+    # str.isdigit alone also admits non-ASCII digits, such as superscripts,
+    # that int() refuses.
+    return token.isascii() and token.isdigit()
+
+
+def _parent_parse_value(text: str, line: int, col: int) -> QSqrt2:
+    try:
+        return QSqrt2.parse(text)
+    except ValueError as exc:
+        raise ModelFormatError(str(exc), line, col) from None
+
+
+def _parent_loads(text: str) -> OntologicalModel:
+    """Parse a model file; structural errors raise ModelFormatError."""
+    lines = _parent_logical_lines(text)
+    if not lines:
+        raise ModelFormatError("empty model file", 1)
+    header = lines[0].text.strip().split()
+    if len(header) != 2 or header[0] != FORMAT_NAME:
+        raise ModelFormatError(
+            f"expected header '{FORMAT_NAME} {SCHEMA_VERSION}'", lines[0].number
+        )
+    if header[1] != str(SCHEMA_VERSION):
+        raise ModelFormatError(f"unsupported schema version {header[1]}", lines[0].number)
+
+    space: Optional[OnticSpace] = None
+    factors: List[Factor] = []
+    preparations: Dict[str, EpistemicState] = {}
+    measurements: Dict[str, ResponseFunctions] = {}
+
+    i = 1
+    while i < len(lines):
+        line = lines[i]
+        tokens = line.text.split()
+        keyword = tokens[0]
+        if keyword == "space":
+            if len(tokens) != 1:
+                raise ModelFormatError("'space' takes no arguments", line.number)
+            if space is not None:
+                raise ModelFormatError("duplicate space section", line.number)
+            i += 1
+            while i < len(lines) and lines[i].text.split() != ["end"]:
+                entry = lines[i]
+                parts = entry.text.split()
+                if parts[0] != "factor" or len(parts) < 3:
+                    raise ModelFormatError(
+                        "expected 'factor NAME LABEL...' or 'end'", entry.number
+                    )
+                name = parts[1]
+                if any(f.name == name for f in factors):
+                    raise ModelFormatError(f"duplicate factor {name!r}", entry.number)
+                try:
+                    factors.append(Factor(name, tuple(parts[2:])))
+                except ValueError as exc:
+                    raise ModelFormatError(str(exc), entry.number) from None
+                i += 1
+            if i >= len(lines):
+                raise ModelFormatError("unterminated space section", line.number)
+            try:
+                space = OnticSpace(tuple(factors))
+            except ValueError as exc:
+                raise ModelFormatError(str(exc), line.number) from None
+            i += 1
+        elif keyword == "preparation":
+            if space is None:
+                raise ModelFormatError("space section must come first", line.number)
+            if len(tokens) != 2:
+                raise ModelFormatError("expected 'preparation LABEL'", line.number)
+            label = tokens[1]
+            if label in preparations:
+                raise ModelFormatError(f"duplicate preparation {label!r}", line.number)
+            weights: Dict[Point, QSqrt2] = {}
+            i += 1
+            while i < len(lines) and lines[i].text.split() != ["end"]:
+                entry = lines[i]
+                stripped = entry.text.strip()
+                col = len(entry.text) - len(stripped) + 1
+                parts = stripped.split(None, 1)
+                if len(parts) != 2:
+                    raise ModelFormatError("expected 'POINT VALUE'", entry.number, col)
+                point = _parent_parse_point(parts[0], space, entry.number, col)
+                if point in weights:
+                    raise ModelFormatError(
+                        f"duplicate point {format_point(point)}", entry.number, col
+                    )
+                value_col = col + len(parts[0]) + 1
+                weights[point] = _parent_parse_value(parts[1], entry.number, value_col)
+                i += 1
+            if i >= len(lines):
+                raise ModelFormatError("unterminated preparation section", line.number)
+            preparations[label] = EpistemicState(space, weights)
+            i += 1
+        elif keyword == "measurement":
+            if space is None:
+                raise ModelFormatError("space section must come first", line.number)
+            if len(tokens) != 2:
+                raise ModelFormatError("expected 'measurement LABEL'", line.number)
+            label = tokens[1]
+            if label in measurements:
+                raise ModelFormatError(f"duplicate measurement {label!r}", line.number)
+            outcome_count: Optional[int] = None
+            filler = ZERO
+            entries: Dict[Tuple[int, Point], QSqrt2] = {}
+            i += 1
+            while i < len(lines) and lines[i].text.split() != ["end"]:
+                entry = lines[i]
+                stripped = entry.text.strip()
+                col = len(entry.text) - len(stripped) + 1
+                parts = stripped.split(None, 2)
+                if parts[0] == "outcomes":
+                    if len(parts) != 2 or not _parent_is_count(parts[1]) or int(parts[1]) < 1:
+                        raise ModelFormatError("expected 'outcomes K'", entry.number, col)
+                    outcome_count = int(parts[1])
+                elif parts[0] == "filler":
+                    if len(parts) < 2:
+                        raise ModelFormatError("expected 'filler VALUE'", entry.number, col)
+                    filler = _parent_parse_value(
+                        stripped.split(None, 1)[1], entry.number, col + len("filler ")
+                    )
+                else:
+                    if outcome_count is None:
+                        raise ModelFormatError(
+                            "'outcomes K' must precede entries", entry.number, col
+                        )
+                    if len(parts) != 3:
+                        raise ModelFormatError(
+                            "expected 'OUTCOME POINT VALUE'", entry.number, col
+                        )
+                    if not _parent_is_count(parts[0]):
+                        raise ModelFormatError(
+                            f"expected an outcome number, got {parts[0]!r}", entry.number, col
+                        )
+                    outcome = int(parts[0])
+                    if not 1 <= outcome <= outcome_count:
+                        raise ModelFormatError(
+                            f"outcome {outcome} out of range 1..{outcome_count}",
+                            entry.number,
+                            col,
+                        )
+                    point_col = col + len(parts[0]) + 1
+                    point = _parent_parse_point(parts[1], space, entry.number, point_col)
+                    if (outcome, point) in entries:
+                        raise ModelFormatError(
+                            f"duplicate entry for outcome {outcome} at {format_point(point)}",
+                            entry.number,
+                            col,
+                        )
+                    value_col = point_col + len(parts[1]) + 1
+                    entries[(outcome, point)] = _parent_parse_value(
+                        parts[2], entry.number, value_col
+                    )
+                i += 1
+            if i >= len(lines):
+                raise ModelFormatError("unterminated measurement section", line.number)
+            if outcome_count is None:
+                raise ModelFormatError(
+                    f"measurement {label!r} declares no outcome count", line.number
+                )
+            measurements[label] = _parent_from_entries(
+                space, outcome_count, entries, filler
+            )
+            i += 1
+        else:
+            raise ModelFormatError(
+                f"expected 'space', 'preparation', or 'measurement', got {keyword!r}",
+                line.number,
+            )
+
+    if space is None:
+        raise ModelFormatError("model file has no space section", lines[-1].number)
+    try:
+        return OntologicalModel(space, preparations, measurements)
+    except ValueError as exc:
+        raise ModelFormatError(str(exc), lines[-1].number) from None
+
+
+def _parent_from_entries(space, outcome_count, entries, filler=ZERO):
+    filler = as_qsqrt2(filler)
+    grid: Dict[Point, List[QSqrt2]] = {
+        p: [filler] * outcome_count for p in space.points
+    }
+    for (k, point), value in entries.items():
+        point = space.check_point(point)
+        if not 1 <= k <= outcome_count:
+            raise ValueError(f"outcome {k} out of range 1..{outcome_count}")
+        grid[point][k - 1] = as_qsqrt2(value)
+    rows = {p: tuple(vals) for p, vals in grid.items()}
+    return ResponseFunctions(space, outcome_count, rows, filler)
+
+
+SECTION_LINES = (
+    "space", "end", "space x", "preparation p", "preparation nu00", "preparation",
+    "measurement M", "measurement M N", "outcomes 1", "outcomes 2", "outcomes 9",
+    "filler 1/2", "filler", "factor x a b", "factor y c", "(a) 1", "1 (a) 1",
+    "2 (TH,TH,1) 1/2", "onticbench-model 1", "# comment",
+    "measurement N\nend", "measurement M\n  outcomes 1\nend", "preparation nu00\nend",
+    "preparation p\nend", "preparation q\n  (a) 1",
+)
+CHARS = " \t\x0c\u00a0\u2028()#,/-+0123456789abxyHT_sqrt\u00b2\u00e9"
+
+
+@st.composite
+def mutated_model_text(draw):
+    """The golden file or SMALL with a few lines after the header deleted,
+    duplicated, inserted as section keywords, or with a character changed."""
+    header, *lines = draw(st.sampled_from([GOLDEN.read_text(encoding="utf-8"), SMALL])).splitlines()
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["delete", "duplicate", "insert", "change"]))
+        if kind == "insert" or not lines:
+            indent = draw(st.sampled_from(["", "  "]))
+            lines.insert(draw(st.integers(0, len(lines))), indent + draw(st.sampled_from(SECTION_LINES)))
+            continue
+        i = draw(st.integers(0, len(lines) - 1))
+        if kind == "delete":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        elif lines[i]:
+            j = draw(st.integers(0, len(lines[i]) - 1))
+            lines[i] = lines[i][:j] + draw(st.sampled_from(CHARS)) + lines[i][j + 1:]
+    return "\n".join([header, *lines]) + "\n"
+
+
+def load_outcome(load, text):
+    try:
+        model = load(text)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
+    return dumps(model), model
+
+
+class TestSameAsPreviousLoader:
+    @settings(max_examples=600, deadline=None)
+    @given(text=mutated_model_text())
+    def test_same_model_or_same_error(self, text):
+        assert load_outcome(loads, text) == load_outcome(_parent_loads, text)
+
+    def test_oracle_reads_the_golden_file(self):
+        text = GOLDEN.read_text(encoding="utf-8")
+        assert _parent_loads(text) == loads(text) == build_toy_nlhv_model()

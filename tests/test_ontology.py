@@ -6,6 +6,7 @@ import pytest
 
 from onticbench import ontology
 from onticbench.hilbert import MeasurementBasis, born_probabilities, ket
+from onticbench.modelfile import loads
 from onticbench.numerics import HALF, ONE, QSqrt2, QUARTER, SQRT2, ZERO
 from onticbench.ontology import (
     EpistemicState,
@@ -54,8 +55,8 @@ class TestSpace:
             assert GRID.point_index(point) == i
 
     def test_axis_and_subspace(self):
-        assert GRID.axis("col") == 1
-        assert GRID.factors[GRID.axis("col")].labels == ("c1", "c2", "c3")
+        assert GRID.factor_names.index("col") == 1
+        assert GRID.factors[1].labels == ("c1", "c2", "c3")
         sub = GRID.subspace(("col",))
         assert sub.points == (("c1",), ("c2",), ("c3",))
 
@@ -136,19 +137,14 @@ class TestResponseFunctions:
             ResponseFunctions(TWO, 2, {("a",): (ONE, ZERO)})
 
     def test_from_entries_fills_gaps(self):
-        xi = ResponseFunctions.from_entries(
-            TWO, 2, {(1, ("a",)): ONE, (2, ("b",)): ONE}, filler=ZERO
+        text = (
+            "onticbench-model 1\n\nspace\n  factor x a b\nend\n\n"
+            "measurement Z\n  outcomes 2\n  filler 1/2\n  1 (a) 1\n  2 (a) 0\nend\n"
         )
-        assert xi.value(1, ("a",)) == ONE
-        assert xi.value(1, ("b",)) == ZERO
-        assert xi.value(2, ("b",)) == ONE
-
-    def test_outcomes_one_based(self):
-        xi = ResponseFunctions(TWO, 2, {("a",): (ONE, ZERO), ("b",): (ZERO, ONE)})
-        with pytest.raises(ValueError):
-            xi.value(0, ("a",))
-        with pytest.raises(ValueError):
-            xi.value(3, ("a",))
+        xi = loads(text).measurements["Z"]
+        assert xi.space == TWO
+        assert xi.rows == {("a",): (ONE, ZERO), ("b",): (HALF, HALF)}
+        assert xi.filler == HALF
 
 
 class TestModel:
@@ -194,8 +190,9 @@ class TestBornAgreement:
         )
         report = check_born_agreement(skewed, "Z", plus_in_z())
         assert not report.all_match
-        assert len(report.mismatches) == 2
-        cell = report.mismatches[0]
+        mismatches = [cell for cell in report.cells if not cell.match]
+        assert len(mismatches) == 2
+        cell = mismatches[0]
         assert cell.predicted == QUARTER and cell.target == HALF
 
 

@@ -111,24 +111,24 @@ class TestToyModel:
         assert all(p[2] == "1" for p in union if p != ("HH", "HH", "2"))
 
     def test_response_values_on_union(self, toy):
-        xi = toy.measurements[MEASUREMENT_LABEL]
-        assert xi.value(1, ("HH", "HH", "2")) == HALF
-        assert xi.value(2, ("HH", "HH", "2")) == ZERO
-        assert xi.value(4, ("HH", "HH", "2")) == HALF
-        assert xi.value(2, ("HH", "HH", "1")) == HALF
-        assert xi.value(1, ("TH", "TH", "1")) == ONE
-        assert xi.value(4, ("HT", "HT", "1")) == ONE
+        rows = toy.measurements[MEASUREMENT_LABEL].rows
+        assert rows[("HH", "HH", "2")][0] == HALF
+        assert rows[("HH", "HH", "2")][1] == ZERO
+        assert rows[("HH", "HH", "2")][3] == HALF
+        assert rows[("HH", "HH", "1")][1] == HALF
+        assert rows[("TH", "TH", "1")][0] == ONE
+        assert rows[("HT", "HT", "1")][3] == ONE
 
     def test_filler_outside_union(self, toy):
         xi = toy.measurements[MEASUREMENT_LABEL]
         for point in (("TT", "TT", "1"), ("HH", "HT", "2"), ("TT", "HH", "2")):
-            assert xi.row(point) == (QUARTER,) * 4
+            assert xi.rows[point] == (QUARTER,) * 4
 
     def test_rows_sum_to_one_everywhere(self, toy):
         xi = toy.measurements[MEASUREMENT_LABEL]
         for point in toy.space.points:
             total = ZERO
-            for value in xi.row(point):
+            for value in xi.rows[point]:
                 total = total + value
             assert total == ONE, point
 
