@@ -35,10 +35,12 @@ byte-identical for text that is already canonical.
 
 loads() performs structural validation only (syntax, label references,
 duplicates, size), so files describing non-normalized models load and can
-be handed to the validators.  A space may have at most MAX_POINTS points
-and a measurement at most MAX_CELLS response cells (outcomes times
-points); a larger one is a ModelFormatError at its ``space`` or
-``outcomes K`` line, raised before it is allocated.
+be handed to the validators.  A space may have at most MAX_POINTS points,
+and all measurements together at most MAX_CELLS response cells (outcomes
+times points, summed over the measurements); a larger space is a
+ModelFormatError at its ``space`` line, and the ``outcomes K`` line that
+takes the model past MAX_CELLS is one at that line, each raised before
+anything is allocated.
 
 read_model() is the one place a model file is opened and decoded: it
 reads a path and hands the text to loads().  load_model() additionally
@@ -67,7 +69,7 @@ from .ontology import (
 FORMAT_NAME = "onticbench-model"
 SCHEMA_VERSION = 1
 MAX_POINTS = 1 << 16  # points of the ontic space
-MAX_CELLS = 1 << 18  # outcome count times points, per measurement
+MAX_CELLS = 1 << 18  # outcome count times points, summed over the measurements
 
 
 class ModelFormatError(ValueError):
@@ -132,12 +134,13 @@ def _parse_value(text: str, line: int, col: int) -> QSqrt2:
 
 
 # Entry parsers, one per section kind: each takes the lines between a
-# header and its 'end' and the space read so far.  loads() runs them before
-# it looks for the 'end', so an entry error is reported first.  Columns
-# assume one space between fields.
+# header and its 'end', the space read so far and the response cells of the
+# measurements read so far.  loads() runs them before it looks for the
+# 'end', so an entry error is reported first.  Columns assume one space
+# between fields.
 
 
-def _space_entries(body: Sequence[_Line], _space: None) -> List[Factor]:
+def _space_entries(body: Sequence[_Line], _space: None, _cells: int) -> List[Factor]:
     factors: Dict[str, Factor] = {}
     for entry in body:
         parts = entry.text.split()
@@ -152,7 +155,9 @@ def _space_entries(body: Sequence[_Line], _space: None) -> List[Factor]:
     return list(factors.values())
 
 
-def _preparation_entries(body: Sequence[_Line], space: OnticSpace) -> Dict[Point, QSqrt2]:
+def _preparation_entries(
+    body: Sequence[_Line], space: OnticSpace, _cells: int
+) -> Dict[Point, QSqrt2]:
     weights: Dict[Point, QSqrt2] = {}
     for entry in body:
         line, col = entry.number, entry.column
@@ -166,8 +171,12 @@ def _preparation_entries(body: Sequence[_Line], space: OnticSpace) -> Dict[Point
     return weights
 
 
-def _measurement_entries(body: Sequence[_Line], space: OnticSpace):
-    """(outcome count or None, filler, {(outcome, point): value})."""
+def _measurement_entries(body: Sequence[_Line], space: OnticSpace, cells: int):
+    """(outcome count or None, filler, {(outcome, point): value}).
+
+    ``cells`` counts the response cells of the earlier measurements; an
+    ``outcomes K`` line that takes the model past MAX_CELLS is an error.
+    """
     outcome_count: Optional[int] = None
     filler = ZERO
     entries: Dict[Tuple[int, Point], QSqrt2] = {}
@@ -178,10 +187,11 @@ def _measurement_entries(body: Sequence[_Line], space: OnticSpace):
             if len(parts) != 2 or not _is_count(parts[1]) or int(parts[1]) < 1:
                 raise ModelFormatError("expected 'outcomes K'", line, col)
             outcome_count = int(parts[1])
-            if outcome_count * space.size > MAX_CELLS:
+            if cells + outcome_count * space.size > MAX_CELLS:
                 raise ModelFormatError(
                     f"{outcome_count} outcomes at {space.size} points make more than "
-                    f"{MAX_CELLS} response cells",
+                    f"{MAX_CELLS} response cells in the model "
+                    f"({cells} in earlier measurements)",
                     line,
                     col,
                 )
@@ -251,6 +261,7 @@ def loads(text: str) -> OntologicalModel:
 
     space: Optional[OnticSpace] = None
     labelled: Dict[str, dict] = {"preparation": {}, "measurement": {}}
+    cells = 0  # response cells of the measurements so far
     i = 1
     while i < len(lines):
         head = lines[i]
@@ -275,7 +286,7 @@ def loads(text: str) -> OntologicalModel:
         end = i + 1
         while end < len(lines) and lines[end].text != "end":
             end += 1
-        parsed = _ENTRIES[kind](lines[i + 1:end], space)
+        parsed = _ENTRIES[kind](lines[i + 1:end], space, cells)
         if end == len(lines):
             raise ModelFormatError(f"unterminated {kind} section", head.number)
         if kind == "space":
@@ -288,7 +299,8 @@ def loads(text: str) -> OntologicalModel:
         elif kind == "preparation":
             labelled[kind][args[0]] = EpistemicState(space, parsed)
         else:
-            labelled[kind][args[0]] = _responses(space, args[0], head.number, *parsed)
+            meas = labelled[kind][args[0]] = _responses(space, args[0], head.number, *parsed)
+            cells += meas.outcome_count * space.size
         i = end + 1
 
     if space is None:

@@ -20,13 +20,14 @@ data; every built-in scenario satisfies that.
 LP rows are sparse: a Constraint holds only its nonzero coefficients, as
 (column index, Fraction) pairs sorted by index, and every layer around the
 simplex (the builders, the standard form, the tableau fill and the
-verifier) walks only those pairs.  Only the working tableau is dense.
+verifier) walks only those pairs.  The working tableau is sparse too.
 
 The solver is a two-phase primal simplex with Bland's rule, which cannot
-cycle, so termination is unconditional.  Each tableau row is a list of
-integers over one positive denominator, kept reduced, so the simplex holds
-exactly the rationals a Fraction tableau would while creating no Fraction
-per entry; results come back as Fractions.  Infeasibility comes
+cycle, so termination is unconditional.  Each tableau row is a dict from
+column to nonzero integer over one positive denominator, kept reduced, so
+the simplex holds exactly the rationals a Fraction tableau would while
+creating no Fraction per entry, and a pivot walks only the nonzeros of the
+pivot row; results come back as Fractions.  Infeasibility comes
 with a Farkas certificate: row multipliers y with
 
     sum_i y_i * row_i <= 0 componentwise over the variables,
@@ -260,70 +261,75 @@ def build_synthesis_lp(spec: SynthesisSpec) -> LPProblem:
 # ---- exact simplex ---------------------------------------------------------
 
 
-# The tableau T is a list of integer rows, the reduced-cost row z last, and
-# D holds one denominator per row: row i stands for the rationals
-# T[i][j] / D[i], with D[i] > 0 and gcd(D[i], *T[i]) == 1.  A sign test reads
-# the numerator alone, and every value is the rational a Fraction tableau
-# would hold, so Bland's rule makes the same pivots.  A constraint row also
-# holds its basic entry as T[i][basis[i]] == D[i], so gcd(*T[i]) == 1 and
-# scaling the pivot row to a unit pivot needs at most a sign flip.
+# The tableau T is a list of sparse integer rows, the reduced-cost row z
+# last: each row is a dict from column to nonzero int, with the rhs under
+# column n + m, and a column it lacks holds 0.  D holds one denominator per
+# row: row i stands for the rationals T[i][j] / D[i], with D[i] > 0 and
+# gcd(D[i], *T[i].values()) == 1.  A sign test reads the numerator alone,
+# and every value is the rational a Fraction tableau would hold, so Bland's
+# rule makes the same pivots.  A constraint row also holds its basic entry
+# as T[i][basis[i]] == D[i], so its gcd is 1 and scaling the pivot row to a
+# unit pivot needs at most a sign flip.
 
 
-def _int_row(values: Sequence[Fraction]) -> Tuple[List[int], int]:
-    """Numerators of ``values`` over their least common denominator."""
-    d = lcm(*(v.denominator for v in values))
-    return [v.numerator * (d // v.denominator) for v in values], d
-
-
-def _pivot(T: List[List[int]], D: List[int], basis: List[int], r: int, col: int) -> None:
+def _pivot(T: List[Dict[int, int]], D: List[int], basis: List[int], r: int, col: int) -> None:
     """Pivot on T[r][col]: scale row r to a unit pivot, clear ``col`` from every other row."""
     prow = T[r]
-    if prow[col] < 0:
-        T[r] = prow = [-v for v in prow]
-    pd = D[r] = prow[col]
-    nonzero = [j for j, v in enumerate(prow) if v]
+    pd = prow[col]
+    if pd < 0:
+        T[r] = prow = {j: -v for j, v in prow.items()}
+        pd = -pd
+    D[r] = pd
     for i, row in enumerate(T):
-        f = row[col]
-        if not f or i == r:
+        f = row.get(col)
+        if f is None or i == r:
             continue
         # N/d - (f/d) * prow/pd == (s*N - f'*prow) / (s*d), s = pd/g, f' = f/g.
         g = gcd(f, pd)
         s, f = pd // g, f // g
         d = D[i]
-        if s == 1:
-            for j in nonzero:
-                row[j] -= f * prow[j]
-        else:
-            row = [s * a - f * b for a, b in zip(row, prow)]
+        if s != 1:
+            row = {j: s * a for j, a in row.items()}
             d *= s
+        for j, b in prow.items():
+            a = row.get(j, 0) - f * b
+            if a:
+                row[j] = a
+            else:
+                del row[j]
         if d != 1:
-            g = gcd(d, *row)
+            g = gcd(d, *row.values())
             if g != 1:
-                row = [v // g for v in row]
+                row = {j: a // g for j, a in row.items()}
                 d //= g
         T[i] = row
         D[i] = d
     basis[r] = col
 
 
-def _bland(T: List[List[int]], D: List[int], basis: List[int], eligible: int) -> str:
-    """Run Bland's-rule pivots to optimality. ``eligible`` bounds entering columns."""
+def _bland(
+    T: List[Dict[int, int]], D: List[int], basis: List[int], eligible: int, R: int
+) -> str:
+    """Run Bland's-rule pivots to optimality.
+
+    ``eligible`` bounds the entering columns; ``R`` is the rhs column.
+    """
     while True:
         z = T[-1]
         enter = -1
         for j in range(eligible):
-            if z[j] < 0:
+            if z.get(j, 0) < 0:
                 enter = j
                 break
         if enter < 0:
             return "optimal"
-        # The ratio of row i is T[i][-1] / T[i][enter]: its denominator cancels.
+        # The ratio of row i is T[i][R] / T[i][enter]: its denominator cancels.
         leave = -1
         for i in range(len(basis)):
             row = T[i]
-            a = row[enter]
+            a = row.get(enter, 0)
             if a > 0:
-                rhs = row[-1]
+                rhs = row.get(R, 0)
                 if leave >= 0:
                     lhs, best = rhs * best_a, best_rhs * a
                     if lhs > best or (lhs == best and basis[i] > basis[leave]):
@@ -347,21 +353,20 @@ def _simplex(
     componentwise and y.b > 0), or ("optimal", x, value).
     """
     m = len(A)
-    width = n + m + 1
+    R = n + m  # the rhs column
 
     flips = [-1 if b[i] < 0 else 1 for i in range(m)]
-    T: List[List[int]] = []
+    T: List[Dict[int, int]] = []
     D: List[int] = []
     for i, (pairs, rhs) in enumerate(zip(A, b)):
         # Numerators over the lcm of the row's denominators, sign-flipped so
         # that the rhs is nonnegative; the artificial column holds d.
         d = lcm(rhs.denominator, *(v.denominator for _, v in pairs))
         f = flips[i]
-        row = [0] * width
-        for j, v in pairs:
-            row[j] = f * v.numerator * (d // v.denominator)
+        row = {j: f * v.numerator * (d // v.denominator) for j, v in pairs}
         row[n + i] = d
-        row[-1] = f * rhs.numerator * (d // rhs.denominator)
+        if rhs:
+            row[R] = f * rhs.numerator * (d // rhs.denominator)
         T.append(row)
         D.append(d)
     basis = list(range(n, n + m))
@@ -369,30 +374,30 @@ def _simplex(
     # Phase 1: minimize the artificial total. Initial reduced costs are the
     # negated column sums; the artificial columns start at zero.
     zd = lcm(*D)
-    z = [0] * width
-    for pairs, row, d in zip(A, T, D):
+    z: Dict[int, int] = {}
+    for i, (row, d) in enumerate(zip(T, D)):
         s = zd // d
-        for j, _ in pairs:
-            z[j] -= s * row[j]
-        z[-1] -= s * row[-1]
-    g = gcd(zd, *z)
-    T.append([v // g for v in z])
+        for j, v in row.items():
+            if j != n + i:
+                z[j] = z.get(j, 0) - s * v
+    g = gcd(zd, *z.values())
+    T.append({j: v // g for j, v in z.items() if v})
     D.append(zd // g)
-    status = _bland(T, D, basis, n + m)
+    status = _bland(T, D, basis, n + m, R)
     if status != "optimal":
         raise AssertionError("phase 1 is always bounded below by zero")
     z, zd = T[-1], D[-1]
-    if z[-1] < 0:
-        # The artificial total -z[-1] is positive. Simplex multipliers: the
+    if z.get(R, 0) < 0:
+        # The artificial total -z[R] is positive. Simplex multipliers: the
         # reduced cost of artificial i is 1 - y_i.
-        y = [Fraction(flips[i] * (zd - z[n + i]), zd) for i in range(m)]
+        y = [Fraction(flips[i] * (zd - z.get(n + i, 0)), zd) for i in range(m)]
         return ("infeasible", y)
 
     if c is None:
         x = [_F0] * n
         for r, var in enumerate(basis):
             if var < n:
-                x[var] = Fraction(T[r][-1], D[r])
+                x[var] = Fraction(T[r].get(R, 0), D[r])
         return ("optimal", x, _F0)
 
     # Drive artificials out of the basis; rows that cannot pivot are
@@ -400,7 +405,7 @@ def _simplex(
     keep: List[int] = []
     for r in range(m):
         if basis[r] >= n:
-            col = next((j for j in range(n) if T[r][j]), None)
+            col = min((j for j in T[r] if j < n), default=None)
             if col is None:
                 continue  # redundant row
             _pivot(T, D, basis, r, col)
@@ -411,25 +416,25 @@ def _simplex(
     if any(var >= n for var in basis):
         raise AssertionError("artificial variable left in the basis after cleanup")
 
-    # Phase 2 with the real objective: reduced costs c - c_B B^-1 A.
-    zf = list(c) + [_F0] * (m + 1)
+    # Phase 2 with the real objective: reduced costs c - c_B B^-1 A, as
+    # integers over the lcm of their denominators.
+    zf = {j: v for j, v in enumerate(c) if v}
     for r, var in enumerate(basis):
         cb = c[var]
         if cb:
             cb /= D[r]
-            for j, v in enumerate(T[r]):
-                if v:
-                    zf[j] -= cb * v
-    z, zd = _int_row(zf)
-    T.append(z)
+            for j, v in T[r].items():
+                zf[j] = zf.get(j, _F0) - cb * v
+    zd = lcm(*(v.denominator for v in zf.values()))
+    T.append({j: v.numerator * (zd // v.denominator) for j, v in zf.items() if v})
     D.append(zd)
-    status = _bland(T, D, basis, n)
+    status = _bland(T, D, basis, n, R)
     if status == "unbounded":
         raise ValueError("objective is unbounded below")
     x = [_F0] * n
     for r, var in enumerate(basis):
-        x[var] = Fraction(T[r][-1], D[r])
-    return ("optimal", x, Fraction(-T[-1][-1], D[-1]))
+        x[var] = Fraction(T[r].get(R, 0), D[r])
+    return ("optimal", x, Fraction(-T[-1].get(R, 0), D[-1]))
 
 
 def _standard_form(lp: LPProblem):

@@ -383,8 +383,12 @@ class TestExitContract:
             + "".join(f"  factor f{j} a b c d e f g h\n" for j in range(9))
             + "end\n",
             GOLDEN.read_text(encoding="utf-8").replace("outcomes 4", "outcomes 99999"),
+            "onticbench-model 1\n\nspace\n"
+            + "".join(f"  factor f{j} {' '.join(map(str, range(16)))}\n" for j in range(4))
+            + "end\n"
+            + "".join(f"\nmeasurement M{i}\n  outcomes 4\n  filler 1/4\nend\n" for i in range(4)),
         ],
-        ids=["nine-factor-space", "outcomes-99999"],
+        ids=["nine-factor-space", "outcomes-99999", "four-full-tables"],
     )
     def test_oversize_model_file(self, capsys, tmp_path, text):
         path = tmp_path / "oversize.model"

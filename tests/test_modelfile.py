@@ -250,6 +250,18 @@ class TestSizeLimits:
         assert (err.value.line, err.value.column) == (line, 3)
         assert loads(text.replace("outcomes 8193", "outcomes 8192")).space.size == 32
 
+    def test_cells_bounded_over_the_whole_model(self):
+        # Each table alone fits; the second one takes the model past the limit.
+        section = "\nmeasurement M{}\n  outcomes {}\n  filler 1/4\nend\n"
+        text = space_text(4, 16) + section.format(1, 3) + section.format(2, 2)
+        with pytest.raises(ModelFormatError, match="more than 262144 response cells") as err:
+            loads(text)
+        line = text.splitlines().index("measurement M2") + 2
+        assert (err.value.line, err.value.column) == (line, 3)
+        assert "(196608 in earlier measurements)" in str(err.value)
+        model = loads(space_text(4, 16) + section.format(1, 3) + section.format(2, 1))
+        assert sum(m.outcome_count for m in model.measurements.values()) * MAX_POINTS == MAX_CELLS
+
 
 # ---- the previous loader, kept as an oracle ----------------------------------
 # loads() as it was when it framed each section kind on its own and built

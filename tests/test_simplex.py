@@ -1,19 +1,21 @@
-"""The integer-row simplex against a dense Fraction simplex, and pinned pivot counts.
+"""The sparse integer-row simplex against a dense Fraction simplex, pinned
+pivot counts, and the tableau invariant after every pivot.
 
 The oracle below is the dense Fraction tableau the solver used before its
-rows became integers over one denominator each, fed dense rows that it
-expands from the sparse constraints itself.  Both run the same Bland pivots
-on the same rationals, so every answer must match exactly.
+rows became sparse integers over one denominator each, fed dense rows that
+it expands from the sparse constraints itself.  Both run the same Bland
+pivots on the same rationals, so every answer must match exactly.
 """
 
 from fractions import Fraction
+from math import gcd
 from typing import List, Optional
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from onticbench import cli, synthesis
+from onticbench import cli, scenarios, synthesis
 from onticbench.synthesis import Constraint, FeasibilityResult, LPProblem
 
 _F0 = Fraction(0)
@@ -218,33 +220,69 @@ def _answer(lp: LPProblem, optimize: bool, solve):
         return str(exc)
 
 
+# The builtin LPs, with dozens of pivots each; the drawn ones stay small.
+TOY_LP = synthesis.build_synthesis_lp(scenarios.toy_synthesis_spec())
+LHV_LP = synthesis.build_synthesis_lp(scenarios.lhv_synthesis_spec())
+LHV_FLOOR_LP = synthesis.build_min_violation_lp(
+    scenarios.lhv_synthesis_spec(), scenarios.forbidden_cells(scenarios.MARGINAL_PREP_ORDER)
+)
+
+
 @settings(max_examples=400, deadline=None)
 @given(small_lps())
+@example(TOY_LP)
+@example(LHV_LP)
+@example(LHV_FLOOR_LP)
 def test_same_answers_as_the_fraction_tableau(lp):
     optimize = lp.objective is not None
     assert _answer(lp, optimize, synthesis._solve) == _answer(lp, optimize, _oracle_solve)
 
 
-# ---- pinned pivot counts ------------------------------------------------------------
+# ---- pinned pivot counts and the tableau invariant ------------------------------
+
+BUILTIN_RUNS = [
+    (("synthesize", "--builtin", "toy-nlhv"), 54),
+    (("synthesize", "--builtin", "pbr-lhv"), 38),
+    (("nogo", "--builtin", "pbr-lhv"), 58),
+]
 
 
-@pytest.mark.parametrize(
-    "argv, pivots",
-    [
-        (("synthesize", "--builtin", "toy-nlhv"), 54),
-        (("synthesize", "--builtin", "pbr-lhv"), 38),
-        (("nogo", "--builtin", "pbr-lhv"), 58),
-    ],
-)
-def test_pivot_counts(monkeypatch, capsys, argv, pivots):
+def run_with_pivot_hook(monkeypatch, capsys, argv, after=None):
+    """Run the CLI on ``argv``; return the arguments of every pivot, each
+    passed to ``after`` once that pivot is done."""
     calls = []
     pivot = synthesis._pivot
 
     def counted(*args):
         calls.append(args)
-        return pivot(*args)
+        pivot(*args)
+        if after is not None:
+            after(*args)
 
     monkeypatch.setattr(synthesis, "_pivot", counted)
     cli.run(list(argv))
     capsys.readouterr()
+    return calls
+
+
+@pytest.mark.parametrize("argv, pivots", BUILTIN_RUNS)
+def test_pivot_counts(monkeypatch, capsys, argv, pivots):
+    assert len(run_with_pivot_hook(monkeypatch, capsys, argv)) == pivots
+
+
+def check_tableau(T, D, basis, r, col):
+    """Sparse rows store no 0, each row is reduced over a positive
+    denominator, and a constraint row holds its basic entry as D[i]."""
+    assert len(T) == len(D) == len(basis) + 1
+    for i, (row, d) in enumerate(zip(T, D)):
+        assert d > 0
+        assert all(row.values()), i
+        assert gcd(d, *row.values()) == 1, i
+        if i < len(basis):
+            assert row[basis[i]] == d, i
+
+
+@pytest.mark.parametrize("argv, pivots", BUILTIN_RUNS)
+def test_tableau_invariant_after_every_pivot(monkeypatch, capsys, argv, pivots):
+    calls = run_with_pivot_hook(monkeypatch, capsys, argv, check_tableau)
     assert len(calls) == pivots
