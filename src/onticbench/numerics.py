@@ -44,8 +44,13 @@ _TERM_RE = re.compile(
 )
 
 
-def _as_rational(value) -> Fraction:
-    """Coerce to Fraction, rejecting floats: exactness is the whole point."""
+def as_rational(value) -> Fraction:
+    """Coerce an int or Fraction to Fraction; anything else raises TypeError.
+
+    A Fraction is returned as it is.  A float, a str such as "1/3" and a
+    Decimal are all refused, though Fraction() would take them: exactness is
+    the whole point, and one policy serves QSqrt2 and LP data alike.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
@@ -89,8 +94,8 @@ class QSqrt2:
     __slots__ = ("_a", "_b", "_d")
 
     def __new__(cls, rat=0, irr=0) -> "QSqrt2":
-        rat = _as_rational(rat)
-        irr = _as_rational(irr)
+        rat = as_rational(rat)
+        irr = as_rational(irr)
         q, s = rat.denominator, irr.denominator
         g = gcd(q, s)
         return _make(rat.numerator * (s // g), irr.numerator * (q // g), q // g * s)

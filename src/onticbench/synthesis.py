@@ -19,8 +19,8 @@ data; every built-in scenario satisfies that.
 
 LP rows are sparse: a Constraint holds only its nonzero coefficients, as
 (column index, Fraction) pairs sorted by index, and every layer around the
-simplex (the builders, the standard form, the tableau fill and the
-verifier) walks only those pairs.  The working tableau is sparse too.
+simplex (the builders, the tableau fill and the verifier) walks only
+those pairs.  The working tableau is sparse too.
 
 The solver is a two-phase primal simplex with Bland's rule, which cannot
 cycle, so termination is unconditional.  Each tableau row is a dict from
@@ -47,7 +47,7 @@ from math import gcd, lcm
 from operator import index
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .numerics import ONE, QSqrt2, ZERO, as_qsqrt2
+from .numerics import ONE, QSqrt2, ZERO, as_qsqrt2, as_rational
 from .ontology import (
     EpistemicState,
     OnticSpace,
@@ -113,24 +113,14 @@ class SynthesisSpec:
         return self.outcome_count * self.space.size
 
 
-def _as_fraction(value) -> Fraction:
-    # A Fraction is kept as it is: rebuilding every coefficient made building an
-    # LP about ten times slower.  A float is refused: Fraction(0.1) is exact,
-    # but it is the binary double, not the tenth the caller wrote.
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, float):
-        raise TypeError(f"LP data must be exact, got float {value!r}")
-    return Fraction(value)
-
-
 @dataclass(frozen=True)
 class Constraint:
     """One row: sum of coeff * x[index] over ``coeffs``, compared with ``rhs``.
 
     ``coeffs`` holds (index, coefficient) pairs, one per nonzero coefficient,
     with integer indices strictly increasing; a zero coefficient is dropped
-    here, and LPProblem checks the indices against its variables.
+    here, and LPProblem checks the indices against its variables.  Each
+    coefficient and ``rhs`` must be an int or Fraction (numerics.as_rational).
     """
 
     cid: str
@@ -144,9 +134,9 @@ class Constraint:
         object.__setattr__(
             self,
             "coeffs",
-            tuple((index(j), v) for j, c in self.coeffs if (v := _as_fraction(c))),
+            tuple((index(j), v) for j, c in self.coeffs if (v := as_rational(c))),
         )
-        object.__setattr__(self, "rhs", _as_fraction(self.rhs))
+        object.__setattr__(self, "rhs", as_rational(self.rhs))
 
 
 @dataclass(frozen=True)
@@ -173,7 +163,7 @@ class LPProblem:
                     raise ValueError(f"constraint {c.cid} has index {j} after {last}")
                 last = j
         if self.objective is not None:
-            objective = tuple(map(_as_fraction, self.objective))
+            objective = tuple(map(as_rational, self.objective))
             if len(objective) != n:
                 raise ValueError("objective length must match the variable count")
             object.__setattr__(self, "objective", objective)
@@ -261,10 +251,16 @@ def build_synthesis_lp(spec: SynthesisSpec) -> LPProblem:
 # ---- exact simplex ---------------------------------------------------------
 
 
-# The tableau T is a list of sparse integer rows, the reduced-cost row z
-# last: each row is a dict from column to nonzero int, with the rhs under
-# column n + m, and a column it lacks holds 0.  D holds one denominator per
-# row: row i stands for the rationals T[i][j] / D[i], with D[i] > 0 and
+# The tableau T is a list of sparse integer rows: the constraint rows, one
+# per basis entry, then the objective rows.  Its columns are the LP's
+# variables, one slack per '<=' row in row order, one artificial per row,
+# and the rhs under column n + m; a row is a dict from column to nonzero
+# int, and a column it lacks holds 0.  The last row is the z row that
+# Bland's rule prices.  An optimizing run puts its cost row just before
+# the phase-1 z row, so phase 1 has two objective rows; the cost row is
+# reduced by every pivot like any other row and becomes phase 2's z row
+# once the phase-1 row is popped.  D holds one denominator per row: row i
+# stands for the rationals T[i][j] / D[i], with D[i] > 0 and
 # gcd(D[i], *T[i].values()) == 1.  A sign test reads the numerator alone,
 # and every value is the rational a Fraction tableau would hold, so Bland's
 # rule makes the same pivots.  A constraint row also holds its basic entry
@@ -312,7 +308,9 @@ def _bland(
 ) -> str:
     """Run Bland's-rule pivots to optimality.
 
-    ``eligible`` bounds the entering columns; ``R`` is the rhs column.
+    ``eligible`` bounds the entering columns; ``R`` is the rhs column.  The
+    last row is priced and only the constraint rows enter the ratio test, so
+    a cost row riding along in phase 1 is updated but never read.
     """
     while True:
         z = T[-1]
@@ -340,33 +338,39 @@ def _bland(
         _pivot(T, D, basis, leave, enter)
 
 
-def _simplex(
-    A: List[Tuple[Tuple[int, Fraction], ...]],
-    b: List[Fraction],
-    c: Optional[List[Fraction]],
-    n: int,
-):
-    """min c.x subject to Ax = b, x >= 0 over ``n`` columns, in exact rational arithmetic.
+def _simplex(lp: LPProblem, optimize: bool) -> FeasibilityResult:
+    """Decide ``lp`` (or minimize its objective) over x >= 0, in exact rational arithmetic.
 
-    Each row of A is its (index, coefficient) pairs.  Returns ("infeasible",
-    y) with y a Farkas certificate of the system (sum_i y_i A_i <= 0
-    componentwise and y.b > 0), or ("optimal", x, value).
+    Returns a witness, with the optimal value when ``optimize`` is set, or a
+    Farkas certificate keyed by constraint id: multipliers y with
+    sum_i y_i A_i <= 0 componentwise, y.b > 0 and y_i <= 0 on '<=' rows.
     """
-    m = len(A)
+    cons = lp.constraints
+    if optimize and lp.objective is None:
+        raise ValueError("LP has no objective to optimize")
+    n0 = len(lp.variables)
+    m = len(cons)
+    n = n0 + sum(con.kind == "le" for con in cons)  # a slack column per '<=' row
     R = n + m  # the rhs column
 
-    flips = [-1 if b[i] < 0 else 1 for i in range(m)]
+    flips: List[int] = []
     T: List[Dict[int, int]] = []
     D: List[int] = []
-    for i, (pairs, rhs) in enumerate(zip(A, b)):
+    slack = n0
+    for i, con in enumerate(cons):
         # Numerators over the lcm of the row's denominators, sign-flipped so
         # that the rhs is nonnegative; the artificial column holds d.
-        d = lcm(rhs.denominator, *(v.denominator for _, v in pairs))
-        f = flips[i]
-        row = {j: f * v.numerator * (d // v.denominator) for j, v in pairs}
+        rhs = con.rhs
+        d = lcm(rhs.denominator, *(v.denominator for _, v in con.coeffs))
+        f = -1 if rhs < 0 else 1
+        row = {j: f * v.numerator * (d // v.denominator) for j, v in con.coeffs}
+        if con.kind == "le":
+            row[slack] = f * d
+            slack += 1
         row[n + i] = d
         if rhs:
             row[R] = f * rhs.numerator * (d // rhs.denominator)
+        flips.append(f)
         T.append(row)
         D.append(d)
     basis = list(range(n, n + m))
@@ -380,103 +384,60 @@ def _simplex(
         for j, v in row.items():
             if j != n + i:
                 z[j] = z.get(j, 0) - s * v
+    if optimize:
+        # The cost row: its reduced costs against the artificial basis are
+        # the objective itself, over the lcm of its denominators.
+        cd = lcm(*(v.denominator for v in lp.objective))
+        T.append(
+            {j: v.numerator * (cd // v.denominator) for j, v in enumerate(lp.objective) if v}
+        )
+        D.append(cd)
     g = gcd(zd, *z.values())
     T.append({j: v // g for j, v in z.items() if v})
     D.append(zd // g)
-    status = _bland(T, D, basis, n + m, R)
-    if status != "optimal":
+    if _bland(T, D, basis, n + m, R) != "optimal":
         raise AssertionError("phase 1 is always bounded below by zero")
-    z, zd = T[-1], D[-1]
+    z, zd = T.pop(), D.pop()
     if z.get(R, 0) < 0:
         # The artificial total -z[R] is positive. Simplex multipliers: the
         # reduced cost of artificial i is 1 - y_i.
-        y = [Fraction(flips[i] * (zd - z.get(n + i, 0)), zd) for i in range(m)]
-        return ("infeasible", y)
+        certificate = {}
+        for i, con in enumerate(cons):
+            y = zd - z.get(n + i, 0)
+            if y:
+                certificate[con.cid] = Fraction(flips[i] * y, zd)
+        return FeasibilityResult(False, certificate=certificate)
 
-    if c is None:
-        x = [_F0] * n
-        for r, var in enumerate(basis):
-            if var < n:
-                x[var] = Fraction(T[r].get(R, 0), D[r])
-        return ("optimal", x, _F0)
-
-    # Drive artificials out of the basis; rows that cannot pivot are
-    # redundant (zero in every original column, zero rhs) and are dropped.
-    keep: List[int] = []
-    for r in range(m):
-        if basis[r] >= n:
-            col = min((j for j in T[r] if j < n), default=None)
-            if col is None:
-                continue  # redundant row
-            _pivot(T, D, basis, r, col)
-        keep.append(r)
-    T = [T[r] for r in keep]
-    D = [D[r] for r in keep]
-    basis = [basis[r] for r in keep]
-    if any(var >= n for var in basis):
-        raise AssertionError("artificial variable left in the basis after cleanup")
-
-    # Phase 2 with the real objective: reduced costs c - c_B B^-1 A, as
-    # integers over the lcm of their denominators.
-    zf = {j: v for j, v in enumerate(c) if v}
+    value = None
+    if optimize:
+        # Drive artificials out of the basis; rows that cannot pivot are
+        # redundant (zero in every original column, zero rhs) and are dropped.
+        keep: List[int] = []
+        for r in range(m):
+            if basis[r] >= n:
+                col = min((j for j in T[r] if j < n), default=None)
+                if col is None:
+                    continue  # redundant row
+                _pivot(T, D, basis, r, col)
+            keep.append(r)
+        basis = [basis[r] for r in keep]
+        if any(var >= n for var in basis):
+            raise AssertionError("artificial variable left in the basis after cleanup")
+        keep.append(m)  # the cost row, now phase 2's z row
+        T = [T[r] for r in keep]
+        D = [D[r] for r in keep]
+        if _bland(T, D, basis, n, R) == "unbounded":
+            raise ValueError("objective is unbounded below")
+        value = Fraction(-T[-1].get(R, 0), D[-1])
+    x = [_F0] * n0
     for r, var in enumerate(basis):
-        cb = c[var]
-        if cb:
-            cb /= D[r]
-            for j, v in T[r].items():
-                zf[j] = zf.get(j, _F0) - cb * v
-    zd = lcm(*(v.denominator for v in zf.values()))
-    T.append({j: v.numerator * (zd // v.denominator) for j, v in zf.items() if v})
-    D.append(zd)
-    status = _bland(T, D, basis, n, R)
-    if status == "unbounded":
-        raise ValueError("objective is unbounded below")
-    x = [_F0] * n
-    for r, var in enumerate(basis):
-        x[var] = Fraction(T[r].get(R, 0), D[r])
-    return ("optimal", x, Fraction(-T[-1].get(R, 0), D[-1]))
-
-
-def _standard_form(lp: LPProblem):
-    """Append one slack column per '<=' row, giving Ax = b, x >= 0 over n columns.
-
-    Rows stay (index, coefficient) pairs; a slack is one more pair, past
-    every original column, so each row stays sorted.
-    """
-    n0 = n = len(lp.variables)
-    A: List[Tuple[Tuple[int, Fraction], ...]] = []
-    b: List[Fraction] = []
-    for con in lp.constraints:
-        if con.kind == "le":
-            A.append(con.coeffs + ((n, _F1),))
-            n += 1
-        else:
-            A.append(con.coeffs)
-        b.append(con.rhs)
-    return A, b, n, n0
+        if var < n0:
+            x[var] = Fraction(T[r].get(R, 0), D[r])
+    return FeasibilityResult(True, witness=tuple(x), objective_value=value)
 
 
 def _solve(lp: LPProblem, optimize: bool) -> FeasibilityResult:
-    A, b, n, n0 = _standard_form(lp)
-    c = None
-    if optimize:
-        if lp.objective is None:
-            raise ValueError("LP has no objective to optimize")
-        c = list(lp.objective) + [_F0] * (n - n0)
-    outcome = _simplex(A, b, c, n)
-    if outcome[0] == "infeasible":
-        y = outcome[1]
-        certificate = {
-            lp.constraints[i].cid: y[i] for i in range(len(y)) if y[i]
-        }
-        result = FeasibilityResult(False, certificate=certificate)
-    else:
-        _, x, value = outcome
-        result = FeasibilityResult(
-            True,
-            witness=tuple(x[:n0]),
-            objective_value=value if optimize else None,
-        )
+    result = _simplex(lp, optimize)
     verdict = verify_certificate(lp, result)
     if not verdict.ok:
         raise AssertionError(

@@ -330,6 +330,74 @@ FILE_COMMANDS = (
 )
 
 
+# Each command with arguments that make it run; a drawn argv may start from
+# these, so that the drawn entries also reach the handlers, not only argparse.
+RUNNABLE = {
+    "validate": ("--builtin", "toy-nlhv"),
+    "predict": ("--builtin", "toy-nlhv", "--prep", "nu00", "--meas", "M"),
+    "born-check": ("--builtin", "toy-nlhv"),
+    "independence": ("--builtin", "toy-nlhv"),
+    "overlap": ("--builtin", "toy-nlhv", "--preps", "nu00,nu0+"),
+    "synthesize": ("--builtin", "toy-nlhv"),
+    "nogo": ("--builtin", "toy-nlhv"),
+    "simulate": ("--builtin", "toy-nlhv", "--prep", "nu00", "--meas", "M"),
+    "demo-pbr": (),
+}
+
+# One entry is a bare token or an option with its value, so that no drawn
+# value can reach --samples or --jobs: those stay at most 100 and 4, and no
+# draw runs long.
+ARGV_VOCABULARY = (
+    (str(GOLDEN),),
+    (str(GOLDEN.with_name("missing.model")),),
+    ("-h",),
+    ("--builtin", "toy-nlhv"),
+    ("--builtin", "pbr-lhv"),
+    ("--builtin", "nope"),
+    ("--prep", "nu00"),
+    ("--prep", "mu++"),
+    ("--prep", "ghost"),
+    ("--meas", "M"),
+    ("--meas", "ghost"),
+    ("--preps", "nu00,nu0+"),
+    ("--preps", "mu00,mu0+,mu+0,mu++"),
+    ("--preps", "nu00,nu0+,nu+0,nu++"),
+    ("--preps", "nu00"),
+    ("--preps", "nu00,nu00,nu+0,nu++"),
+    ("--preps", "nu00,ghost"),
+    ("--inaccessible", "lambda_s"),
+    ("--inaccessible", "lambda1,lambda2"),
+    ("--inaccessible", "lambda1,lambda1"),
+    ("--inaccessible", "ghost"),
+    ("--format", "json"),
+    ("--format", "text"),
+    ("--format", "xml"),
+    ("--seed", "0"),
+    ("--seed", "-3"),
+    ("--seed", str(2**64 - 1)),
+    ("--seed", str(2**64)),
+    ("--samples", "0"),
+    ("--samples", "-1"),
+    ("--samples", "100"),
+    ("--jobs", "0"),
+    ("--jobs", "-2"),
+    ("--jobs", "4"),
+)
+
+
+@st.composite
+def any_argv(draw):
+    """One of the nine commands, maybe its runnable arguments, and up to 7
+    vocabulary entries; simulate always gets a --samples entry."""
+    command = draw(st.sampled_from(sorted(RUNNABLE)))
+    entries = draw(st.lists(st.sampled_from(ARGV_VOCABULARY), max_size=7))
+    if command == "simulate":
+        samples = draw(st.sampled_from(("0", "1", "100")))
+        entries.insert(draw(st.integers(0, len(entries))), ("--samples", samples))
+    base = RUNNABLE[command] if draw(st.booleans()) else ()
+    return [command, *base, *(token for entry in entries for token in entry)]
+
+
 class TestExitContract:
     """Unusable input exits 2 with an error line, never 1 with a traceback."""
 
@@ -375,6 +443,16 @@ class TestExitContract:
             assert code in (0, 1, 2), command
             assert "Traceback" not in err.getvalue(), command
             assert code != 2 or err.getvalue().startswith("error:"), command
+
+    @settings(max_examples=300, deadline=None)
+    @given(argv=any_argv())
+    def test_any_argv(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run(argv)
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err.getvalue(), argv
+        assert "error: internal error" not in err.getvalue(), argv
 
     @pytest.mark.parametrize(
         "text",

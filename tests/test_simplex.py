@@ -1,5 +1,5 @@
 """The sparse integer-row simplex against a dense Fraction simplex, pinned
-pivot counts, and the tableau invariant after every pivot.
+pivot counts and sequences, and the tableau invariant after every pivot.
 
 The oracle below is the dense Fraction tableau the solver used before its
 rows became sparse integers over one denominator each, fed dense rows that
@@ -7,6 +7,7 @@ it expands from the sparse constraints itself.  Both run the same Bland
 pivots on the same rationals, so every answer must match exactly.
 """
 
+import hashlib
 from fractions import Fraction
 from math import gcd
 from typing import List, Optional
@@ -265,15 +266,32 @@ def run_with_pivot_hook(monkeypatch, capsys, argv, after=None):
     return calls
 
 
+# SHA-256 of repr() of each run's (row, column) pivot list.
+PIVOT_DIGESTS = {
+    ("synthesize", "--builtin", "toy-nlhv"):
+        "663d5a910f0b139efb7bfbb67a3387aea5f8275edd14258539b2063785bb3b1f",
+    ("synthesize", "--builtin", "pbr-lhv"):
+        "2e7e9e5c3e834abd20889838630e2713ca554f9081a266a10db79c3c163fd9f5",
+    ("nogo", "--builtin", "pbr-lhv"):
+        "b042108a823c8ecbd7c945a05d273df1752854ec0d061b4033ed5a9b3db74a17",
+}
+
+
 @pytest.mark.parametrize("argv, pivots", BUILTIN_RUNS)
 def test_pivot_counts(monkeypatch, capsys, argv, pivots):
-    assert len(run_with_pivot_hook(monkeypatch, capsys, argv)) == pivots
+    calls = run_with_pivot_hook(monkeypatch, capsys, argv)
+    assert len(calls) == pivots
+    sequence = repr([(r, col) for _, _, _, r, col in calls])
+    assert hashlib.sha256(sequence.encode()).hexdigest() == PIVOT_DIGESTS[argv]
 
 
 def check_tableau(T, D, basis, r, col):
-    """Sparse rows store no 0, each row is reduced over a positive
-    denominator, and a constraint row holds its basic entry as D[i]."""
-    assert len(T) == len(D) == len(basis) + 1
+    """One or two objective rows follow the constraint rows (the cost row
+    rides along through phase 1 of an optimizing run), sparse rows store no
+    0, each row is reduced over a positive denominator, and a constraint row
+    holds its basic entry as D[i]."""
+    assert len(T) == len(D)
+    assert len(T) - len(basis) in (1, 2)
     for i, (row, d) in enumerate(zip(T, D)):
         assert d > 0
         assert all(row.values()), i

@@ -1,6 +1,7 @@
 """Tests for the exact LP: feasibility, certificates, and the violation floor."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 
@@ -534,6 +535,23 @@ class TestSolverCore:
     def test_rejects_float_objective(self):
         with pytest.raises(TypeError, match="float"):
             LPProblem(("x",), (), objective=(0.5,))
+
+    def test_rejects_str_coefficient(self):
+        # Fraction("1/3") would parse it; LP data takes only int and Fraction
+        with pytest.raises(TypeError, match="str"):
+            Constraint("c", ((0, "1/3"),), Fraction(1), "eq")
+
+    def test_rejects_str_rhs(self):
+        with pytest.raises(TypeError, match="str"):
+            Constraint("c", ((0, Fraction(1)),), "1/3", "eq")
+
+    def test_rejects_decimal_coefficient(self):
+        with pytest.raises(TypeError, match="Decimal"):
+            Constraint("c", ((0, Decimal("0.1")),), Fraction(1), "eq")
+
+    def test_rejects_decimal_objective(self):
+        with pytest.raises(TypeError, match="Decimal"):
+            LPProblem(("x",), (), objective=(Decimal("0.5"),))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
