@@ -18,9 +18,12 @@ act componentwise, so the violation-minimizing program insists on rational
 data; every built-in scenario satisfies that.
 
 LP rows are sparse: a Constraint holds only its nonzero coefficients, as
-(column index, Fraction) pairs sorted by index, and every layer around the
-simplex (the builders, the tableau fill and the verifier) walks only
-those pairs.  The working tableau is sparse too.
+(column index, Fraction) pairs sorted by index, and the builders walk only
+those pairs.  Each Constraint also computes its row over integers once:
+the lcm of its denominators and the integer numerators over it.  The
+tableau fill copies those integers, and the verifier checks every row as
+an integer dot product, so neither does Fraction arithmetic.  The working
+tableau is sparse too.
 
 The solver is a two-phase primal simplex with Bland's rule, which cannot
 cycle, so termination is unconditional.  Each tableau row is a dict from
@@ -41,7 +44,7 @@ returned; verify_certificate exposes the same check to callers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from operator import index
@@ -121,22 +124,35 @@ class Constraint:
     with integer indices strictly increasing; a zero coefficient is dropped
     here, and LPProblem checks the indices against its variables.  Each
     coefficient and ``rhs`` must be an int or Fraction (numerics.as_rational).
+
+    The same row over integers is computed here once: ``den`` is the lcm of
+    the denominators of the coefficients and ``rhs``, ``nums[t]`` is
+    ``coeffs[t][1] * den`` and ``rhs_num`` is ``rhs * den``, all ints.  The
+    simplex fills its tableau and verify_certificate checks rows from these,
+    with no Fraction arithmetic; they take no part in equality, hashing or
+    repr.
     """
 
     cid: str
     coeffs: Tuple[Tuple[int, Fraction], ...]
     rhs: Fraction
     kind: str  # "eq" or "le"
+    den: int = field(init=False, compare=False, repr=False)
+    nums: Tuple[int, ...] = field(init=False, compare=False, repr=False)
+    rhs_num: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("eq", "le"):
             raise ValueError(f"unknown constraint kind {self.kind!r}")
-        object.__setattr__(
-            self,
-            "coeffs",
-            tuple((index(j), v) for j, c in self.coeffs if (v := as_rational(c))),
-        )
-        object.__setattr__(self, "rhs", as_rational(self.rhs))
+        coeffs = tuple([(index(j), v) for j, c in self.coeffs if (v := as_rational(c))])
+        rhs = as_rational(self.rhs)
+        den = lcm(rhs.denominator, *[v.denominator for _, v in coeffs])
+        nums = tuple([v.numerator * (den // v.denominator) for _, v in coeffs])
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "rhs_num", rhs.numerator * (den // rhs.denominator))
 
 
 @dataclass(frozen=True)
@@ -358,18 +374,17 @@ def _simplex(lp: LPProblem, optimize: bool) -> FeasibilityResult:
     D: List[int] = []
     slack = n0
     for i, con in enumerate(cons):
-        # Numerators over the lcm of the row's denominators, sign-flipped so
-        # that the rhs is nonnegative; the artificial column holds d.
-        rhs = con.rhs
-        d = lcm(rhs.denominator, *(v.denominator for _, v in con.coeffs))
+        # The constraint's integer row, sign-flipped so that the rhs is
+        # nonnegative; the artificial column holds d.
+        d, rhs = con.den, con.rhs_num
         f = -1 if rhs < 0 else 1
-        row = {j: f * v.numerator * (d // v.denominator) for j, v in con.coeffs}
+        row = {j: f * a for (j, _), a in zip(con.coeffs, con.nums)}
         if con.kind == "le":
             row[slack] = f * d
             slack += 1
         row[n + i] = d
         if rhs:
-            row[R] = f * rhs.numerator * (d // rhs.denominator)
+            row[R] = f * rhs
         flips.append(f)
         T.append(row)
         D.append(d)
@@ -454,35 +469,57 @@ def solve_feasibility(lp: LPProblem) -> FeasibilityResult:
     return _solve(lp, optimize=False)
 
 
+def _inexact(kind: str, name: str, value) -> str:
+    return f"{kind} {name} is not an int or Fraction: {type(value).__name__} {value!r}"
+
+
 def verify_certificate(lp: LPProblem, result: FeasibilityResult) -> Verdict:
     """Re-check a witness or certificate against the constraint list.
 
     This is an independent pass over the stated constraints: a witness must
     satisfy every row and be nonnegative; a certificate's multipliers must
     recombine the rows into an impossibility (nonpositive combination with
-    positive right-hand side, nonpositive multipliers on '<=' rows).
+    positive right-hand side, nonpositive multipliers on '<=' rows).  Every
+    value must be an int or Fraction; any other fails by name.
+
+    The check is exact integer arithmetic on each row's integer form
+    (Constraint.den, nums, rhs_num).  A witness is put over one common
+    denominator L of its nonzero values; a certificate over one M, the lcm
+    of multiplier denominator times row ``den``.  A Fraction is made only to
+    print a failure.
     """
-    failures: List[str] = []
     if result.feasible:
         x = result.witness
         if x is None:
             return Verdict(False, ("feasible result carries no witness",))
         if len(x) != len(lp.variables):
             return Verdict(False, (f"witness has {len(x)} values, expected {len(lp.variables)}",))
-        support = {j: value for j, value in enumerate(x) if value}
-        for j, value in support.items():
-            if value < 0:
-                failures.append(f"variable {lp.variables[j]} is negative: {value}")
+        failures = [
+            _inexact("variable", lp.variables[j], value)
+            for j, value in enumerate(x)
+            if not isinstance(value, (int, Fraction))
+        ]
+        if failures:
+            return Verdict(False, tuple(failures))
+        support = [(j, value.numerator, value.denominator) for j, value in enumerate(x) if value]
+        # X[j] / L == x[j], so a row's lhs is its integer dot product / (den * L).
+        L = lcm(*[d for _, _, d in support])
+        X = [0] * len(x)
+        for j, a, d in support:
+            if a < 0:
+                failures.append(f"variable {lp.variables[j]} is negative: {x[j]}")
+            X[j] = a * (L // d)
         for con in lp.constraints:
-            lhs = _F0
-            for j, coeff in con.coeffs:
-                value = support.get(j)
-                if value is not None:
-                    lhs += coeff * value
-            if con.kind == "eq" and lhs != con.rhs:
-                failures.append(f"constraint {con.cid} violated: lhs {lhs}, rhs {con.rhs}")
-            elif con.kind == "le" and lhs > con.rhs:
-                failures.append(f"constraint {con.cid} violated: lhs {lhs} > rhs {con.rhs}")
+            lhs = 0
+            for (j, _), a in zip(con.coeffs, con.nums):
+                lhs += a * X[j]
+            rhs = con.rhs_num * L
+            if con.kind == "eq" and lhs != rhs:
+                value = Fraction(lhs, con.den * L)
+                failures.append(f"constraint {con.cid} violated: lhs {value}, rhs {con.rhs}")
+            elif con.kind == "le" and lhs > rhs:
+                value = Fraction(lhs, con.den * L)
+                failures.append(f"constraint {con.cid} violated: lhs {value} > rhs {con.rhs}")
         return Verdict(not failures, tuple(failures))
 
     cert = result.certificate
@@ -492,24 +529,35 @@ def verify_certificate(lp: LPProblem, result: FeasibilityResult) -> Verdict:
     unknown = sorted(set(cert) - set(by_cid))
     if unknown:
         return Verdict(False, (f"certificate references unknown constraints: {unknown}",))
-    combo: Dict[int, Fraction] = {}
-    total = _F0
-    for cid, mult in cert.items():
-        con = by_cid[cid]
-        if con.kind == "le" and mult > 0:
-            failures.append(f"multiplier for '<=' row {cid} must be <= 0, got {mult}")
-        if mult:
-            for j, coeff in con.coeffs:
-                combo[j] = combo.get(j, _F0) + mult * coeff
-            total += mult * con.rhs
-    for j in sorted(combo):
-        value = combo[j]
+    failures = [
+        _inexact("multiplier for", cid, mult)
+        for cid, mult in cert.items()
+        if not isinstance(mult, (int, Fraction))
+    ]
+    if failures:
+        return Verdict(False, tuple(failures))
+    failures = [
+        f"multiplier for '<=' row {cid} must be <= 0, got {mult}"
+        for cid, mult in cert.items()
+        if mult > 0 and by_cid[cid].kind == "le"
+    ]
+    used = [(by_cid[cid], mult) for cid, mult in cert.items() if mult]
+    # Row i scaled by y_i is s_i * nums / M with s_i = y_i * M / den_i, an integer.
+    M = lcm(*(mult.denominator * con.den for con, mult in used))
+    combo = [0] * len(lp.variables)
+    total = 0
+    for con, mult in used:
+        s = mult.numerator * (M // (mult.denominator * con.den))
+        for (j, _), a in zip(con.coeffs, con.nums):
+            combo[j] += s * a
+        total += s * con.rhs_num
+    for j, value in enumerate(combo):
         if value > 0:
             failures.append(
-                f"combined coefficient of {lp.variables[j]} is {value}, not <= 0"
+                f"combined coefficient of {lp.variables[j]} is {Fraction(value, M)}, not <= 0"
             )
     if total <= 0:
-        failures.append(f"combined right-hand side is {total}, not > 0")
+        failures.append(f"combined right-hand side is {Fraction(total, M)}, not > 0")
     return Verdict(not failures, tuple(failures))
 
 

@@ -4,8 +4,12 @@ import random
 from decimal import Decimal
 from fractions import Fraction
 from itertools import product
+from math import lcm
+from typing import Dict, List
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from onticbench.numerics import HALF, INV_SQRT2, ONE, QSqrt2, QUARTER, SQRT2, ZERO
 from onticbench.ontology import (
@@ -40,6 +44,7 @@ from onticbench.synthesis import (
     solve_min_violation,
     verify_certificate,
 )
+from onticbench.verdicts import Verdict
 
 SIXTEENTH = QSqrt2(Fraction(1, 16))
 
@@ -609,3 +614,256 @@ class TestSolverCore:
         result = solve_feasibility(lp)
         assert not result.feasible
         assert verify_certificate(lp, result).ok
+
+
+class TestIntegerRows:
+    @staticmethod
+    def _check(lp: LPProblem) -> None:
+        for con in lp.constraints:
+            assert type(con.den) is int and con.den > 0
+            assert con.den == lcm(con.rhs.denominator, *(v.denominator for _, v in con.coeffs))
+            assert len(con.nums) == len(con.coeffs)
+            for (_, v), a in zip(con.coeffs, con.nums):
+                assert type(a) is int and Fraction(a, con.den) == v
+            assert type(con.rhs_num) is int and Fraction(con.rhs_num, con.den) == con.rhs
+
+    @pytest.mark.parametrize("case", sorted(_BUILD_CASES))
+    def test_synthesis_lp_rows(self, case):
+        self._check(build_synthesis_lp(_BUILD_CASES[case]()))
+
+    @pytest.mark.parametrize("case", ["toy-nlhv", "pbr-lhv", "padded"])
+    def test_min_violation_lp_rows(self, case):
+        spec = _BUILD_CASES[case]()
+        forbidden = forbidden_cells(tuple(label for label, _ in spec.preparations))
+        self._check(build_min_violation_lp(spec, forbidden))
+
+    def test_equal_data_gives_equal_constraints(self):
+        a = Constraint("c", ((0, Fraction(2, 4)), (1, 3), (2, 0)), Fraction(1, 6), "le")
+        b = Constraint("c", ((0, Fraction(1, 2)), (1, Fraction(3))), Fraction(2, 12), "le")
+        assert a == b
+        assert hash(a) == hash(b)
+        assert repr(a) == repr(b)
+        assert (a.den, a.nums, a.rhs_num) == (6, (3, 18), 1)
+        assert "nums" not in repr(a)
+
+
+# ---- oracle: the Fraction verifier ------------------------------------------------
+
+
+def _oracle_verify(lp: LPProblem, result: FeasibilityResult) -> Verdict:
+    """verify_certificate as it was before rows carried an integer form.
+
+    One Fraction multiply and add per nonzero, straight from ``coeffs`` and
+    ``rhs``.  It takes exact values only; the integer verifier must return
+    the same Verdict, failure messages included.
+    """
+    failures: List[str] = []
+    if result.feasible:
+        x = result.witness
+        if x is None:
+            return Verdict(False, ("feasible result carries no witness",))
+        if len(x) != len(lp.variables):
+            return Verdict(False, (f"witness has {len(x)} values, expected {len(lp.variables)}",))
+        support = {j: value for j, value in enumerate(x) if value}
+        for j, value in support.items():
+            if value < 0:
+                failures.append(f"variable {lp.variables[j]} is negative: {value}")
+        for con in lp.constraints:
+            lhs = Fraction(0)
+            for j, coeff in con.coeffs:
+                value = support.get(j)
+                if value is not None:
+                    lhs += coeff * value
+            if con.kind == "eq" and lhs != con.rhs:
+                failures.append(f"constraint {con.cid} violated: lhs {lhs}, rhs {con.rhs}")
+            elif con.kind == "le" and lhs > con.rhs:
+                failures.append(f"constraint {con.cid} violated: lhs {lhs} > rhs {con.rhs}")
+        return Verdict(not failures, tuple(failures))
+
+    cert = result.certificate
+    if cert is None:
+        return Verdict(False, ("infeasible result carries no certificate",))
+    by_cid = {con.cid: con for con in lp.constraints}
+    unknown = sorted(set(cert) - set(by_cid))
+    if unknown:
+        return Verdict(False, (f"certificate references unknown constraints: {unknown}",))
+    combo: Dict[int, Fraction] = {}
+    total = Fraction(0)
+    for cid, mult in cert.items():
+        con = by_cid[cid]
+        if con.kind == "le" and mult > 0:
+            failures.append(f"multiplier for '<=' row {cid} must be <= 0, got {mult}")
+        if mult:
+            for j, coeff in con.coeffs:
+                combo[j] = combo.get(j, Fraction(0)) + mult * coeff
+            total += mult * con.rhs
+    for j in sorted(combo):
+        value = combo[j]
+        if value > 0:
+            failures.append(
+                f"combined coefficient of {lp.variables[j]} is {value}, not <= 0"
+            )
+    if total <= 0:
+        failures.append(f"combined right-hand side is {total}, not > 0")
+    return Verdict(not failures, tuple(failures))
+
+
+_SUM_LP = LPProblem(
+    ("x0", "x1"),
+    (Constraint("sum", ((0, Fraction(1)), (1, Fraction(1))), Fraction(1), "eq"),),
+)
+
+
+class TestVerifierRefusesInexactValues:
+    @pytest.mark.parametrize(
+        "result, failures",
+        [
+            (
+                FeasibilityResult(True, witness=(0.1, 0.9)),
+                (
+                    "variable x0 is not an int or Fraction: float 0.1",
+                    "variable x1 is not an int or Fraction: float 0.9",
+                ),
+            ),
+            (
+                FeasibilityResult(True, witness=(Fraction(1, 2), "1/2")),
+                ("variable x1 is not an int or Fraction: str '1/2'",),
+            ),
+            (
+                FeasibilityResult(False, certificate={"sum": 0.5}),
+                ("multiplier for sum is not an int or Fraction: float 0.5",),
+            ),
+            (
+                FeasibilityResult(False, certificate={"sum": "1"}),
+                ("multiplier for sum is not an int or Fraction: str '1'",),
+            ),
+        ],
+        ids=["float-witness", "str-witness", "float-multiplier", "str-multiplier"],
+    )
+    def test_named_failure(self, result, failures):
+        assert verify_certificate(_SUM_LP, result) == Verdict(False, failures)
+
+
+_value = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+_nonzero = _value.filter(bool)
+
+
+def _maybe_int(value: Fraction, ints: bool):
+    """``value`` as an int when ``ints`` is set and it is whole: ints are exact too."""
+    return int(value) if ints and value.denominator == 1 else value
+
+
+@st.composite
+def verify_cases(draw):
+    """A small sparse LP and a witness or certificate to check against it.
+
+    Rows are eq or le.  Some take their rhs at a planted nonnegative point
+    (a '<=' row with some slack), so the planted witness meets them; the
+    others draw a free rhs, negative ones included.  Witnesses are the
+    planted point, the point perturbed at one entry, all zeros, or one value
+    short or long; certificates are drawn multipliers (a positive one on a
+    '<=' row included), the same plus an unknown cid, or all zeros.
+    """
+    n = draw(st.integers(1, 5))
+    point = draw(
+        st.lists(st.fractions(min_value=0, max_value=2, max_denominator=4), min_size=n, max_size=n)
+    )
+    constraints = []
+    for i in range(draw(st.integers(0, 4))):
+        cols = sorted(draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n)))
+        coeffs = tuple((j, draw(_nonzero)) for j in cols)
+        kind = draw(st.sampled_from(("eq", "le")))
+        if draw(st.booleans()):
+            rhs = sum((v * point[j] for j, v in coeffs), Fraction(0))
+            if kind == "le":
+                rhs += draw(st.fractions(min_value=0, max_value=1, max_denominator=3))
+        else:
+            rhs = draw(_value)
+        constraints.append(Constraint(f"r{i}", coeffs, rhs, kind))
+    lp = LPProblem(tuple(f"x{j}" for j in range(n)), tuple(constraints))
+    cids = [con.cid for con in constraints]
+    shape = draw(
+        st.sampled_from(
+            ("planted", "perturbed", "zero", "short", "long", "multipliers", "unknown", "zeros")
+        )
+    )
+    if shape == "perturbed":
+        point[draw(st.integers(0, n - 1))] += draw(_nonzero)
+    ints = draw(st.booleans())
+    point = [_maybe_int(v, ints) for v in point]
+    witness = {
+        "planted": point,
+        "perturbed": point,
+        "zero": [0] * n,
+        "short": point[:-1],
+        "long": point + [Fraction(0)],
+    }.get(shape)
+    if witness is not None:
+        return lp, FeasibilityResult(True, witness=tuple(witness))
+    if shape == "zeros":
+        certificate = {cid: Fraction(0) for cid in cids}
+    else:
+        chosen = draw(st.lists(st.sampled_from(cids), unique=True)) if cids else []
+        certificate = {cid: _maybe_int(draw(_value), ints) for cid in chosen}
+        if shape == "unknown":
+            certificate["ghost"] = draw(_nonzero)
+    return lp, FeasibilityResult(False, certificate=certificate)
+
+
+_FIX_CAP_LP = LPProblem(
+    ("x",),
+    (
+        Constraint("fix", ((0, Fraction(1)),), Fraction(2), "eq"),
+        Constraint("cap", ((0, Fraction(1)),), Fraction(1), "le"),
+    ),
+)
+_NEGATIVE_RHS_LP = LPProblem(
+    ("x0", "x1"),
+    (Constraint("neg", ((0, Fraction(-1)), (1, Fraction(-2, 3))), Fraction(-1, 2), "eq"),),
+)
+
+
+def _fix_cap(cap):
+    """x = 2 against x <= 1; multipliers (1, cap) refute it for -2 < cap <= -1."""
+    return _FIX_CAP_LP, FeasibilityResult(False, certificate={"fix": Fraction(1), "cap": cap})
+
+
+def _negative_rhs(*witness):
+    return _NEGATIVE_RHS_LP, FeasibilityResult(True, witness=witness)
+
+
+@settings(max_examples=400, deadline=None)
+@given(verify_cases())
+@example(_fix_cap(Fraction(-1)))
+@example(_fix_cap(Fraction(1, 3)))
+@example(_negative_rhs(Fraction(1, 4), Fraction(3, 8)))
+@example(_negative_rhs(Fraction(-1, 4), 0))
+def test_same_verdict_as_the_fraction_verifier(case):
+    lp, result = case
+    assert verify_certificate(lp, result) == _oracle_verify(lp, result)
+
+
+@pytest.mark.parametrize("case", sorted(_BUILD_CASES))
+def test_same_verdict_on_solved_lps(case):
+    # Real witnesses and certificates, with large rows and denominators, and
+    # each one bent so that it fails.
+    spec = _BUILD_CASES[case]()
+    lp = build_synthesis_lp(spec)
+    solved = [(lp, solve_feasibility(lp))]
+    if case in ("toy-nlhv", "pbr-lhv", "padded"):
+        floor = solve_min_violation(spec, forbidden_cells(tuple(l for l, _ in spec.preparations)))
+        solved.append((floor.lp, floor.raw))
+    for lp, result in solved:
+        if result.feasible:
+            bent = list(result.witness)
+            bent[0] -= Fraction(1, 7)
+            checked = [result, FeasibilityResult(True, witness=tuple(bent))]
+        else:
+            cert = result.certificate
+            checked = [
+                result,
+                FeasibilityResult(False, certificate={cid: -y for cid, y in cert.items()}),
+                FeasibilityResult(False, certificate={cid: y / 3 for cid, y in cert.items()}),
+            ]
+        for result in checked:
+            assert verify_certificate(lp, result) == _oracle_verify(lp, result)
