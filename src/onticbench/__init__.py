@@ -14,11 +14,9 @@ from .numerics import (
     ONE,
     QSqrt2,
     QUARTER,
-    Rational,
     SQRT2,
     ZERO,
     is_probability,
-    qmax,
     qmin,
 )
 from .verdicts import Verdict
@@ -27,11 +25,9 @@ from .hilbert import (
     StateVector,
     born_probabilities,
     check_orthonormal,
-    format_state,
     inner_product,
     ket,
     ket_product,
-    parse_state,
     tensor_product,
 )
 from .ontology import (
@@ -70,7 +66,6 @@ from .synthesis import (
     build_min_violation_lp,
     build_synthesis_lp,
     extract_responses,
-    min_violation,
     responses_to_witness,
     solve_feasibility,
     solve_min_violation,
@@ -78,7 +73,6 @@ from .synthesis import (
 )
 from .scenarios import (
     PbrScenario,
-    build_lhv_restriction,
     build_pbr_lhv_model,
     build_pbr_quantum_scenario,
     build_toy_nlhv_model,
@@ -91,7 +85,6 @@ from .scenarios import (
 from .modelfile import (
     ModelFormatError,
     ModelValidationError,
-    dump_model,
     dumps,
     load_model,
     loads,
@@ -102,12 +95,10 @@ from .modelfile import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "QSqrt2", "Rational", "ZERO", "ONE", "HALF", "QUARTER", "SQRT2", "INV_SQRT2",
-    "is_probability", "qmin", "qmax",
-    "Verdict",
-    "StateVector", "MeasurementBasis",
+    "QSqrt2", "ZERO", "ONE", "HALF", "QUARTER", "SQRT2", "INV_SQRT2",
+    "is_probability", "qmin", "Verdict",
+    "StateVector", "MeasurementBasis", "ket", "ket_product",
     "inner_product", "tensor_product", "born_probabilities", "check_orthonormal",
-    "ket", "ket_product", "parse_state", "format_state",
     "Factor", "OnticSpace", "EpistemicState", "ResponseFunctions", "OntologicalModel",
     "PredictionCell", "PredictionReport", "format_point",
     "validate_epistemic", "validate_responses", "predicted_statistics",
@@ -118,11 +109,11 @@ __all__ = [
     "StateIndependence", "IndependenceReport", "analyze_independence",
     "SynthesisSpec", "Constraint", "LPProblem", "FeasibilityResult",
     "MinViolationResult", "build_synthesis_lp", "build_min_violation_lp",
-    "solve_feasibility", "solve_min_violation", "min_violation",
-    "verify_certificate", "extract_responses", "responses_to_witness",
+    "solve_feasibility", "solve_min_violation", "verify_certificate",
+    "extract_responses", "responses_to_witness",
     "PbrScenario", "build_pbr_quantum_scenario", "build_toy_nlhv_model",
-    "build_lhv_restriction", "build_pbr_lhv_model", "subsystem_states",
+    "build_pbr_lhv_model", "subsystem_states",
     "toy_synthesis_spec", "lhv_synthesis_spec", "pbr_synthesis_spec", "forbidden_cells",
     "ModelFormatError", "ModelValidationError",
-    "loads", "dumps", "read_model", "load_model", "dump_model", "validate_model",
+    "loads", "dumps", "read_model", "load_model", "validate_model",
 ]

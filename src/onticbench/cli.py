@@ -216,15 +216,7 @@ def _certify(
 def _synthesis(args):
     """load -> spec -> LP -> solve (verified inside), shared by synthesize and nogo."""
     model, source = _load_any(args)
-    if args.preps:
-        labels = args.preps.split(",")
-    else:
-        labels = pbr_prep_order(model)
-        if labels is None:
-            raise ValueError(
-                "the model has neither nu00, nu0+, nu+0, nu++ nor mu00, mu0+, mu+0, mu++; "
-                "name its preparations in Born-row order with --preps"
-            )
+    labels = args.preps.split(",") if args.preps else pbr_prep_order(model)
     return (source, labels) + _certify(model, labels)
 
 

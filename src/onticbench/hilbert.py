@@ -16,7 +16,7 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 from .numerics import ONE, QSqrt2, ZERO, INV_SQRT2, as_qsqrt2
 from .verdicts import Verdict
@@ -26,9 +26,9 @@ from .verdicts import Verdict
 class StateVector:
     """A pure state as a tuple of exact amplitudes.
 
-    Normalization (norm squared exactly one) is checked at construction;
-    pass ``validate=False`` to build intermediate or deliberately broken
-    vectors, e.g. when exercising the checkers.
+    Normalization (norm squared exactly one) is checked at construction.
+    ``validate=False`` skips the check; tensor_product passes it, because a
+    product of unit vectors is a unit vector.
     """
 
     amplitudes: Tuple[QSqrt2, ...]
@@ -52,22 +52,18 @@ class StateVector:
             total = total + a * a
         return total
 
-    def is_normalized(self) -> bool:
-        return self.norm_squared() == ONE
-
 
 @dataclass(frozen=True)
 class MeasurementBasis:
     """An orthonormal basis listed in outcome order (outcome k = vector k-1).
 
-    With ``validate=True`` construction insists the vectors form a complete
-    orthonormal basis; ``validate=False`` defers to check_orthonormal.
+    Construction insists the vectors form a complete orthonormal basis;
+    check_orthonormal reports on any other list of vectors.
     """
 
     outcomes: Tuple[StateVector, ...]
-    validate: InitVar[bool] = True
 
-    def __post_init__(self, validate: bool) -> None:
+    def __post_init__(self) -> None:
         vecs = tuple(self.outcomes)
         if not vecs:
             raise ValueError("a measurement basis needs at least one outcome vector")
@@ -75,12 +71,11 @@ class MeasurementBasis:
         if any(v.dim != dim for v in vecs):
             raise ValueError("all basis vectors must share one dimension")
         object.__setattr__(self, "outcomes", vecs)
-        if validate:
-            if len(vecs) != dim:
-                raise ValueError(f"{len(vecs)} vectors cannot be a complete basis in dimension {dim}")
-            verdict = check_orthonormal(self)
-            if not verdict.ok:
-                raise ValueError("; ".join(verdict.failures))
+        if len(vecs) != dim:
+            raise ValueError(f"{len(vecs)} vectors cannot be a complete basis in dimension {dim}")
+        verdict = check_orthonormal(vecs)
+        if not verdict.ok:
+            raise ValueError("; ".join(verdict.failures))
 
     @property
     def dim(self) -> int:
@@ -114,11 +109,10 @@ def born_probabilities(state: StateVector, basis: MeasurementBasis) -> List[QSqr
     return [ip * ip for ip in overlaps]
 
 
-def check_orthonormal(basis: MeasurementBasis) -> Verdict:
+def check_orthonormal(vecs: Sequence[StateVector]) -> Verdict:
     """Check <xi_i|xi_j> = delta_ij exactly, listing every failing pair."""
     failures: List[str] = []
     witnesses: List[Tuple[int, int]] = []
-    vecs = basis.outcomes
     for i in range(len(vecs)):
         for j in range(i, len(vecs)):
             ip = inner_product(vecs[i], vecs[j])
@@ -154,16 +148,3 @@ def ket_product(names: str) -> StateVector:
         state = tensor_product(state, ket(name))
     return state
 
-
-def format_state(state: StateVector) -> str:
-    """Comma-separated amplitude list."""
-    return ", ".join(str(a) for a in state.amplitudes)
-
-
-def parse_state(text: str, validate: bool = True) -> StateVector:
-    """Parse a named ket ("0+", "-") or a comma-separated amplitude list."""
-    stripped = text.strip()
-    if stripped and all(c in _NAMED_KETS for c in stripped):
-        return ket_product(stripped)
-    amps = tuple(QSqrt2.parse(part) for part in stripped.split(","))
-    return StateVector(amps, validate=validate)

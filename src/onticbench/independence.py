@@ -196,7 +196,7 @@ def analyze_independence(
 
     ``prep_independent`` and ``locally_independent`` are one verdict, the
     product check on the accessible marginal, reported under both names
-    (ROADMAP 5(a)); separating them changes golden-pinned report bytes.
+    (ROADMAP 8(a)); separating them changes golden-pinned report bytes.
     """
     inaccessible = tuple(inaccessible)
     states: Dict[str, StateIndependence] = {}

@@ -375,7 +375,3 @@ def load_model(path: str) -> OntologicalModel:
             raise ModelValidationError(f"{name}: {verdict.failures[0]}")
     return model
 
-
-def dump_model(model: OntologicalModel, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps(model))

@@ -24,10 +24,6 @@ import re
 from fractions import Fraction
 from math import gcd
 
-# Rational scalars are stdlib fractions: always in lowest terms, with a
-# positive denominator and arbitrary-precision components.
-Rational = Fraction
-
 _SQRT2_FLOAT = math.sqrt(2.0)
 
 _TERM_RE = re.compile(
@@ -240,10 +236,6 @@ class QSqrt2:
     def __abs__(self) -> "QSqrt2":
         return -self if self.sign() < 0 else self
 
-    def conjugate(self) -> "QSqrt2":
-        """The field automorphism sqrt2 -> -sqrt2."""
-        return _make(self._a, -self._b, self._d)
-
     # ---- order ----------------------------------------------------------
 
     def sign(self) -> int:
@@ -382,10 +374,6 @@ INV_SQRT2 = QSqrt2(0, Fraction(1, 2))
 
 def qmin(a: QSqrt2, b: QSqrt2) -> QSqrt2:
     return a if a <= b else b
-
-
-def qmax(a: QSqrt2, b: QSqrt2) -> QSqrt2:
-    return a if a >= b else b
 
 
 def is_probability(value: QSqrt2) -> bool:

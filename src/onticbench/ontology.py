@@ -25,6 +25,7 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import index
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .numerics import ONE, QSqrt2, ZERO, as_qsqrt2, is_probability
@@ -172,6 +173,7 @@ class ResponseFunctions:
     filler: QSqrt2 = field(default=ZERO, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "outcome_count", index(self.outcome_count))
         if self.outcome_count < 1:
             raise ValueError("a measurement needs at least one outcome")
         object.__setattr__(self, "filler", as_qsqrt2(self.filler))

@@ -82,18 +82,13 @@ def _superpose(a: StateVector, b: StateVector, scale: QSqrt2) -> StateVector:
 # ---- ontic spaces -----------------------------------------------------------
 
 
-def coin_pair_space(factor_name: str) -> OnticSpace:
-    """A single-factor space holding one subsystem's pair of coin flips."""
-    return OnticSpace((Factor(factor_name, COIN_LABELS),))
-
-
 def subsystem_states(factor_name: str = "lambda1") -> Dict[str, EpistemicState]:
     """The two subsystem epistemic states nu0 and nu+ on a coin-pair space.
 
     nu0 is uniform on {HH, HT} (second flip unrevealed), nu+ is uniform on
     {HH, TH} (first flip unrevealed); they overlap exactly on HH.
     """
-    space = coin_pair_space(factor_name)
+    space = OnticSpace((Factor(factor_name, COIN_LABELS),))
     return {
         "nu0": EpistemicState(space, {("HH",): HALF, ("HT",): HALF}),
         "nu+": EpistemicState(space, {("HH",): HALF, ("TH",): HALF}),
@@ -137,13 +132,6 @@ _XI_ONE: Dict[int, Point] = {
 }
 
 
-def support_union() -> Tuple[Point, ...]:
-    """The union of the four composite supports, in canonical order."""
-    space = toy_space()
-    union = {p for sup in _NU_SUPPORTS.values() for p in sup}
-    return tuple(p for p in space.points if p in union)
-
-
 def build_toy_nlhv_model() -> OntologicalModel:
     """The 32-point relational model with its Born-reproducing measurement."""
     space = toy_space()
@@ -151,7 +139,7 @@ def build_toy_nlhv_model() -> OntologicalModel:
         label: EpistemicState(space, {p: QUARTER for p in sup})
         for label, sup in _NU_SUPPORTS.items()
     }
-    union = set(support_union())
+    union = {p for sup in _NU_SUPPORTS.values() for p in sup}
     rows: Dict[Point, Tuple[QSqrt2, ...]] = {}
     for point in space.points:
         if point not in union:
@@ -170,36 +158,21 @@ def build_toy_nlhv_model() -> OntologicalModel:
     return OntologicalModel(space, preparations, {MEASUREMENT_LABEL: measurement})
 
 
-def build_lhv_restriction(
-    model: OntologicalModel, inaccessible_factor: str = SHARED_FACTOR
-) -> OntologicalModel:
-    """Marginalize every preparation over one factor; measurements drop.
-
-    The restriction keeps preparation labels.  No measurement carries over:
-    response functions condition on the full point, and the point of the
-    restriction is that no response functions on the reduced space exist.
-    """
-    names = model.space.factor_names
-    if inaccessible_factor not in names:
-        raise ValueError(f"no factor named {inaccessible_factor!r} in {names}")
-    keep = [n for n in names if n != inaccessible_factor]
-    if not keep:
-        raise ValueError("cannot marginalize away the only factor")
-    preparations = {
-        label: marginalize(state, keep) for label, state in model.preparations.items()
-    }
-    space = next(iter(preparations.values())).space if preparations else model.space.subspace(keep)
-    return OntologicalModel(space, preparations, {})
-
-
 def build_pbr_lhv_model() -> OntologicalModel:
-    """The four local marginals mu00..mu++ on the 16-point coin space."""
-    restricted = build_lhv_restriction(build_toy_nlhv_model())
-    renamed = {
-        new: restricted.preparations[old]
+    """The four local marginals mu00..mu++ on the 16-point coin space.
+
+    Each mu is the matching nu of the relational model with the shared
+    factor summed out.  No measurement carries over: response functions
+    condition on the full point, and the point of this model is that no
+    response functions on the reduced space exist.
+    """
+    toy = build_toy_nlhv_model()
+    local = [name for name in toy.space.factor_names if name != SHARED_FACTOR]
+    preparations = {
+        new: marginalize(toy.preparations[old], local)
         for old, new in zip(PREP_ORDER, MARGINAL_PREP_ORDER)
     }
-    return OntologicalModel(restricted.space, renamed, {})
+    return OntologicalModel(toy.space.subspace(local), preparations, {})
 
 
 # ---- the PBR pairing ---------------------------------------------------------
@@ -209,12 +182,15 @@ def build_pbr_lhv_model() -> OntologicalModel:
 # antidistinguishing basis.
 
 
-def pbr_prep_order(model: OntologicalModel) -> Optional[Tuple[str, ...]]:
-    """The Born-row order a model's labels give: nu00..nu++, mu00..mu++, or None."""
+def pbr_prep_order(model: OntologicalModel) -> Tuple[str, ...]:
+    """The Born-row order a model's labels give: nu00..nu++ or mu00..mu++."""
     for order in (PREP_ORDER, MARGINAL_PREP_ORDER):
         if all(label in model.preparations for label in order):
             return order
-    return None
+    raise ValueError(
+        "the model has neither nu00, nu0+, nu+0, nu++ nor mu00, mu0+, mu+0, mu++; "
+        "name its preparations in Born-row order with --preps"
+    )
 
 
 def pbr_born_pairing(

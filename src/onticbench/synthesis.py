@@ -17,6 +17,13 @@ Inequality rows cannot be split that way, because the field order does not
 act componentwise, so the violation-minimizing program insists on rational
 data; every built-in scenario satisfies that.
 
+So "infeasible" decides exactly this.  With rational weights and targets
+the verdict holds over the reals: if Ax = b, x >= 0 with rational A and b
+has a real solution, it has a basic one, and a basic solution is rational.
+With sqrt2 data the split rows ask for rational response functions only,
+so "infeasible" then means that no rational response functions exist; real
+ones may (a point mass with target sqrt2/2 is met by the response sqrt2/2).
+
 LP rows are sparse: a Constraint holds only its nonzero coefficients, as
 (column index, Fraction) pairs sorted by index, and the builders walk only
 those pairs.  Each Constraint also computes its row over integers once:
@@ -80,7 +87,7 @@ class SynthesisSpec:
     def __init__(self, space, preparations, outcome_count, targets):
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "preparations", tuple((l, s) for l, s in preparations))
-        object.__setattr__(self, "outcome_count", int(outcome_count))
+        object.__setattr__(self, "outcome_count", index(outcome_count))
         object.__setattr__(
             self,
             "targets",
@@ -616,14 +623,10 @@ def build_min_violation_lp(
 def solve_min_violation(
     spec: SynthesisSpec, forbidden: Sequence[Tuple[str, int]]
 ) -> MinViolationResult:
+    """The exact optimum (``.value``): how badly any response family must violate the zeros."""
     lp = build_min_violation_lp(spec, forbidden)
     result = _solve(lp, optimize=True)
     return MinViolationResult(QSqrt2(result.objective_value), lp, result)
-
-
-def min_violation(spec: SynthesisSpec, forbidden: Sequence[Tuple[str, int]]) -> QSqrt2:
-    """The exact optimum: how badly any response family must violate the zeros."""
-    return solve_min_violation(spec, forbidden).value
 
 
 # ---- bridges to response functions -------------------------------------------

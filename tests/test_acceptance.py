@@ -49,9 +49,9 @@ from onticbench.synthesis import (
     SynthesisSpec,
     build_synthesis_lp,
     extract_responses,
-    min_violation,
     responses_to_witness,
     solve_feasibility,
+    solve_min_violation,
     verify_certificate,
 )
 
@@ -166,7 +166,7 @@ def test_criterion_4_nogo_certification():
     lhv_lp = build_synthesis_lp(lhv_spec)
     lhv_result = solve_feasibility(lhv_lp)
     lhv_verified = verify_certificate(lhv_lp, lhv_result).ok
-    floor = min_violation(lhv_spec, forbidden_cells(MARGINAL_PREP_ORDER))
+    floor = solve_min_violation(lhv_spec, forbidden_cells(MARGINAL_PREP_ORDER)).value
 
     toy_spec = toy_synthesis_spec()
     toy_lp = build_synthesis_lp(toy_spec)

@@ -15,7 +15,6 @@ from onticbench.modelfile import (
     SCHEMA_VERSION,
     ModelFormatError,
     ModelValidationError,
-    dump_model,
     dumps,
     load_model,
     loads,
@@ -80,7 +79,7 @@ class TestRoundTrip:
     def test_path_round_trip(self, tmp_path):
         model = loads(SMALL)
         target = tmp_path / "small.model"
-        dump_model(model, target)
+        target.write_text(dumps(model), encoding="utf-8")
         assert load_model(target) == model
 
     def test_comments_and_blank_lines_ignored(self):

@@ -136,6 +136,10 @@ class TestResponseFunctions:
         with pytest.raises(ValueError):
             ResponseFunctions(TWO, 2, {("a",): (ONE, ZERO)})
 
+    def test_float_outcome_count_refused(self):
+        with pytest.raises(TypeError):
+            ResponseFunctions(TWO, 2.0, {("a",): (ONE, ZERO), ("b",): (ZERO, ONE)})
+
     def test_from_entries_fills_gaps(self):
         text = (
             "onticbench-model 1\n\nspace\n  factor x a b\nend\n\n"

@@ -1,0 +1,99 @@
+"""Tests of the package as a whole: its public names, its imports, and the README."""
+
+import ast
+import inspect
+import re
+from pathlib import Path
+
+import pytest
+
+import onticbench
+from onticbench import hilbert, modelfile, numerics, scenarios, synthesis
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "onticbench").glob("*.py"))
+
+# Names deleted from the public surface because nothing but tests called
+# them, each with the module that used to hold it.
+DELETED = [
+    (numerics, "Rational"),
+    (numerics, "qmax"),
+    (hilbert, "parse_state"),
+    (hilbert, "format_state"),
+    (scenarios, "build_lhv_restriction"),
+    (scenarios, "coin_pair_space"),
+    (scenarios, "support_union"),
+    (synthesis, "min_violation"),
+    (modelfile, "dump_model"),
+]
+
+
+class TestPublicSurface:
+    def test_all_has_no_duplicates(self):
+        assert len(set(onticbench.__all__)) == len(onticbench.__all__)
+
+    def test_every_exported_name_resolves(self):
+        missing = [name for name in onticbench.__all__ if not hasattr(onticbench, name)]
+        assert not missing
+
+    @pytest.mark.parametrize("module, name", DELETED, ids=[n for _, n in DELETED])
+    def test_deleted_name_is_gone(self, module, name):
+        assert not hasattr(module, name)
+        assert not hasattr(onticbench, name)
+        assert name not in onticbench.__all__
+
+    def test_deleted_members_are_gone(self):
+        assert not hasattr(numerics.QSqrt2, "conjugate")
+        assert not hasattr(hilbert.StateVector, "is_normalized")
+        assert "validate" not in inspect.signature(hilbert.MeasurementBasis).parameters
+
+
+def _imported_names(tree: ast.Module):
+    """(bound name, line) for every import in the module, __future__ excepted."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def _used_names(tree: ast.Module):
+    """Every name the module reads, string annotations included."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        annotations = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotations.append(node.annotation)
+        for annotation in filter(None, annotations):
+            for sub in ast.walk(annotation):
+                if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                    parsed = ast.parse(sub.value, mode="eval")
+                    used.update(n.id for n in ast.walk(parsed) if isinstance(n, ast.Name))
+    return used
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = _used_names(tree)
+    unused = [f"{name} (line {line})" for name, line in _imported_names(tree) if name not in used]
+    assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    library = readme.split("\n## Library\n", 1)[1]
+    block = re.search(r"```python\n(.*?)```", library, re.DOTALL)
+    assert block, "README's Library section has no python block"
+    namespace = {}
+    exec(compile(block.group(1), "README.md", "exec"), namespace)
+    assert capsys.readouterr().out == "0 1/4 1/4 1/2\n"
+    assert namespace["result"].feasible is False

@@ -12,6 +12,7 @@ from onticbench.hilbert import (
 )
 from onticbench.numerics import HALF, ONE, QSqrt2, QUARTER, ZERO
 from onticbench.ontology import (
+    OntologicalModel,
     check_born_agreement,
     predicted_statistics,
     validate_epistemic,
@@ -24,12 +25,11 @@ from onticbench.scenarios import (
     PREP_ORDER,
     SHARED_FACTOR,
     STATE_ORDER,
-    build_lhv_restriction,
     build_pbr_lhv_model,
     build_pbr_quantum_scenario,
     build_toy_nlhv_model,
+    pbr_prep_order,
     subsystem_states,
-    support_union,
     toy_space,
 )
 
@@ -60,7 +60,7 @@ class TestQuantumScenario:
             assert scenario.product_states[name] == ket_product(name)
 
     def test_measurement_orthonormal(self, scenario):
-        assert check_orthonormal(scenario.measurement).ok
+        assert check_orthonormal(scenario.measurement.outcomes).ok
 
     def test_each_outcome_excludes_its_state(self, scenario):
         for k, name in enumerate(STATE_ORDER):
@@ -103,8 +103,8 @@ class TestToyModel:
                 else:
                     assert point[2] == "1", label
 
-    def test_support_union(self):
-        union = support_union()
+    def test_support_union(self, toy):
+        union = {p for state in toy.preparations.values() for p in state.support()}
         assert len(union) == 10
         assert ("HH", "HH", "1") in union
         assert ("HH", "HH", "2") in union
@@ -171,18 +171,14 @@ class TestLhvRestriction:
         assert mu.weight(("HH", "HH")) == QUARTER
         assert mu.weight(("HT", "TH")) == QUARTER
 
-    def test_restriction_keeps_labels_by_default(self, toy):
-        restricted = build_lhv_restriction(toy)
-        assert set(restricted.preparations) == set(PREP_ORDER)
 
-    def test_restriction_validates_factor(self, toy):
-        with pytest.raises(ValueError):
-            build_lhv_restriction(toy, "lambda9")
+class TestPrepOrder:
+    def test_builtin_orders(self, toy):
+        assert pbr_prep_order(toy) == PREP_ORDER
+        assert pbr_prep_order(build_pbr_lhv_model()) == MARGINAL_PREP_ORDER
 
-    def test_single_factor_space_cannot_be_emptied(self):
+    def test_other_labels_ask_for_preps(self):
         subs = subsystem_states()
-        from onticbench.ontology import OntologicalModel
-
-        model = OntologicalModel(subs["nu0"].space, {"nu0": subs["nu0"]}, {})
-        with pytest.raises(ValueError):
-            build_lhv_restriction(model, "lambda1")
+        model = OntologicalModel(subs["nu0"].space, subs, {})
+        with pytest.raises(ValueError, match="in Born-row order with --preps"):
+            pbr_prep_order(model)

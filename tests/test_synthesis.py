@@ -38,7 +38,6 @@ from onticbench.synthesis import (
     build_min_violation_lp,
     build_synthesis_lp,
     extract_responses,
-    min_violation,
     responses_to_witness,
     solve_feasibility,
     solve_min_violation,
@@ -88,6 +87,13 @@ class TestLpConstruction:
         prep = point_mass(space, ("p0",))
         with pytest.raises(ValueError):
             SynthesisSpec(space, (("m", prep),), 2, ((HALF, HALF + QUARTER),))
+
+    def test_float_outcome_count_refused(self):
+        # int() would truncate 2.9 to 2; an outcome count must be an integer.
+        space = small_space(1)
+        prep = point_mass(space, ("p0",))
+        with pytest.raises(TypeError):
+            SynthesisSpec(space, (("m", prep),), 2.9, ((HALF, HALF),))
 
     @pytest.mark.parametrize(
         "preps, outcomes, targets, message",
@@ -286,7 +292,7 @@ class TestLocalObstruction:
         assert any("ghost" in f for f in verdict.failures)
 
     def test_violation_floor(self):
-        assert min_violation(lhv_synthesis_spec(), forbidden_cells(MARGINAL_PREP_ORDER)) == SIXTEENTH
+        assert solve_min_violation(lhv_synthesis_spec(), forbidden_cells(MARGINAL_PREP_ORDER)).value == SIXTEENTH
 
     def test_prep_permutation_does_not_change_verdict(self):
         # row order is presentation; the cells keep their labels
@@ -299,7 +305,7 @@ class TestLocalObstruction:
         )
         result = solve_feasibility(build_synthesis_lp(shuffled))
         assert not result.feasible
-        assert min_violation(shuffled, forbidden_cells(MARGINAL_PREP_ORDER)) == SIXTEENTH
+        assert solve_min_violation(shuffled, forbidden_cells(MARGINAL_PREP_ORDER)).value == SIXTEENTH
 
 
 class TestRelationalWitness:
@@ -346,7 +352,7 @@ class TestRelationalWitness:
         assert verdict.ok
 
     def test_violation_floor_is_zero(self):
-        assert min_violation(toy_synthesis_spec(), forbidden_cells(PREP_ORDER)) == ZERO
+        assert solve_min_violation(toy_synthesis_spec(), forbidden_cells(PREP_ORDER)).value == ZERO
 
 
 class TestIrrationalHandling:
@@ -408,7 +414,7 @@ class TestMinViolationEdges:
             2,
             ((ZERO, ONE), (ONE, ZERO)),
         )
-        floor = min_violation(spec, (("never", 1),))
+        floor = solve_min_violation(spec, (("never", 1),)).value
         assert floor == ZERO  # cap only binds the "never" cell; x1(p0)=0 works
 
     def test_two_sided_conflict(self):
@@ -420,7 +426,7 @@ class TestMinViolationEdges:
             2,
             ((ZERO, ONE), (ONE, ZERO)),
         )
-        floor = min_violation(spec, (("a", 1), ("b", 2)))
+        floor = solve_min_violation(spec, (("a", 1), ("b", 2))).value
         assert floor == HALF
 
 
