@@ -20,7 +20,6 @@ from .independence import analyze_independence, classical_overlap
 from .modelfile import load_model, read_model, validate_model
 from .numerics import QSqrt2, ZERO
 from .ontology import (
-    EpistemicState,
     OntologicalModel,
     check_born_agreement,
     format_point,
@@ -33,7 +32,6 @@ from .scenarios import (
     PREP_ORDER,
     SHARED_FACTOR,
     STATE_ORDER,
-    PbrScenario,
     build_pbr_lhv_model,
     build_pbr_quantum_scenario,
     build_toy_nlhv_model,
@@ -119,7 +117,8 @@ def _cmd_predict(args):
 
 def _cmd_born_check(args):
     model, source = _load_any(args)
-    report = check_born_agreement(model, *pbr_born_pairing(model))
+    born = build_pbr_quantum_scenario().born_table
+    report = check_born_agreement(model, *pbr_born_pairing(model, born))
     lines = [f"model: {source}"]
     for cell in report.cells:
         mark = "ok" if cell.match else "MISMATCH"
@@ -166,29 +165,17 @@ def _yn(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-def _overlap_states(model: OntologicalModel, source: str, labels: Sequence[str]):
-    """Look up preparations, falling back to the subsystem states for the builtin."""
-    extra: Dict[str, EpistemicState] = {}
-    if source == "toy-nlhv":
-        extra = subsystem_states("lambda1")
-    states = []
-    for label in labels:
-        if label in model.preparations:
-            states.append(model.preparations[label])
-        elif label in extra:
-            states.append(extra[label])
-        else:
-            known = sorted(model.preparations) + sorted(extra)
-            raise ValueError(f"unknown preparation {label!r}; have {known}")
-    return states
-
-
 def _cmd_overlap(args):
     model, source = _load_any(args)
     labels = args.preps.split(",")
     if len(labels) != 2:
         raise ValueError("--preps takes exactly two comma-separated labels")
-    first, second = _overlap_states(model, source, labels)
+    # A label the model defines wins over the subsystem states nu0 and nu+.
+    states = {**subsystem_states("lambda1"), **model.preparations}
+    unknown = [label for label in labels if label not in states]
+    if unknown:
+        raise ValueError(f"unknown preparation {unknown[0]!r}; have {sorted(states)}")
+    first, second = (states[label] for label in labels)
     value = classical_overlap(first, second)
     lines = [f"classical overlap of {labels[0]} and {labels[1]}: {fmt(value)}"]
     payload = {
@@ -201,14 +188,14 @@ def _cmd_overlap(args):
 
 
 def _certify(
-    model: OntologicalModel, labels: Sequence[str], scenario: Optional[PbrScenario] = None
+    model: OntologicalModel, labels: Sequence[str], born_table: Sequence[Sequence[QSqrt2]]
 ):
-    """Spec, LP and solver result for labels in Born-row order.
+    """Spec, LP and solver result for labels in Born-row order against ``born_table``.
 
     solve_feasibility passes its witness or certificate through
     verify_certificate before it returns, so every result here is verified.
     """
-    spec = pbr_synthesis_spec(model, labels, scenario)
+    spec = pbr_synthesis_spec(model, labels, born_table)
     lp = build_synthesis_lp(spec)
     return spec, lp, solve_feasibility(lp)
 
@@ -217,7 +204,8 @@ def _synthesis(args):
     """load -> spec -> LP -> solve (verified inside), shared by synthesize and nogo."""
     model, source = _load_any(args)
     labels = args.preps.split(",") if args.preps else pbr_prep_order(model)
-    return (source, labels) + _certify(model, labels)
+    born = build_pbr_quantum_scenario().born_table
+    return (source, labels) + _certify(model, labels, born)
 
 
 def _feasibility_lines(result: FeasibilityResult, spec) -> List[str]:
@@ -321,22 +309,22 @@ def _cmd_simulate(args):
 
 
 def _cmd_demo(args):
-    scenario = build_pbr_quantum_scenario()
+    born = build_pbr_quantum_scenario().born_table
     lines: List[str] = []
     ok = True
     payload: Dict[str, object] = {}
 
     lines.append("Born probabilities of the antidistinguishing measurement")
     lines.append("  (rows: preparations 00, 0+, +0, ++; columns: outcomes 1..4)")
-    for name, row in zip(STATE_ORDER, scenario.born_table):
+    for name, row in zip(STATE_ORDER, born):
         lines.append(f"    {name}:  " + "  ".join(f"{str(v):>4}" for v in row))
-    diag_zero = all(scenario.born_table[i][i] == ZERO for i in range(4))
+    diag_zero = all(born[i][i] == ZERO for i in range(4))
     ok = ok and diag_zero
     lines.append(f"  diagonal exactly zero: {_yn(diag_zero)}")
-    payload["born_table"] = [[str(v) for v in row] for row in scenario.born_table]
+    payload["born_table"] = [[str(v) for v in row] for row in born]
 
     model = build_toy_nlhv_model()
-    report = check_born_agreement(model, *pbr_born_pairing(model, scenario))
+    report = check_born_agreement(model, *pbr_born_pairing(model, born))
     matched = sum(1 for c in report.cells if c.match)
     lines.append("")
     lines.append("Relational coin model vs quantum predictions")
@@ -366,9 +354,7 @@ def _cmd_demo(args):
     payload["overlap_nu0_nu+"] = str(base_overlap)
     payload["overlaps"] = {f"{a}|{b}": str(v) for (a, b), v in ind.overlaps.items()}
 
-    lhv_spec, _, lhv_result = _certify(
-        build_pbr_lhv_model(), MARGINAL_PREP_ORDER, scenario
-    )
+    lhv_spec, _, lhv_result = _certify(build_pbr_lhv_model(), MARGINAL_PREP_ORDER, born)
     floor = solve_min_violation(lhv_spec, forbidden_cells(MARGINAL_PREP_ORDER))
     lines.append("")
     lines.append("Local-variable obstruction (16-point product space)")
@@ -383,7 +369,7 @@ def _cmd_demo(args):
         "min_violation": str(floor.value),
     }
 
-    toy_spec, toy_lp, toy_result = _certify(model, PREP_ORDER, scenario)
+    toy_spec, toy_lp, toy_result = _certify(model, PREP_ORDER, born)
     tables_witness = responses_to_witness(toy_spec, model.measurements[MEASUREMENT_LABEL])
     tables_check = verify_certificate(
         toy_lp, FeasibilityResult(True, witness=tables_witness)

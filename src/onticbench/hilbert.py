@@ -81,10 +81,6 @@ class MeasurementBasis:
     def dim(self) -> int:
         return self.outcomes[0].dim
 
-    @property
-    def outcome_count(self) -> int:
-        return len(self.outcomes)
-
 
 def inner_product(first: StateVector, second: StateVector) -> QSqrt2:
     """<first|second>."""

@@ -45,9 +45,10 @@ def marginalize(joint: EpistemicState, keep: Sequence[str]) -> EpistemicState:
     if len(set(keep)) != len(keep):
         raise ValueError(f"duplicate factor names in {keep}")
     space = joint.space.subspace(keep)  # validates the names
+    positions = [joint.space.factor_names.index(name) for name in space.factor_names]
     totals: Dict[Point, QSqrt2] = {}
     for point, weight in joint.weights.items():
-        reduced = joint.space.project(point, keep)
+        reduced = tuple(point[i] for i in positions)
         totals[reduced] = totals.get(reduced, ZERO) + weight
     return EpistemicState(space, totals)
 

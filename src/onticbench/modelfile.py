@@ -35,12 +35,13 @@ byte-identical for text that is already canonical.
 
 loads() performs structural validation only (syntax, label references,
 duplicates, size), so files describing non-normalized models load and can
-be handed to the validators.  A space may have at most MAX_POINTS points,
-and all measurements together at most MAX_CELLS response cells (outcomes
-times points, summed over the measurements); a larger space is a
-ModelFormatError at its ``space`` line, and the ``outcomes K`` line that
-takes the model past MAX_CELLS is one at that line, each raised before
-anything is allocated.
+be handed to the validators.  A measurement has at most one ``outcomes K``
+and one ``filler`` line; a repeat is a ModelFormatError at the repeated
+line.  A space may have at most MAX_POINTS points, and all measurements
+together at most MAX_CELLS response cells (outcomes times points, summed
+over the measurements); a larger space is a ModelFormatError at its
+``space`` line, and the ``outcomes K`` line that takes the model past
+MAX_CELLS is one at that line, each raised before anything is allocated.
 
 read_model() is the one place a model file is opened and decoded: it
 reads a path and hands the text to loads().  load_model() additionally
@@ -180,9 +181,14 @@ def _measurement_entries(body: Sequence[_Line], space: OnticSpace, cells: int):
     outcome_count: Optional[int] = None
     filler = ZERO
     entries: Dict[Tuple[int, Point], QSqrt2] = {}
+    seen = set()  # 'outcomes' and 'filler' come at most once
     for entry in body:
         line, col = entry.number, entry.column
         parts = entry.text.split(None, 2)
+        if parts[0] in ("outcomes", "filler"):
+            if parts[0] in seen:
+                raise ModelFormatError(f"duplicate {parts[0]!r} line", line, col)
+            seen.add(parts[0])
         if parts[0] == "outcomes":
             if len(parts) != 2 or not _is_count(parts[1]) or int(parts[1]) < 1:
                 raise ModelFormatError("expected 'outcomes K'", line, col)
@@ -233,8 +239,6 @@ def _responses(space, label, line, outcome_count, filler, entries) -> ResponseFu
         raise ModelFormatError(f"measurement {label!r} declares no outcome count", line)
     rows = {p: [filler] * outcome_count for p in space.points}
     for (k, point), value in entries.items():
-        if k > outcome_count:  # listed under an earlier, larger 'outcomes K'
-            raise ValueError(f"outcome {k} out of range 1..{outcome_count}")
         rows[point][k - 1] = value
     return ResponseFunctions(space, outcome_count, rows, filler)
 

@@ -114,12 +114,6 @@ class OnticSpace:
         kept = tuple(f for f in self.factors if f.name in wanted)
         return OnticSpace(kept)
 
-    def project(self, point: Point, names: Sequence[str]) -> Point:
-        wanted = set(names)
-        return tuple(
-            coord for coord, factor in zip(point, self.factors) if factor.name in wanted
-        )
-
 
 @dataclass(frozen=True)
 class EpistemicState:

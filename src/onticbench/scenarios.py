@@ -24,7 +24,7 @@ infeasibility certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
 from .hilbert import MeasurementBasis, StateVector, born_probabilities, ket_product
 from .independence import marginalize
@@ -194,9 +194,9 @@ def pbr_prep_order(model: OntologicalModel) -> Tuple[str, ...]:
 
 
 def pbr_born_pairing(
-    model: OntologicalModel, scenario: Optional[PbrScenario] = None
-) -> Tuple[str, Dict[str, Tuple[QSqrt2, ...]]]:
-    """Measurement M, and the Born row each of nu00..nu++ must reproduce under it."""
+    model: OntologicalModel, born_table: Sequence[Sequence[QSqrt2]]
+) -> Tuple[str, Dict[str, Sequence[QSqrt2]]]:
+    """Measurement M, and the row of ``born_table`` each of nu00..nu++ must reproduce."""
     missing = [label for label in PREP_ORDER if label not in model.preparations]
     if MEASUREMENT_LABEL not in model.measurements:
         missing.append(MEASUREMENT_LABEL)
@@ -205,36 +205,32 @@ def pbr_born_pairing(
             "the PBR pairing needs preparations nu00, nu0+, nu+0, nu++ and "
             f"measurement M (missing: {missing})"
         )
-    if scenario is None:
-        scenario = build_pbr_quantum_scenario()
-    return MEASUREMENT_LABEL, dict(zip(PREP_ORDER, scenario.born_table))
+    return MEASUREMENT_LABEL, dict(zip(PREP_ORDER, born_table))
 
 
 def pbr_synthesis_spec(
-    model: OntologicalModel, labels: Sequence[str], scenario: Optional[PbrScenario] = None
+    model: OntologicalModel, labels: Sequence[str], born_table: Sequence[Sequence[QSqrt2]]
 ) -> SynthesisSpec:
-    """The model's preparations, named in Born-row order, with Born-table targets."""
-    if len(labels) != len(STATE_ORDER):
+    """The preparations named in Born-row order, with the rows of ``born_table`` as targets."""
+    if len(labels) != len(born_table):
         raise ValueError(
-            f"synthesis against the built-in quantum scenario needs exactly "
-            f"{len(STATE_ORDER)} preparations, got {len(labels)}"
+            f"synthesis against the Born table needs exactly "
+            f"{len(born_table)} preparations, got {len(labels)}"
         )
     preps = tuple((label, model.preparation(label)) for label in labels)
-    if scenario is None:
-        scenario = build_pbr_quantum_scenario()
-    return SynthesisSpec(
-        model.space, preps, scenario.measurement.outcome_count, scenario.born_table
-    )
+    return SynthesisSpec(model.space, preps, len(born_table[0]), born_table)
 
 
 def toy_synthesis_spec() -> SynthesisSpec:
     """Relational space, four composite preparations, Born-table targets."""
-    return pbr_synthesis_spec(build_toy_nlhv_model(), PREP_ORDER)
+    born = build_pbr_quantum_scenario().born_table
+    return pbr_synthesis_spec(build_toy_nlhv_model(), PREP_ORDER, born)
 
 
 def lhv_synthesis_spec() -> SynthesisSpec:
     """Local coin space, four marginal preparations, Born-table targets."""
-    return pbr_synthesis_spec(build_pbr_lhv_model(), MARGINAL_PREP_ORDER)
+    born = build_pbr_quantum_scenario().born_table
+    return pbr_synthesis_spec(build_pbr_lhv_model(), MARGINAL_PREP_ORDER, born)
 
 
 def forbidden_cells(prep_order: Tuple[str, ...]) -> Tuple[Tuple[str, int], ...]:

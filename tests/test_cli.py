@@ -200,6 +200,25 @@ class TestOverlap:
         assert code == 0
         assert "1/2 (~0.5)" in out
 
+    def test_subsystem_pair_on_lhv_builtin(self, capsys):
+        code, out, _ = invoke(capsys, "overlap", "--builtin", "pbr-lhv", "--preps", "nu0,nu+")
+        assert code == 0
+        assert "1/2 (~0.5)" in out
+
+    def test_subsystem_pair_on_dumped_toy_file(self, capsys, tmp_path):
+        path = tmp_path / "toy.model"
+        path.write_text(dumps(scenarios.build_toy_nlhv_model()), encoding="utf-8")
+        code, out, _ = invoke(capsys, "overlap", str(path), "--preps", "nu0,nu+")
+        assert code == 0
+        assert "1/2 (~0.5)" in out
+
+    def test_model_preparation_wins_over_subsystem_state(self, capsys, tmp_path):
+        path = tmp_path / "nu0.model"
+        path.write_text(DISJOINT.replace("preparation left", "preparation nu0"), encoding="utf-8")
+        code, out, _ = invoke(capsys, "overlap", str(path), "--preps", "nu0,right")
+        assert code == 1
+        assert "0 (~0)" in out
+
     def test_composite_pair(self, capsys):
         code, out, _ = invoke(
             capsys, "overlap", "--builtin", "toy-nlhv", "--preps", "nu00,nu++"

@@ -67,6 +67,16 @@ class TestProductAndMarginals:
         )
         assert marginalize(joint, ("a",)).weight(("a1",)) == HALF + QUARTER
 
+    def test_marginalize_keeps_space_order(self):
+        space = OnticSpace(
+            (Factor("a", ("a1", "a2")), Factor("b", ("b1",)), Factor("c", ("c1", "c2")))
+        )
+        weights = {("a1", "c2"): HALF, ("a2", "c1"): QUARTER, ("a2", "c2"): QUARTER}
+        joint = EpistemicState(space, {(a, "b1", c): w for (a, c), w in weights.items()})
+        reduced = marginalize(joint, ("c", "a"))
+        assert reduced.space.factor_names == ("a", "c")
+        assert reduced.weights == weights
+
     def test_marginalize_unknown_factor(self):
         with pytest.raises(ValueError):
             marginalize(state_a(ONE, ZERO), ("c",))

@@ -176,8 +176,16 @@ class TestFormatErrors:
 
     def test_outcome_count_lowered_after_entries(self):
         text = SMALL.replace("  2 (b) 1\n", "  2 (b) 1\n  outcomes 1\n")
-        with pytest.raises(ValueError, match=r"^outcome 2 out of range 1\.\.1$"):
+        with pytest.raises(ModelFormatError, match="duplicate 'outcomes' line") as err:
             loads(text)
+        assert (err.value.line, err.value.column) == (16, 3)
+
+    @pytest.mark.parametrize("repeat", ["outcomes 2", "filler 1/3"])
+    def test_repeated_line_is_located(self, repeat):
+        text = SMALL.replace("  outcomes 2\n", f"  outcomes 2\n  filler 0\n  {repeat}\n")
+        with pytest.raises(ModelFormatError, match=f"duplicate '{repeat.split()[0]}' line") as err:
+            loads(text)
+        assert (err.value.line, err.value.column) == (15, 3)
 
     def test_non_utf8_file_is_located(self, tmp_path):
         target = tmp_path / "latin1.model"
@@ -405,12 +413,17 @@ def _parent_loads(text: str) -> OntologicalModel:
             outcome_count: Optional[int] = None
             filler = ZERO
             entries: Dict[Tuple[int, Point], QSqrt2] = {}
+            seen = set()
             i += 1
             while i < len(lines) and lines[i].text.split() != ["end"]:
                 entry = lines[i]
                 stripped = entry.text.strip()
                 col = len(entry.text) - len(stripped) + 1
                 parts = stripped.split(None, 2)
+                if parts[0] in ("outcomes", "filler"):
+                    if parts[0] in seen:
+                        raise ModelFormatError(f"duplicate {parts[0]!r} line", entry.number, col)
+                    seen.add(parts[0])
                 if parts[0] == "outcomes":
                     if len(parts) != 2 or not _parent_is_count(parts[1]) or int(parts[1]) < 1:
                         raise ModelFormatError("expected 'outcomes K'", entry.number, col)

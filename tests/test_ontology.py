@@ -60,9 +60,6 @@ class TestSpace:
         sub = GRID.subspace(("col",))
         assert sub.points == (("c1",), ("c2",), ("c3",))
 
-    def test_project(self):
-        assert GRID.project(("r2", "c3"), ("col",)) == ("c3",)
-
     def test_bad_labels_rejected(self):
         with pytest.raises(ValueError):
             Factor("x", ("a b",))

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import onticbench
-from onticbench import hilbert, modelfile, numerics, scenarios, synthesis
+from onticbench import hilbert, modelfile, numerics, ontology, scenarios, synthesis
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "onticbench").glob("*.py"))
@@ -45,6 +45,8 @@ class TestPublicSurface:
     def test_deleted_members_are_gone(self):
         assert not hasattr(numerics.QSqrt2, "conjugate")
         assert not hasattr(hilbert.StateVector, "is_normalized")
+        assert not hasattr(hilbert.MeasurementBasis, "outcome_count")
+        assert not hasattr(ontology.OnticSpace, "project")
         assert "validate" not in inspect.signature(hilbert.MeasurementBasis).parameters
 
 
