@@ -7,11 +7,15 @@ and 2 means the invocation or its input could not be used at all, or an
 internal check failed.  Reports print exact values with a float
 approximation in parentheses; ``--format json`` emits a schema-versioned
 document instead.
+
+``run`` can be called repeatedly in one process; it builds its argument
+parser on the first call and reuses it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -135,8 +139,9 @@ def _cmd_born_check(args):
 def _cmd_independence(args):
     model, source = _load_any(args)
     inaccessible: Tuple[str, ...] = ()
-    if args.inaccessible:
-        inaccessible = tuple(args.inaccessible.split(","))
+    if args.inaccessible is not None:
+        # An empty value names no factor; an empty name in a list is an error.
+        inaccessible = tuple(args.inaccessible.split(",")) if args.inaccessible else ()
     elif SHARED_FACTOR in model.space.factor_names:
         inaccessible = (SHARED_FACTOR,)
     report = analyze_independence(model.preparations, inaccessible)
@@ -256,7 +261,7 @@ def _cmd_nogo(args):
     source, labels, spec, lp, result = _synthesis(args)
     lines = [
         f"model: {source}",
-        f"question: can response functions on this space reproduce the Born table?",
+        "question: can response functions on this space reproduce the Born table?",
         f"LP: {len(lp.variables)} variables, {len(lp.constraints)} constraints",
     ]
     payload = {
@@ -393,7 +398,14 @@ def _cmd_demo(args):
 # ---- parser -------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first ``run`` call and reused.
+
+    It holds only constants: the sorted builtin names, the ``_cmd_*``
+    handlers and ``_seed``.  argparse looks up ``sys.stdout`` and
+    ``sys.stderr`` when it prints, so redirected streams still work.
+    """
     parser = argparse.ArgumentParser(
         prog="onticbench",
         description="Exact-arithmetic workbench for finite ontological models.",

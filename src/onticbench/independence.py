@@ -192,14 +192,16 @@ def analyze_independence(
 
     Subsystem distributions are the joint's marginals on the first
     accessible factor and on the remaining accessible ones (the unique
-    candidate factors).  Requires at least two accessible factors per
-    preparation.
+    candidate factors).  Requires distinct ``inaccessible`` names and at
+    least two accessible factors per preparation.
 
     ``prep_independent`` and ``locally_independent`` are one verdict, the
     product check on the accessible marginal, reported under both names
     (ROADMAP 8(a)); separating them changes golden-pinned report bytes.
     """
     inaccessible = tuple(inaccessible)
+    if len(set(inaccessible)) != len(inaccessible):
+        raise ValueError(f"duplicate inaccessible factor names in {inaccessible}")
     states: Dict[str, StateIndependence] = {}
     for label in sorted(preparations):
         joint = preparations[label]

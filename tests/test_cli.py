@@ -1,10 +1,13 @@
 """Tests for the command-line interface: verdict exit codes and report shapes."""
 
+import argparse
+import hashlib
 import io
 import json
 import re
 import subprocess
 import sys
+import textwrap
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -20,6 +23,7 @@ from onticbench.numerics import QSqrt2
 from onticbench.ontology import OntologicalModel, ResponseFunctions
 
 GOLDEN = Path(__file__).parent / "data" / "toy-nlhv.model"
+BENCH_GOLDEN = Path(__file__).parents[1] / "bench" / "golden.json"
 
 DISJOINT = """\
 onticbench-model 1
@@ -190,6 +194,32 @@ class TestIndependence:
         assert code == 0
         assert doc["ok"] is True
         assert any(v == "1/4" for v in doc["overlaps"].values())
+
+    def test_empty_value_names_no_factor(self, capsys):
+        code, out, _ = invoke(capsys, "independence", "--builtin", "toy-nlhv", "--inaccessible=")
+        assert code == 1
+        assert "inaccessible factors: none" in out
+        code, out, _ = invoke(
+            capsys, "independence", "--builtin", "toy-nlhv", "--inaccessible=", "--format", "json"
+        )
+        assert code == 1
+        assert json.loads(out)["inaccessible"] == []
+
+    def test_empty_name_in_list_exits_two(self, capsys):
+        code, out, err = invoke(
+            capsys, "independence", "--builtin", "toy-nlhv", "--inaccessible", "lambda1,"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "['']" in err
+
+    def test_duplicate_name_exits_two(self, capsys):
+        code, out, err = invoke(
+            capsys, "independence", "--builtin", "toy-nlhv", "--inaccessible", "lambda1,lambda1"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "duplicate" in err
 
 
 class TestOverlap:
@@ -578,3 +608,67 @@ class TestUsage:
         )
         assert result.returncode == 0
         assert "onticbench" in result.stdout
+        # A first ``run`` in a fresh interpreter, through ``main``, prints the
+        # demo's golden bytes.
+        golden = json.loads(BENCH_GOLDEN.read_text())["cli"]
+        for fmt, extra in (("text", []), ("json", ["--format", "json"])):
+            result = subprocess.run(
+                [sys.executable, "-m", "onticbench.cli", "demo-pbr", *extra], capture_output=True,
+            )
+            assert result.returncode == 0, result.stderr
+            expected = golden[f"demo-pbr none {fmt}"]["sha256"]
+            assert hashlib.sha256(result.stdout).hexdigest() == expected
+
+
+class TestSharedParser:
+    """``run`` reuses one parser, so repeated calls must not leak state."""
+
+    def test_repeated_calls_print_the_same_bytes(self):
+        argvs = (["--help"], ["demo-pbr", "extra"], ["validate", "--builtin", "toy-nlhv"])
+        rounds = []
+        for _ in range(2):
+            results = []
+            for argv in argvs:
+                out, err = io.StringIO(), io.StringIO()
+                with redirect_stdout(out), redirect_stderr(err):
+                    code = run(argv)
+                results.append((code, out.getvalue(), err.getvalue()))
+            rounds.append(results)
+        assert rounds[0] == rounds[1]
+        (help_code, help_out, _), (usage_code, _, usage_err), (valid_code, _, _) = rounds[0]
+        assert (help_code, usage_code, valid_code) == (0, 2, 0)
+        assert help_out.startswith("usage: onticbench")
+        assert "unrecognized arguments: extra" in usage_err
+
+    def test_later_calls_build_no_parser(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(None)
+            init(self, *args, **kwargs)
+
+        run(["validate", "--builtin", "toy-nlhv"])
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        assert run(["validate", "--builtin", "toy-nlhv"]) == 0
+        assert run(["demo-pbr", "extra"]) == 2
+        capsys.readouterr()
+        assert built == []
+
+    def test_import_builds_no_parser(self):
+        script = textwrap.dedent("""\
+            import argparse
+            built = []
+            init = argparse.ArgumentParser.__init__
+            def counting(self, *args, **kwargs):
+                built.append(None)
+                init(self, *args, **kwargs)
+            argparse.ArgumentParser.__init__ = counting
+            from onticbench.cli import run
+            at_import = len(built)
+            run(["--help"])
+            print(at_import, len(built) > 0)
+        """)
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "0 True"

@@ -177,6 +177,10 @@ class TestToyModelIndependence:
             assert state.fully_independent.ok is (label in ("nu00", "nu++"))
         assert all(v == QUARTER for v in report.overlaps.values())
 
+    def test_analyze_rejects_duplicate_inaccessible(self, preps):
+        with pytest.raises(ValueError, match="duplicate"):
+            analyze_independence(preps, ("lambda1", "lambda1"))
+
 
 class TestClassicalOverlap:
     def test_subsystem_overlap(self):
