@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -483,6 +484,22 @@ def _seed(text: str) -> int:
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()
+    except OSError:
+        # A write to stdout failed, say because the reader closed it early
+        # (``| head -1``): exit 2 like any OSError, not 1.  Pointing fd 1 at
+        # devnull keeps the interpreter's own flush at exit from reporting
+        # the error again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 2
+    return code
+
+
+def _run(argv: Optional[Sequence[str]]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

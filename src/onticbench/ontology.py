@@ -26,7 +26,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from operator import index
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .numerics import ONE, QSqrt2, ZERO, as_qsqrt2, is_probability
 from .verdicts import Verdict
@@ -346,29 +346,25 @@ def check_born_agreement(
 
 # ---- sampling --------------------------------------------------------------
 
-# Each draw consumes one 64-bit dyadic u = r / 2^64 and selects the first
-# index with u < cdf in canonical order.  For an integer r, r / 2^64 < c holds
-# exactly when r < ceil(c * 2^64), rational or irrational c alike, so the
-# exact cumulative weights become integer thresholds once and each draw is a
-# bisection: a zero-probability cell can never be selected. One sample costs
-# exactly two draws: point, then outcome.
+# Each draw reads two 64-bit words r as dyadics u = r / 2^64: the first picks
+# a support point, the second that point's outcome, each as the first index
+# with u < cdf.  For an integer r, r / 2^64 < c holds exactly when
+# r < ceil(c * 2^64), rational or irrational c alike, so before any draw the
+# exact cumulative weights become integer threshold lists, one for the support
+# and one per support point, and each word is one bisect_right over a plain
+# list: a zero-probability cell can never be selected.
 _DYADIC_BITS = 64
 _DYADIC_DEN = 1 << _DYADIC_BITS
 
 
-class _Cdf:
-    """Exact inverse-CDF sampler over a fixed list of (item, weight)."""
-
-    def __init__(self, items: Sequence, weights: Sequence[QSqrt2]):
-        self.items = list(items)
-        self.thresholds: List[int] = []
-        running = ZERO
-        for w in weights:
-            running = running + w
-            self.thresholds.append(math.ceil(running * _DYADIC_DEN))
-
-    def pick(self, r: int):
-        return self.items[bisect_right(self.thresholds, r)]
+def _thresholds(weights: Iterable[QSqrt2]) -> List[int]:
+    """ceil(c * 2^64) for each cumulative weight c, in order."""
+    thresholds: List[int] = []
+    running = ZERO
+    for w in weights:
+        running = running + w
+        thresholds.append(math.ceil(running * _DYADIC_DEN))
+    return thresholds
 
 
 def _substream(seed: int, worker: int) -> random.Random:
@@ -405,17 +401,16 @@ def simulate(
         raise ValueError(f"measurement {meas_label!r} is invalid: {verdict.failures[0]}")
 
     support = prep.support()
-    point_cdf = _Cdf(support, [prep.weights[p] for p in support])
-    outcome_cdfs = {p: _Cdf(range(meas.outcome_count), meas.rows[p]) for p in support}
+    points = _thresholds(prep.weights[p] for p in support)
+    rows = [_thresholds(meas.rows[p]) for p in support]
 
     counts = [0] * meas.outcome_count
     base, extra = divmod(samples, jobs)
     # Workers past the sample count draw nothing, so they are never seeded.
     for worker in range(min(jobs, samples)):
         chunk = base + (1 if worker < extra else 0)
-        rng = _substream(seed, worker)
+        draw = _substream(seed, worker).getrandbits
         for _ in range(chunk):
-            point = point_cdf.pick(rng.getrandbits(_DYADIC_BITS))
-            outcome = outcome_cdfs[point].pick(rng.getrandbits(_DYADIC_BITS))
-            counts[outcome] += 1
+            row = rows[bisect_right(points, draw(_DYADIC_BITS))]
+            counts[bisect_right(row, draw(_DYADIC_BITS))] += 1
     return counts

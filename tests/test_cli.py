@@ -4,7 +4,9 @@ import argparse
 import hashlib
 import io
 import json
+import os
 import re
+import socket
 import subprocess
 import sys
 import textwrap
@@ -618,6 +620,57 @@ class TestUsage:
             assert result.returncode == 0, result.stderr
             expected = golden[f"demo-pbr none {fmt}"]["sha256"]
             assert hashlib.sha256(result.stdout).hexdigest() == expected
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early gets exit 2 and no traceback."""
+
+    FORMATS = ([], ["--format", "json"])
+
+    @staticmethod
+    def demo(extra, stdout, unbuffered):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        return subprocess.Popen(
+            [sys.executable, "-m", "onticbench.cli", "demo-pbr", *extra],
+            stdout=stdout, stderr=subprocess.PIPE, env=env,
+        )
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="relies on Linux socket send-buffer accounting")
+    @pytest.mark.parametrize("extra", FORMATS)
+    def test_reader_closes_after_one_line(self, extra):
+        # Unbuffered, each printed line is its own write.  A socket with the
+        # smallest send buffer holds only a few writes, so the demo is still
+        # writing when the reader has taken one line and closes its end.
+        reader, writer = socket.socketpair()
+        writer.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 1)
+        with writer:
+            proc = self.demo(extra, writer.fileno(), unbuffered=True)
+        line = b""
+        with reader:
+            while not line.endswith(b"\n"):
+                byte = reader.recv(1)
+                assert byte, f"demo-pbr closed its stdout after {line!r}"
+                line += byte
+        _, err = proc.communicate()
+        assert line in (b"Born probabilities of the antidistinguishing measurement\n", b"{\n")
+        assert proc.returncode == 2, err
+        assert err == b""
+
+    @pytest.mark.parametrize("extra", FORMATS)
+    def test_stdout_closed_before_any_output(self, extra):
+        # Block buffered, the whole output is one write at the last flush.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = self.demo(extra, write_end, unbuffered=False)
+        finally:
+            os.close(write_end)
+        _, err = proc.communicate()
+        assert proc.returncode == 2, err
+        assert err == b""
 
 
 class TestSharedParser:

@@ -1,5 +1,7 @@
 """Tests for ontic spaces, epistemic states, response functions, and sampling."""
 
+import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -268,23 +270,94 @@ class TestSimulate:
 
 
 class TestCdf:
-    # cumulative weights sqrt2 - 1, sqrt2 - 1, sqrt2 - 1/2, 1; item "zero" has weight 0
-    ITEMS = ("a", "zero", "b", "c")
+    # cumulative weights sqrt2 - 1, sqrt2 - 1, sqrt2 - 1/2, 1; item 1 has weight 0
     WEIGHTS = (SQRT2 - ONE, ZERO, HALF, q(Fraction(3, 2)) - SQRT2)
+    ZERO_ITEM = 1
 
     def exact_pick(self, r):
         u = QSqrt2(Fraction(r, 1 << 64))
         running = ZERO
-        for item, weight in zip(self.ITEMS, self.WEIGHTS):
+        for i, weight in enumerate(self.WEIGHTS):
             running = running + weight
             if (running - u).sign() > 0:
-                return item
+                return i
         raise AssertionError("u >= 1")
 
     def test_pick_matches_exact_comparison_at_each_threshold(self):
-        cdf = ontology._Cdf(self.ITEMS, self.WEIGHTS)
-        assert cdf.thresholds[-1] == 1 << 64
-        for threshold in cdf.thresholds:
+        thresholds = ontology._thresholds(self.WEIGHTS)
+        assert len(thresholds) == len(self.WEIGHTS)
+        assert thresholds[-1] == 1 << 64
+        picked = set()
+        for threshold in thresholds:
             for r in (threshold - 1, threshold):
                 if 0 <= r < 1 << 64:
-                    assert cdf.pick(r) == self.exact_pick(r)
+                    pick = bisect_right(thresholds, r)
+                    assert pick == self.exact_pick(r)
+                    picked.add(pick)
+        assert picked == set(range(len(self.WEIGHTS))) - {self.ZERO_ITEM}
+
+
+def exact_counts(model, prep_label, meas_label, samples, seed, jobs):
+    """Oracle for ``simulate``: the same seeded words, compared exactly.
+
+    Worker w seeds random.Random(f"{seed}:{w}") and draws base (+1 for the
+    first ``samples % jobs`` workers) samples.  Each sample takes word 1 and
+    picks the first support point, in canonical order, whose cumulative weight
+    exceeds word / 2^64; word 2 does the same over that point's outcome row.
+    """
+    prep = model.preparations[prep_label]
+    meas = model.measurements[meas_label]
+
+    def cumulative(weights):
+        running, out = ZERO, []
+        for weight in weights:
+            running = running + weight
+            out.append(running)
+        return out
+
+    def first_above(cdf, word):
+        u = QSqrt2(Fraction(word, 1 << 64))
+        return next(i for i, c in enumerate(cdf) if c > u)
+
+    support = [p for p in model.space.points if p in prep.weights]
+    point_cdf = cumulative(prep.weights[p] for p in support)
+    outcome_cdfs = [cumulative(meas.rows[p]) for p in support]
+    counts = [0] * meas.outcome_count
+    base, extra = divmod(samples, jobs)
+    for w in range(jobs):
+        rng = random.Random(f"{seed}:{w}")
+        for _ in range(base + (w < extra)):
+            point = first_above(point_cdf, rng.getrandbits(64))
+            counts[first_above(outcome_cdfs[point], rng.getrandbits(64))] += 1
+    return counts
+
+
+def sqrt2_model() -> OntologicalModel:
+    """sqrt2 weights on three of six points; outcome 2 is forbidden on the support."""
+    half_sqrt2 = q(0, Fraction(1, 2))
+    prep = EpistemicState(GRID, {
+        ("r1", "c1"): SQRT2 - ONE, ("r1", "c3"): HALF, ("r2", "c2"): q(Fraction(3, 2)) - SQRT2,
+    })
+    rows = {
+        ("r1", "c1"): (SQRT2 - ONE, ZERO, q(2) - SQRT2),
+        ("r1", "c2"): (ZERO, ONE, ZERO),
+        ("r1", "c3"): (half_sqrt2, ZERO, ONE - half_sqrt2),
+        ("r2", "c1"): (QUARTER, HALF, QUARTER),
+        ("r2", "c2"): (ONE, ZERO, ZERO),
+        ("r2", "c3"): (ZERO, ZERO, ONE),
+    }
+    return OntologicalModel(GRID, {"p": prep}, {"M": ResponseFunctions(GRID, 3, rows)})
+
+
+class TestSimulateOracle:
+    CASES = ((build_toy_nlhv_model(), "nu00", "M", 0), (sqrt2_model(), "p", "M", 1))
+
+    @pytest.mark.parametrize("case", range(len(CASES)), ids=["toy-nlhv", "sqrt2"])
+    @pytest.mark.parametrize("seed", (0, 7, (1 << 64) - 1))
+    def test_counts_match_exact_oracle(self, case, seed):
+        model, prep_label, meas_label, forbidden = self.CASES[case]
+        for jobs in (1, 2, 3, 7):
+            for samples in (0, 1, 2, 999):
+                counts = simulate(model, prep_label, meas_label, samples, seed, jobs)
+                assert counts == exact_counts(model, prep_label, meas_label, samples, seed, jobs)
+                assert counts[forbidden] == 0
