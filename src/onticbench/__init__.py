@@ -17,7 +17,6 @@ from .numerics import (
     SQRT2,
     ZERO,
     is_probability,
-    qmin,
 )
 from .verdicts import Verdict
 from .hilbert import (
@@ -96,7 +95,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "QSqrt2", "ZERO", "ONE", "HALF", "QUARTER", "SQRT2", "INV_SQRT2",
-    "is_probability", "qmin", "Verdict",
+    "is_probability", "Verdict",
     "StateVector", "MeasurementBasis", "ket", "ket_product",
     "inner_product", "tensor_product", "born_probabilities", "check_orthonormal",
     "Factor", "OnticSpace", "EpistemicState", "ResponseFunctions", "OntologicalModel",

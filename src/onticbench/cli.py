@@ -32,16 +32,13 @@ from .ontology import (
     simulate,
 )
 from .scenarios import (
-    MARGINAL_PREP_ORDER,
     MEASUREMENT_LABEL,
-    PREP_ORDER,
     SHARED_FACTOR,
     STATE_ORDER,
     build_pbr_lhv_model,
     build_pbr_quantum_scenario,
     build_toy_nlhv_model,
     forbidden_cells,
-    pbr_born_pairing,
     pbr_prep_order,
     pbr_synthesis_spec,
     subsystem_states,
@@ -120,10 +117,16 @@ def _cmd_predict(args):
     return 0, payload, lines
 
 
+def _born_report(model: OntologicalModel, born_table: Sequence[Sequence[QSqrt2]]):
+    """Measurement M against the Born row of each preparation, in pbr_prep_order."""
+    return check_born_agreement(
+        model, MEASUREMENT_LABEL, dict(zip(pbr_prep_order(model), born_table))
+    )
+
+
 def _cmd_born_check(args):
     model, source = _load_any(args)
-    born = build_pbr_quantum_scenario().born_table
-    report = check_born_agreement(model, *pbr_born_pairing(model, born))
+    report = _born_report(model, build_pbr_quantum_scenario().born_table)
     lines = [f"model: {source}"]
     for cell in report.cells:
         mark = "ok" if cell.match else "MISMATCH"
@@ -232,7 +235,8 @@ def _feasibility_lines(result: FeasibilityResult, spec) -> List[str]:
                 lines.append("  ... (full witness in --format json)")
                 break
     else:
-        lines.append("infeasible: no response functions exist")
+        kind = "response functions" if spec.rational else "rational response functions"
+        lines.append(f"infeasible: no {kind} exist")
         lines.append("Farkas certificate (constraint: multiplier):")
         for cid, mult in result.certificate.items():
             lines.append(f"  {cid}: {mult}")
@@ -255,6 +259,8 @@ def _cmd_synthesize(args):
         "verified": True,
         **result.to_dict(),
     }
+    if not (result.feasible or spec.rational):
+        payload["rational_only"] = True
     return (0 if result.feasible else 1), payload, lines
 
 
@@ -330,7 +336,7 @@ def _cmd_demo(args):
     payload["born_table"] = [[str(v) for v in row] for row in born]
 
     model = build_toy_nlhv_model()
-    report = check_born_agreement(model, *pbr_born_pairing(model, born))
+    report = _born_report(model, born)
     matched = sum(1 for c in report.cells if c.match)
     lines.append("")
     lines.append("Relational coin model vs quantum predictions")
@@ -360,8 +366,10 @@ def _cmd_demo(args):
     payload["overlap_nu0_nu+"] = str(base_overlap)
     payload["overlaps"] = {f"{a}|{b}": str(v) for (a, b), v in ind.overlaps.items()}
 
-    lhv_spec, _, lhv_result = _certify(build_pbr_lhv_model(), MARGINAL_PREP_ORDER, born)
-    floor = solve_min_violation(lhv_spec, forbidden_cells(MARGINAL_PREP_ORDER))
+    lhv = build_pbr_lhv_model()
+    lhv_labels = pbr_prep_order(lhv)
+    lhv_spec, _, lhv_result = _certify(lhv, lhv_labels, born)
+    floor = solve_min_violation(lhv_spec, forbidden_cells(lhv_labels))
     lines.append("")
     lines.append("Local-variable obstruction (16-point product space)")
     lines.append(f"  synthesis feasible: {_yn(lhv_result.feasible)}")
@@ -375,7 +383,7 @@ def _cmd_demo(args):
         "min_violation": str(floor.value),
     }
 
-    toy_spec, toy_lp, toy_result = _certify(model, PREP_ORDER, born)
+    toy_spec, toy_lp, toy_result = _certify(model, pbr_prep_order(model), born)
     tables_witness = responses_to_witness(toy_spec, model.measurements[MEASUREMENT_LABEL])
     tables_check = verify_certificate(
         toy_lp, FeasibilityResult(True, witness=tables_witness)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Mapping, Sequence, Tuple
 
-from .numerics import ONE, QSqrt2, ZERO, qmin
+from .numerics import ONE, QSqrt2, ZERO
 from .ontology import EpistemicState, OnticSpace, Point, format_point
 from .verdicts import Verdict
 
@@ -143,7 +143,7 @@ def classical_overlap(mu: EpistemicState, nu: EpistemicState) -> QSqrt2:
     for point in mu.support():
         other = nu.weights.get(point)
         if other is not None:
-            total = total + qmin(mu.weights[point], other)
+            total = total + min(mu.weights[point], other)
     return total
 
 

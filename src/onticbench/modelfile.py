@@ -62,6 +62,7 @@ from .ontology import (
     OntologicalModel,
     Point,
     ResponseFunctions,
+    _check_token,
     format_point,
     validate_epistemic,
     validate_responses,
@@ -280,6 +281,10 @@ def loads(text: str) -> OntologicalModel:
                 raise ModelFormatError("space section must come first", head.number)
             if len(args) != 1:
                 raise ModelFormatError(f"expected '{kind} LABEL'", head.number)
+            try:
+                _check_token(args[0], f"{kind} label")
+            except ValueError as exc:
+                raise ModelFormatError(str(exc), head.number) from None
             if args[0] in labelled[kind]:
                 raise ModelFormatError(f"duplicate {kind} {args[0]!r}", head.number)
         else:
@@ -309,10 +314,7 @@ def loads(text: str) -> OntologicalModel:
 
     if space is None:
         raise ModelFormatError("model file has no space section", lines[-1].number)
-    try:
-        return OntologicalModel(space, labelled["preparation"], labelled["measurement"])
-    except ValueError as exc:
-        raise ModelFormatError(str(exc), lines[-1].number) from None
+    return OntologicalModel(space, labelled["preparation"], labelled["measurement"])
 
 
 def dumps(model: OntologicalModel) -> str:

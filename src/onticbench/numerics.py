@@ -133,8 +133,6 @@ class QSqrt2:
         while pos < len(s):
             while pos < len(s) and s[pos].isspace():
                 pos += 1
-            if pos >= len(s):
-                break
             sign = 1
             if s[pos] in "+-":
                 if s[pos] == "-":
@@ -370,10 +368,6 @@ HALF = QSqrt2(Fraction(1, 2))
 QUARTER = QSqrt2(Fraction(1, 4))
 SQRT2 = QSqrt2(0, 1)
 INV_SQRT2 = QSqrt2(0, Fraction(1, 2))
-
-
-def qmin(a: QSqrt2, b: QSqrt2) -> QSqrt2:
-    return a if a <= b else b
 
 
 def is_probability(value: QSqrt2) -> bool:

@@ -178,7 +178,9 @@ def build_pbr_lhv_model() -> OntologicalModel:
 # ---- the PBR pairing ---------------------------------------------------------
 # Preparations listed in Born-row order pair with the product states in
 # STATE_ORDER: the k-th preparation realises the k-th product state, so it
-# must reproduce the k-th row of the Born table.  Measurement M realises the
+# must reproduce the k-th row of the Born table.  pbr_prep_order is the one
+# place that reads that order off a model's labels; Born checks, synthesis
+# and the no-go all take it from there.  Measurement M realises the
 # antidistinguishing basis.
 
 
@@ -189,23 +191,8 @@ def pbr_prep_order(model: OntologicalModel) -> Tuple[str, ...]:
             return order
     raise ValueError(
         "the model has neither nu00, nu0+, nu+0, nu++ nor mu00, mu0+, mu+0, mu++; "
-        "name its preparations in Born-row order with --preps"
+        "rename them, or give synthesize and nogo the labels in Born-row order with --preps"
     )
-
-
-def pbr_born_pairing(
-    model: OntologicalModel, born_table: Sequence[Sequence[QSqrt2]]
-) -> Tuple[str, Dict[str, Sequence[QSqrt2]]]:
-    """Measurement M, and the row of ``born_table`` each of nu00..nu++ must reproduce."""
-    missing = [label for label in PREP_ORDER if label not in model.preparations]
-    if MEASUREMENT_LABEL not in model.measurements:
-        missing.append(MEASUREMENT_LABEL)
-    if missing:
-        raise ValueError(
-            "the PBR pairing needs preparations nu00, nu0+, nu+0, nu++ and "
-            f"measurement M (missing: {missing})"
-        )
-    return MEASUREMENT_LABEL, dict(zip(PREP_ORDER, born_table))
 
 
 def pbr_synthesis_spec(

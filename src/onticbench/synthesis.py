@@ -112,6 +112,13 @@ class SynthesisSpec:
             if total != ONE:
                 raise ValueError(f"target row for {label!r} sums to {total}, not 1")
 
+    @property
+    def rational(self) -> bool:
+        """No weight or target has a sqrt2 part, so "infeasible" holds over the reals."""
+        return not any(v.irr for row in self.targets for v in row) and not any(
+            w.irr for _, state in self.preparations for w in state.weights.values()
+        )
+
     def prep_index(self, label: str) -> int:
         for i, (l, _) in enumerate(self.preparations):
             if l == label:

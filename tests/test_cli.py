@@ -22,7 +22,7 @@ from onticbench import hilbert, scenarios, synthesis
 from onticbench.cli import run
 from onticbench.modelfile import dumps
 from onticbench.numerics import QSqrt2
-from onticbench.ontology import OntologicalModel, ResponseFunctions
+from onticbench.ontology import EpistemicState, OntologicalModel, ResponseFunctions
 
 GOLDEN = Path(__file__).parent / "data" / "toy-nlhv.model"
 BENCH_GOLDEN = Path(__file__).parents[1] / "bench" / "golden.json"
@@ -152,7 +152,31 @@ class TestBornCheck:
         small.write_text(DISJOINT, encoding="utf-8")
         code, _, err = invoke(capsys, "born-check", str(small))
         assert code == 2
-        assert "needs preparations" in err
+        assert err.startswith("error: ") and "neither nu00" in err
+
+    def test_model_without_measurement_m(self, capsys, tmp_path):
+        toy = scenarios.build_toy_nlhv_model()
+        path = tmp_path / "no-m.model"
+        path.write_text(dumps(OntologicalModel(toy.space, toy.preparations, {})), encoding="utf-8")
+        code, _, err = invoke(capsys, "born-check", str(path))
+        assert code == 2
+        assert err.startswith("error: ") and "'M'" in err
+
+    def test_marginal_labels_pair_like_synthesis(self, capsys, tmp_path):
+        lhv = scenarios.build_pbr_lhv_model()
+        quarter = QSqrt2.parse("1/4")
+        uniform = ResponseFunctions(
+            lhv.space, 4, {p: (quarter,) * 4 for p in lhv.space.points}, filler=quarter
+        )
+        path = tmp_path / "lhv-uniform.model"
+        path.write_text(
+            dumps(OntologicalModel(lhv.space, lhv.preparations, {"M": uniform})),
+            encoding="utf-8",
+        )
+        code, out, _ = invoke(capsys, "born-check", str(path))
+        assert code == 1
+        assert "  mu00 / outcome 1: model 1/4 (~0.25), target 0 (~0) [MISMATCH]" in out
+        assert out.endswith("agreement: 8/16 cells\n")
 
     def test_measurement_with_other_outcome_count(self, capsys, tmp_path):
         toy = scenarios.build_toy_nlhv_model()
@@ -307,6 +331,29 @@ class TestSynthesisCommands:
         assert doc["verified"] is True
         assert doc["min_violation"] == "1/16"
         assert doc["certificate"]
+
+    def test_sqrt2_infeasible_says_rational(self, capsys, tmp_path):
+        lhv = scenarios.build_pbr_lhv_model()
+        shift = QSqrt2.parse("sqrt2/16")
+        weights = dict(lhv.preparations["mu00"].weights)
+        weights[("HH", "HH")] = weights[("HH", "HH")] + shift
+        weights[("HT", "HH")] = weights[("HT", "HH")] - shift
+        preps = {**lhv.preparations, "mu00": EpistemicState(lhv.space, weights)}
+        path = tmp_path / "lhv-sqrt2.model"
+        path.write_text(dumps(OntologicalModel(lhv.space, preps, {})), encoding="utf-8")
+        code, out, _ = invoke(capsys, "synthesize", str(path))
+        assert code == 1
+        assert "infeasible: no rational response functions exist\n" in out
+        code, out, _ = invoke(capsys, "synthesize", str(path), "--format", "json")
+        assert code == 1
+        assert json.loads(out)["rational_only"] is True
+
+    def test_rational_infeasible_has_no_rational_only_key(self, capsys):
+        code, out, _ = invoke(capsys, "synthesize", "--builtin", "pbr-lhv", "--format", "json")
+        assert code == 1
+        assert "rational_only" not in json.loads(out)
+        _, out, _ = invoke(capsys, "synthesize", "--builtin", "pbr-lhv")
+        assert "infeasible: no response functions exist\n" in out
 
     def test_nogo_not_blocked_exits_one(self, capsys):
         code, out, _ = invoke(capsys, "nogo", "--builtin", "toy-nlhv")
@@ -481,6 +528,22 @@ class TestExitContract:
         code, _, err = invoke(capsys, "validate", str(path))
         assert code == 2
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "argv, fragment",
+        [
+            (("simulate", "--builtin", "toy-nlhv", "--prep", "nu00", "--meas", "M",
+              "--jobs", "0"), "jobs must be at least 1"),
+            (("independence", "--builtin", "toy-nlhv", "--inaccessible", "lambda1,lambda_s"),
+             "fewer than two accessible factors"),
+        ],
+        ids=["simulate-jobs-0", "independence-one-accessible"],
+    )
+    def test_rejected_arguments(self, capsys, argv, fragment):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and fragment in err
 
     @settings(max_examples=200, deadline=None)
     @given(data=model_bytes())

@@ -29,6 +29,7 @@ from onticbench.ontology import (
     OntologicalModel,
     Point,
     ResponseFunctions,
+    _check_token,
     format_point,
 )
 from onticbench.scenarios import build_toy_nlhv_model
@@ -187,6 +188,16 @@ class TestFormatErrors:
             loads(text)
         assert (err.value.line, err.value.column) == (15, 3)
 
+    @pytest.mark.parametrize(
+        "old, new, line",
+        [("preparation p", "preparation p(1", 7), ("measurement M", "measurement M,1", 12)],
+        ids=["preparation", "measurement"],
+    )
+    def test_bad_section_label_is_located(self, old, new, line):
+        with pytest.raises(ModelFormatError, match="bad (preparation|measurement) label") as err:
+            loads(SMALL.replace(old, new))
+        assert (err.value.line, err.value.column) == (line, 1)
+
     def test_non_utf8_file_is_located(self, tmp_path):
         target = tmp_path / "latin1.model"
         target.write_bytes(SMALL.replace("factor x a b", "factor x a \u00e9").encode("latin-1"))
@@ -272,8 +283,10 @@ class TestSizeLimits:
 
 # ---- the previous loader, kept as an oracle ----------------------------------
 # loads() as it was when it framed each section kind on its own and built
-# measurements through ResponseFunctions.from_entries; the one-pass loader
-# must give the same model or the same error for every input.
+# measurements through ResponseFunctions.from_entries, with one change since:
+# a bad preparation or measurement label is an error at its header line, not
+# at the file's last line.  The one-pass loader must give the same model or
+# the same error for every input.
 
 
 @dataclass
@@ -379,6 +392,10 @@ def _parent_loads(text: str) -> OntologicalModel:
             if len(tokens) != 2:
                 raise ModelFormatError("expected 'preparation LABEL'", line.number)
             label = tokens[1]
+            try:
+                _check_token(label, "preparation label")
+            except ValueError as exc:
+                raise ModelFormatError(str(exc), line.number) from None
             if label in preparations:
                 raise ModelFormatError(f"duplicate preparation {label!r}", line.number)
             weights: Dict[Point, QSqrt2] = {}
@@ -408,6 +425,10 @@ def _parent_loads(text: str) -> OntologicalModel:
             if len(tokens) != 2:
                 raise ModelFormatError("expected 'measurement LABEL'", line.number)
             label = tokens[1]
+            try:
+                _check_token(label, "measurement label")
+            except ValueError as exc:
+                raise ModelFormatError(str(exc), line.number) from None
             if label in measurements:
                 raise ModelFormatError(f"duplicate measurement {label!r}", line.number)
             outcome_count: Optional[int] = None

@@ -22,7 +22,6 @@ from onticbench.numerics import (
     SQRT2,
     ZERO,
     is_probability,
-    qmin,
 )
 
 
@@ -135,7 +134,8 @@ class TestOrder:
 
     def test_ordering_chain(self):
         assert ONE < SQRT2 < q(Fraction(3, 2))
-        assert qmin(SQRT2, q(Fraction(3, 2))) == SQRT2
+        assert min(SQRT2, q(Fraction(3, 2))) == SQRT2
+        assert min(q(Fraction(3, 2)), SQRT2, ONE) == ONE
 
     def test_comparison_with_rationals(self):
         assert HALF < 1

@@ -13,16 +13,19 @@ from onticbench import hilbert, modelfile, numerics, ontology, scenarios, synthe
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "onticbench").glob("*.py"))
 
-# Names deleted from the public surface because nothing but tests called
-# them, each with the module that used to hold it.
+# Names deleted from the public surface, each with the module that used to
+# hold it: nothing but tests called them, or a builtin or another helper
+# does the same job.
 DELETED = [
     (numerics, "Rational"),
     (numerics, "qmax"),
+    (numerics, "qmin"),
     (hilbert, "parse_state"),
     (hilbert, "format_state"),
     (scenarios, "build_lhv_restriction"),
     (scenarios, "coin_pair_space"),
     (scenarios, "support_union"),
+    (scenarios, "pbr_born_pairing"),
     (synthesis, "min_violation"),
     (modelfile, "dump_model"),
 ]
