@@ -43,6 +43,12 @@ over the measurements); a larger space is a ModelFormatError at its
 ``space`` line, and the ``outcomes K`` line that takes the model past
 MAX_CELLS is one at that line, each raised before anything is allocated.
 
+Repeated content is cheap: loads() parses each distinct point token and
+value text once per call and shares the result (a padded model repeats a
+few values over many lines), and the validators decide each row in
+integers (numerics.is_distribution), walking a row value by value only to
+name the faults of one that fails.
+
 read_model() is the one place a model file is opened and decoded: it
 reads a path and hands the text to loads().  load_model() additionally
 enforces semantic validity and is what the non-diagnostic commands use.
@@ -104,7 +110,23 @@ def _logical_lines(text: str) -> List[_Line]:
     return lines
 
 
-def _parse_point(token: str, space: OnticSpace, line: int, col: int) -> Point:
+class _Memo:
+    """The points and values one loads() call has parsed, keyed by their text.
+
+    Each distinct token is parsed once per file; only a token that parsed is
+    stored, and the first one that fails ends the call with its own line and
+    column.  Sharing a parsed value is safe: QSqrt2 is immutable.
+    """
+
+    def __init__(self) -> None:
+        self.points: Dict[str, Point] = {}
+        self.values: Dict[str, QSqrt2] = {}
+
+
+def _parse_point(token: str, space: OnticSpace, memo: _Memo, line: int, col: int) -> Point:
+    point = memo.points.get(token)
+    if point is not None:
+        return point
     if not (token.startswith("(") and token.endswith(")")):
         raise ModelFormatError(f"expected a point like (a,b), got {token!r}", line, col)
     labels = tuple(token[1:-1].split(","))
@@ -119,6 +141,7 @@ def _parse_point(token: str, space: OnticSpace, line: int, col: int) -> Point:
             raise ModelFormatError(
                 f"factor {factor.name!r} has no label {coord!r}", line, col
             )
+    memo.points[token] = labels
     return labels
 
 
@@ -128,21 +151,28 @@ def _is_count(token: str) -> bool:
     return token.isascii() and token.isdigit()
 
 
-def _parse_value(text: str, line: int, col: int) -> QSqrt2:
+def _parse_value(text: str, memo: _Memo, line: int, col: int) -> QSqrt2:
+    value = memo.values.get(text)
+    if value is not None:
+        return value
     try:
-        return QSqrt2.parse(text)
+        value = QSqrt2.parse(text)
     except ValueError as exc:
         raise ModelFormatError(str(exc), line, col) from None
+    memo.values[text] = value
+    return value
 
 
 # Entry parsers, one per section kind: each takes the lines between a
-# header and its 'end', the space read so far and the response cells of the
-# measurements read so far.  loads() runs them before it looks for the
-# 'end', so an entry error is reported first.  Columns assume one space
-# between fields.
+# header and its 'end', the space read so far, the call's token memo and
+# the response cells of the measurements read so far.  loads() runs them
+# before it looks for the 'end', so an entry error is reported first.
+# Columns assume one space between fields.
 
 
-def _space_entries(body: Sequence[_Line], _space: None, _cells: int) -> List[Factor]:
+def _space_entries(
+    body: Sequence[_Line], _space: None, _memo: _Memo, _cells: int
+) -> List[Factor]:
     factors: Dict[str, Factor] = {}
     for entry in body:
         parts = entry.text.split()
@@ -158,7 +188,7 @@ def _space_entries(body: Sequence[_Line], _space: None, _cells: int) -> List[Fac
 
 
 def _preparation_entries(
-    body: Sequence[_Line], space: OnticSpace, _cells: int
+    body: Sequence[_Line], space: OnticSpace, memo: _Memo, _cells: int
 ) -> Dict[Point, QSqrt2]:
     weights: Dict[Point, QSqrt2] = {}
     for entry in body:
@@ -166,14 +196,14 @@ def _preparation_entries(
         parts = entry.text.split(None, 1)
         if len(parts) != 2:
             raise ModelFormatError("expected 'POINT VALUE'", line, col)
-        point = _parse_point(parts[0], space, line, col)
+        point = _parse_point(parts[0], space, memo, line, col)
         if point in weights:
             raise ModelFormatError(f"duplicate point {format_point(point)}", line, col)
-        weights[point] = _parse_value(parts[1], line, col + len(parts[0]) + 1)
+        weights[point] = _parse_value(parts[1], memo, line, col + len(parts[0]) + 1)
     return weights
 
 
-def _measurement_entries(body: Sequence[_Line], space: OnticSpace, cells: int):
+def _measurement_entries(body: Sequence[_Line], space: OnticSpace, memo: _Memo, cells: int):
     """(outcome count or None, filler, {(outcome, point): value}).
 
     ``cells`` counts the response cells of the earlier measurements; an
@@ -205,7 +235,9 @@ def _measurement_entries(body: Sequence[_Line], space: OnticSpace, cells: int):
         elif parts[0] == "filler":
             if len(parts) < 2:
                 raise ModelFormatError("expected 'filler VALUE'", line, col)
-            filler = _parse_value(entry.text.split(None, 1)[1], line, col + len("filler "))
+            filler = _parse_value(
+                entry.text.split(None, 1)[1], memo, line, col + len("filler ")
+            )
         else:
             if outcome_count is None:
                 raise ModelFormatError("'outcomes K' must precede entries", line, col)
@@ -221,7 +253,7 @@ def _measurement_entries(body: Sequence[_Line], space: OnticSpace, cells: int):
                     f"outcome {outcome} out of range 1..{outcome_count}", line, col
                 )
             point_col = col + len(parts[0]) + 1
-            point = _parse_point(parts[1], space, line, point_col)
+            point = _parse_point(parts[1], space, memo, line, point_col)
             if (outcome, point) in entries:
                 raise ModelFormatError(
                     f"duplicate entry for outcome {outcome} at {format_point(point)}",
@@ -229,7 +261,7 @@ def _measurement_entries(body: Sequence[_Line], space: OnticSpace, cells: int):
                     col,
                 )
             entries[(outcome, point)] = _parse_value(
-                parts[2], line, point_col + len(parts[1]) + 1
+                parts[2], memo, line, point_col + len(parts[1]) + 1
             )
     return outcome_count, filler, entries
 
@@ -266,6 +298,7 @@ def loads(text: str) -> OntologicalModel:
 
     space: Optional[OnticSpace] = None
     labelled: Dict[str, dict] = {"preparation": {}, "measurement": {}}
+    memo = _Memo()
     cells = 0  # response cells of the measurements so far
     i = 1
     while i < len(lines):
@@ -295,7 +328,7 @@ def loads(text: str) -> OntologicalModel:
         end = i + 1
         while end < len(lines) and lines[end].text != "end":
             end += 1
-        parsed = _ENTRIES[kind](lines[i + 1:end], space, cells)
+        parsed = _ENTRIES[kind](lines[i + 1:end], space, memo, cells)
         if end == len(lines):
             raise ModelFormatError(f"unterminated {kind} section", head.number)
         if kind == "space":

@@ -374,3 +374,27 @@ def is_probability(value: QSqrt2) -> bool:
     """True iff the value lies in [0, 1], decided exactly: 0 <= a + b*sqrt2 <= d."""
     a, b = value._a, value._b
     return _sign(a, b) >= 0 and _sign(value._d - a, -b) >= 0
+
+
+def is_distribution(values) -> bool:
+    """True iff every value lies in [0, 1] and the values sum to exactly 1.
+
+    Decided in integers, with no field element built.  Nonnegative values
+    that sum to 1 are each at most 1, so only signs are tested; with L the
+    lcm of the denominators, values (a + b*sqrt2)/d sum to 1 exactly when
+    the a*L/d sum to L and the b*L/d sum to 0.  An empty collection sums to
+    0, so it is not a distribution.
+    """
+    values = tuple(values)
+    den = math.lcm(*[v._d for v in values])
+    a_sum = b_sum = 0
+    for v in values:
+        a, b, d = v._a, v._b, v._d
+        if b:
+            if _sign(a, b) < 0:
+                return False
+            b_sum += b * (den // d)
+        elif a < 0:
+            return False
+        a_sum += a if d == den else a * (den // d)
+    return a_sum == den and not b_sum

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from operator import index
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
-from .numerics import ONE, QSqrt2, ZERO, as_qsqrt2, is_probability
+from .numerics import ONE, QSqrt2, ZERO, as_qsqrt2, is_distribution, is_probability
 from .verdicts import Verdict
 
 Point = Tuple[str, ...]
@@ -227,8 +227,14 @@ class OntologicalModel:
 # ---- validators ----------------------------------------------------------
 
 
+# Each validator first decides in integers (numerics.is_distribution); only
+# a state or row that fails it is walked value by value to name its faults.
+
+
 def validate_epistemic(state: EpistemicState) -> Verdict:
     """Weights all in [0, 1] and summing to exactly one."""
+    if is_distribution(state.weights.values()):
+        return Verdict(True)
     failures: List[str] = []
     witnesses: List[Point] = []
     for point in state.support():
@@ -248,6 +254,8 @@ def validate_responses(responses: ResponseFunctions) -> Verdict:
     witnesses: List[Point] = []
     for point in responses.space.points:
         row = responses.rows[point]
+        if is_distribution(row):
+            continue
         bad = False
         for k, value in enumerate(row, start=1):
             if not is_probability(value):

@@ -371,13 +371,11 @@ def _bland(
 def _simplex(lp: LPProblem, optimize: bool) -> FeasibilityResult:
     """Decide ``lp`` (or minimize its objective) over x >= 0, in exact rational arithmetic.
 
-    Returns a witness, with the optimal value when ``optimize`` is set, or a
-    Farkas certificate keyed by constraint id: multipliers y with
+    Returns a witness, with the optimal value of ``lp.objective`` when ``optimize``
+    is set, or a Farkas certificate keyed by constraint id: multipliers y with
     sum_i y_i A_i <= 0 componentwise, y.b > 0 and y_i <= 0 on '<=' rows.
     """
     cons = lp.constraints
-    if optimize and lp.objective is None:
-        raise ValueError("LP has no objective to optimize")
     n0 = len(lp.variables)
     m = len(cons)
     n = n0 + sum(con.kind == "le" for con in cons)  # a slack column per '<=' row

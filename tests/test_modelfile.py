@@ -1,6 +1,7 @@
 """Tests for the model file format: parsing, canonical dumps, strict loading."""
 
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -279,6 +280,89 @@ class TestSizeLimits:
         assert "(196608 in earlier measurements)" in str(err.value)
         model = loads(space_text(4, 16) + section.format(1, 3) + section.format(2, 1))
         assert sum(m.outcome_count for m in model.measurements.values()) * MAX_POINTS == MAX_CELLS
+
+
+PAD = 16
+
+
+def padded_toy_text() -> str:
+    """toy-nlhv times a uniform 16-label factor (512 points), with one sqrt2 shift."""
+    toy = build_toy_nlhv_model()
+    pad = Factor("lambda_p", tuple(f"p{i}" for i in range(PAD)))
+    space = OnticSpace(toy.space.factors + (pad,))
+    share = QSqrt2(Fraction(1, PAD))
+    preparations = {}
+    for label, state in toy.preparations.items():
+        weights = {p + (e,): w * share for p, w in state.weights.items() for e in pad.labels}
+        base = state.support()[0]
+        moved = QSqrt2(0, Fraction(1, 128))
+        weights[base + ("p0",)] -= moved
+        weights[base + ("p1",)] += moved
+        preparations[label] = EpistemicState(space, weights)
+    measurements = {
+        label: ResponseFunctions(
+            space,
+            meas.outcome_count,
+            {p + (e,): row for p, row in meas.rows.items() for e in pad.labels},
+            meas.filler,
+        )
+        for label, meas in toy.measurements.items()
+    }
+    return dumps(OntologicalModel(space, preparations, measurements))
+
+
+class TestInterning:
+    """loads() parses each distinct point and value text once per call."""
+
+    def test_each_value_text_parsed_once(self, monkeypatch):
+        text = padded_toy_text()
+        parse = QSqrt2.parse
+        calls = []
+
+        def counting(value_text):
+            calls.append(value_text)
+            return parse(value_text)
+
+        monkeypatch.setattr(QSqrt2, "parse", staticmethod(counting))
+        model = loads(text)
+        assert model.space.size == 32 * PAD
+        # Every value field of the file, as dumps wrote it.
+        fields = [line.split(None, 2)[-1] if line[2].isdigit() else line.split(None, 1)[1]
+                  for line in text.splitlines()
+                  if line.startswith("  ") and not line.startswith(("  factor", "  outcomes"))]
+        assert len(fields) > 10 * len(set(fields))
+        assert sorted(calls) == sorted(set(fields))
+        monkeypatch.undo()
+        assert dumps(loads(text)) == text
+
+    def test_points_shared_across_sections(self):
+        model = loads(padded_toy_text())
+        first: Dict[Point, Point] = {}
+        for state in model.preparations.values():
+            for point in state.weights:
+                assert first.setdefault(point, point) is point
+        # Some points are in more than one support, so the identity was tested.
+        assert sum(len(s.weights) for s in model.preparations.values()) > len(first)
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("1/64", "1/0"),  # zero denominator
+            ("1/2", "1/2 +"),  # malformed tail
+            ("(TH,TH,1,p3)", "(TH,TH,1,p99)"),  # unknown label
+            ("(TH,TH,1,p3)", "(TH,TH,p3)"),  # too few coordinates
+        ],
+    )
+    def test_bad_token_after_good_lines_is_located(self, old, new):
+        # The good form of each token is parsed on many lines before the bad one.
+        lines = padded_toy_text().splitlines()
+        at = max(i for i, line in enumerate(lines) if old in line.split())
+        assert sum(old in line.split() for line in lines[:at]) >= 3 and at > 100
+        column = lines[at].index(old) + 1
+        lines[at] = lines[at].replace(old, new)
+        with pytest.raises(ModelFormatError) as err:
+            loads("\n".join(lines) + "\n")
+        assert (err.value.line, err.value.column) == (at + 1, column)
 
 
 # ---- the previous loader, kept as an oracle ----------------------------------

@@ -4,6 +4,7 @@ import copy
 import math
 import operator
 import pickle
+import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,6 +22,7 @@ from onticbench.numerics import (
     QUARTER,
     SQRT2,
     ZERO,
+    is_distribution,
     is_probability,
 )
 
@@ -155,6 +157,74 @@ class TestProbabilityHelpers:
     def test_outside(self):
         assert not is_probability(-QUARTER)
         assert not is_probability(ONE + q(0, Fraction(1, 1000)))
+
+
+def distribution_oracle(row) -> bool:
+    """The field-arithmetic decision that is_distribution replaces."""
+    return all(is_probability(v) for v in row) and sum(row, ZERO) == ONE
+
+
+def random_row(rng: random.Random) -> list:
+    """A short row, often a distribution, often one spoiled in a single value."""
+    size = rng.randint(1, 5)
+    den = rng.choice([1, 2, 3, 4, 7, 12, 16])
+    cuts = sorted(rng.randint(0, den) for _ in range(size - 1))
+    row = [q(Fraction(b - a, den)) for a, b in zip([0] + cuts, cuts + [den])]
+    if size > 1 and rng.random() < 0.5:
+        # Move c*sqrt2 between two values: the sum holds, a bound may not.
+        i, j = rng.sample(range(size), 2)
+        moved = q(0, Fraction(rng.randint(1, 3), rng.choice([2, 8, 64, 1024])))
+        row[i], row[j] = row[i] - moved, row[j] + moved
+    kind = rng.choice(["keep", "keep", "negate", "above", "sqrt2-miss", "rational-miss", "any"])
+    i = rng.randrange(size)
+    if kind == "negate":
+        row[i] = -row[i]
+    elif kind == "above":
+        row[i] = row[i] + ONE
+    elif kind == "sqrt2-miss":
+        row[i] = row[i] + q(0, Fraction(1, rng.choice([3, 100, 10**6])))
+    elif kind == "rational-miss":
+        row[i] = row[i] - q(Fraction(1, rng.choice([5, 16, 10**6])))
+    elif kind == "any":
+        row[i] = q(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                   Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+    return row
+
+
+class TestIsDistribution:
+    @pytest.mark.parametrize(
+        "row, expected",
+        [
+            ([], False),
+            ([ONE], True),
+            ([HALF, HALF], True),
+            ([QUARTER, HALF, QUARTER, ZERO], True),
+            ([INV_SQRT2, ONE - INV_SQRT2], True),
+            ([SQRT2, ONE - SQRT2], False),  # sums to 1, both values outside [0, 1]
+            ([q(Fraction(3, 2)), -HALF], False),
+            ([HALF + q(0, Fraction(1, 10**6)), HALF], False),  # misses by a sqrt2 term
+            ([q(Fraction(1, 3)), q(Fraction(1, 3)), q(Fraction(1, 3))], True),
+            ([q(Fraction(1, 3)), HALF], False),
+        ],
+    )
+    def test_examples(self, row, expected):
+        assert is_distribution(row) is expected
+        assert distribution_oracle(row) is expected
+
+    def test_takes_any_iterable(self):
+        assert is_distribution(iter([HALF, HALF]))
+        assert is_distribution({"a": QUARTER, "b": HALF + QUARTER}.values())
+
+    def test_agrees_with_field_arithmetic_on_seeded_rows(self):
+        rng = random.Random("is_distribution")
+        rows = [random_row(rng) for _ in range(3000)]
+        decided = [is_distribution(row) for row in rows]
+        assert decided == [distribution_oracle(row) for row in rows]
+        # The generator reaches both answers, with and without sqrt2 parts.
+        irrational = [any(v.irr for v in row) for row in rows]
+        assert {(d, i) for d, i in zip(decided, irrational)} == {
+            (True, True), (True, False), (False, True), (False, False)
+        }
 
 
 class TestHashing:

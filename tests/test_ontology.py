@@ -9,7 +9,7 @@ import pytest
 from onticbench import ontology
 from onticbench.hilbert import MeasurementBasis, born_probabilities, ket
 from onticbench.modelfile import loads
-from onticbench.numerics import HALF, ONE, QSqrt2, QUARTER, SQRT2, ZERO
+from onticbench.numerics import HALF, ONE, QSqrt2, QUARTER, SQRT2, ZERO, is_probability
 from onticbench.ontology import (
     EpistemicState,
     Factor,
@@ -128,6 +128,91 @@ class TestValidators:
         verdict = validate_responses(xi)
         assert not verdict.ok
         assert len([f for f in verdict.failures if "outside" in f]) == 2
+
+
+# ---- the per-value validators, kept as an oracle ----------------------------
+# validate_epistemic and validate_responses as they were before each state or
+# row was first decided in integers: on an invalid input the fast path falls
+# back to this walk, so failures and witnesses must be the same, in order.
+
+
+def _walk_epistemic(state):
+    failures, witnesses = [], []
+    for point in state.support():
+        value = state.weights[point]
+        if not is_probability(value):
+            failures.append(f"weight {value} at {format_point(point)} is outside [0, 1]")
+            witnesses.append(point)
+    total = state.total()
+    if total != ONE:
+        failures.append(f"weights sum to {total}, deficit {ONE - total}")
+    return not failures, tuple(failures), tuple(witnesses)
+
+
+def _walk_responses(responses):
+    failures, witnesses = [], []
+    for point in responses.space.points:
+        row = responses.rows[point]
+        bad = False
+        for k, value in enumerate(row, start=1):
+            if not is_probability(value):
+                failures.append(
+                    f"response for outcome {k} at {format_point(point)} is {value}, outside [0, 1]"
+                )
+                bad = True
+        total = ZERO
+        for value in row:
+            total = total + value
+        if total != ONE:
+            failures.append(f"responses at {format_point(point)} sum to {total}, not 1")
+            bad = True
+        if bad:
+            witnesses.append(point)
+    return not failures, tuple(failures), tuple(witnesses)
+
+
+def _random_distribution(rng, size):
+    """``size`` values summing to one; some carry sqrt2 parts, some are spoiled."""
+    den = rng.choice([1, 3, 4, 16])
+    cuts = sorted(rng.randint(0, den) for _ in range(size - 1))
+    values = [q(Fraction(b - a, den)) for a, b in zip([0] + cuts, cuts + [den])]
+    if size > 1 and rng.random() < 0.4:
+        i, j = rng.sample(range(size), 2)
+        moved = q(0, Fraction(1, rng.choice([4, 64])))
+        values[i], values[j] = values[i] - moved, values[j] + moved
+    if rng.random() < 0.3:
+        i = rng.randrange(size)
+        values[i] = rng.choice([-values[i], values[i] + HALF, values[i] + q(0, Fraction(1, 9))])
+    return values
+
+
+class TestValidatorsAgreeWithPerValueWalk:
+    def test_epistemic_states(self):
+        rng = random.Random("validate_epistemic")
+        invalid = 0
+        for _ in range(400):
+            points = rng.sample(GRID.points, rng.randint(1, GRID.size))
+            state = EpistemicState(GRID, dict(zip(points, _random_distribution(rng, len(points)))))
+            verdict = validate_epistemic(state)
+            assert (verdict.ok, verdict.failures, verdict.witnesses) == _walk_epistemic(state)
+            invalid += not verdict.ok
+        assert 100 < invalid < 350
+        empty = EpistemicState(GRID, {})
+        verdict = validate_epistemic(empty)
+        assert (verdict.ok, verdict.failures, verdict.witnesses) == _walk_epistemic(empty)
+        assert verdict.failures == ("weights sum to 0, deficit 1",)
+
+    def test_response_families(self):
+        rng = random.Random("validate_responses")
+        invalid = 0
+        for _ in range(200):
+            k = rng.randint(1, 4)
+            rows = {p: _random_distribution(rng, k) for p in GRID.points}
+            xi = ResponseFunctions(GRID, k, rows)
+            verdict = validate_responses(xi)
+            assert (verdict.ok, verdict.failures, verdict.witnesses) == _walk_responses(xi)
+            invalid += not verdict.ok
+        assert 100 < invalid < 200
 
 
 class TestResponseFunctions:
