@@ -15,15 +15,13 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
 from typing import List, Sequence, Tuple
 
 from .numerics import ONE, QSqrt2, ZERO, INV_SQRT2, as_qsqrt2
-from .verdicts import Verdict
+from .verdicts import Record, Verdict, _set
 
 
-@dataclass(frozen=True)
-class StateVector:
+class StateVector(Record):
     """A pure state as a tuple of exact amplitudes.
 
     Normalization (norm squared exactly one) is checked at construction.
@@ -31,14 +29,13 @@ class StateVector:
     product of unit vectors is a unit vector.
     """
 
-    amplitudes: Tuple[QSqrt2, ...]
-    validate: InitVar[bool] = True
+    _fields = ("amplitudes",)
 
-    def __post_init__(self, validate: bool) -> None:
-        amps = tuple(as_qsqrt2(a) for a in self.amplitudes)
+    def __init__(self, amplitudes: Sequence[QSqrt2], validate: bool = True) -> None:
+        amps = tuple(as_qsqrt2(a) for a in amplitudes)
         if not amps:
             raise ValueError("a state vector needs at least one amplitude")
-        object.__setattr__(self, "amplitudes", amps)
+        _set(self, "amplitudes", amps)
         if validate and self.norm_squared() != ONE:
             raise ValueError(f"state vector is not normalized: |psi|^2 = {self.norm_squared()}")
 
@@ -53,24 +50,23 @@ class StateVector:
         return total
 
 
-@dataclass(frozen=True)
-class MeasurementBasis:
+class MeasurementBasis(Record):
     """An orthonormal basis listed in outcome order (outcome k = vector k-1).
 
     Construction insists the vectors form a complete orthonormal basis;
     check_orthonormal reports on any other list of vectors.
     """
 
-    outcomes: Tuple[StateVector, ...]
+    _fields = ("outcomes",)
 
-    def __post_init__(self) -> None:
-        vecs = tuple(self.outcomes)
+    def __init__(self, outcomes: Sequence[StateVector]) -> None:
+        vecs = tuple(outcomes)
         if not vecs:
             raise ValueError("a measurement basis needs at least one outcome vector")
         dim = vecs[0].dim
         if any(v.dim != dim for v in vecs):
             raise ValueError("all basis vectors must share one dimension")
-        object.__setattr__(self, "outcomes", vecs)
+        _set(self, "outcomes", vecs)
         if len(vecs) != dim:
             raise ValueError(f"{len(vecs)} vectors cannot be a complete basis in dimension {dim}")
         verdict = check_orthonormal(vecs)

@@ -15,12 +15,11 @@ implies local independence over any accessible subset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, Mapping, Sequence, Tuple
 
 from .numerics import ONE, QSqrt2, ZERO
 from .ontology import EpistemicState, OnticSpace, Point, format_point
-from .verdicts import Verdict
+from .verdicts import Record, Verdict, _set
 
 
 def product_state(mu: EpistemicState, nu: EpistemicState) -> EpistemicState:
@@ -150,14 +149,22 @@ def classical_overlap(mu: EpistemicState, nu: EpistemicState) -> QSqrt2:
 # ---- model-level report ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StateIndependence:
+class StateIndependence(Record):
     """Independence verdicts for one composite preparation."""
 
-    prep_independent: Verdict
-    locally_independent: Verdict
-    fully_independent: Verdict
-    witness_points: Tuple[Point, ...]
+    _fields = ("prep_independent", "locally_independent", "fully_independent", "witness_points")
+
+    def __init__(
+        self,
+        prep_independent: Verdict,
+        locally_independent: Verdict,
+        fully_independent: Verdict,
+        witness_points: Tuple[Point, ...],
+    ) -> None:
+        _set(self, "prep_independent", prep_independent)
+        _set(self, "locally_independent", locally_independent)
+        _set(self, "fully_independent", fully_independent)
+        _set(self, "witness_points", witness_points)
 
     def to_dict(self) -> dict:
         return {
@@ -168,12 +175,18 @@ class StateIndependence:
         }
 
 
-@dataclass(frozen=True)
-class IndependenceReport:
+class IndependenceReport(Record):
     """Per-preparation independence verdicts plus pairwise overlaps."""
 
-    states: Mapping[str, StateIndependence]
-    overlaps: Mapping[Tuple[str, str], QSqrt2]
+    _fields = ("states", "overlaps")
+
+    def __init__(
+        self,
+        states: Mapping[str, StateIndependence],
+        overlaps: Mapping[Tuple[str, str], QSqrt2],
+    ) -> None:
+        _set(self, "states", states)
+        _set(self, "overlaps", overlaps)
 
     def to_dict(self) -> dict:
         return {
@@ -196,8 +209,9 @@ def analyze_independence(
     least two accessible factors per preparation.
 
     ``prep_independent`` and ``locally_independent`` are one verdict, the
-    product check on the accessible marginal, reported under both names
-    (ROADMAP 8(a)); separating them changes golden-pinned report bytes.
+    product check on the accessible marginal, reported under both names;
+    separating them changes golden-pinned report bytes (the "Duplicate
+    verdict (old 8(a))" re-pin under ROADMAP item 1).
     """
     inaccessible = tuple(inaccessible)
     if len(set(inaccessible)) != len(inaccessible):

@@ -57,7 +57,6 @@ enforces semantic validity and is what the non-diagnostic commands use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .numerics import QSqrt2, ZERO
@@ -93,11 +92,9 @@ class ModelValidationError(ValueError):
     """The file parsed, but the model it describes is semantically invalid."""
 
 
-@dataclass
-class _Line:
-    number: int
-    text: str  # comment-stripped, trimmed at both ends
-    column: int  # where text starts
+# One logical line: (line number, text, column).  The text is stripped of
+# its comment and trimmed at both ends; the column is where it starts.
+_Line = Tuple[int, str, int]
 
 
 def _logical_lines(text: str) -> List[_Line]:
@@ -106,7 +103,7 @@ def _logical_lines(text: str) -> List[_Line]:
         body = raw.split("#", 1)[0].rstrip()
         stripped = body.lstrip()
         if stripped:
-            lines.append(_Line(number, stripped, len(body) - len(stripped) + 1))
+            lines.append((number, stripped, len(body) - len(stripped) + 1))
     return lines
 
 
@@ -174,16 +171,16 @@ def _space_entries(
     body: Sequence[_Line], _space: None, _memo: _Memo, _cells: int
 ) -> List[Factor]:
     factors: Dict[str, Factor] = {}
-    for entry in body:
-        parts = entry.text.split()
+    for line, text, _ in body:
+        parts = text.split()
         if parts[0] != "factor" or len(parts) < 3:
-            raise ModelFormatError("expected 'factor NAME LABEL...' or 'end'", entry.number)
+            raise ModelFormatError("expected 'factor NAME LABEL...' or 'end'", line)
         if parts[1] in factors:
-            raise ModelFormatError(f"duplicate factor {parts[1]!r}", entry.number)
+            raise ModelFormatError(f"duplicate factor {parts[1]!r}", line)
         try:
             factors[parts[1]] = Factor(parts[1], tuple(parts[2:]))
         except ValueError as exc:
-            raise ModelFormatError(str(exc), entry.number) from None
+            raise ModelFormatError(str(exc), line) from None
     return list(factors.values())
 
 
@@ -191,9 +188,8 @@ def _preparation_entries(
     body: Sequence[_Line], space: OnticSpace, memo: _Memo, _cells: int
 ) -> Dict[Point, QSqrt2]:
     weights: Dict[Point, QSqrt2] = {}
-    for entry in body:
-        line, col = entry.number, entry.column
-        parts = entry.text.split(None, 1)
+    for line, text, col in body:
+        parts = text.split(None, 1)
         if len(parts) != 2:
             raise ModelFormatError("expected 'POINT VALUE'", line, col)
         point = _parse_point(parts[0], space, memo, line, col)
@@ -213,9 +209,8 @@ def _measurement_entries(body: Sequence[_Line], space: OnticSpace, memo: _Memo, 
     filler = ZERO
     entries: Dict[Tuple[int, Point], QSqrt2] = {}
     seen = set()  # 'outcomes' and 'filler' come at most once
-    for entry in body:
-        line, col = entry.number, entry.column
-        parts = entry.text.split(None, 2)
+    for line, text, col in body:
+        parts = text.split(None, 2)
         if parts[0] in ("outcomes", "filler"):
             if parts[0] in seen:
                 raise ModelFormatError(f"duplicate {parts[0]!r} line", line, col)
@@ -236,7 +231,7 @@ def _measurement_entries(body: Sequence[_Line], space: OnticSpace, memo: _Memo, 
             if len(parts) < 2:
                 raise ModelFormatError("expected 'filler VALUE'", line, col)
             filler = _parse_value(
-                entry.text.split(None, 1)[1], memo, line, col + len("filler ")
+                text.split(None, 1)[1], memo, line, col + len("filler ")
             )
         else:
             if outcome_count is None:
@@ -288,13 +283,12 @@ def loads(text: str) -> OntologicalModel:
     lines = _logical_lines(text)
     if not lines:
         raise ModelFormatError("empty model file", 1)
-    header = lines[0].text.split()
+    line, head, _ = lines[0]
+    header = head.split()
     if len(header) != 2 or header[0] != FORMAT_NAME:
-        raise ModelFormatError(
-            f"expected header '{FORMAT_NAME} {SCHEMA_VERSION}'", lines[0].number
-        )
+        raise ModelFormatError(f"expected header '{FORMAT_NAME} {SCHEMA_VERSION}'", line)
     if header[1] != str(SCHEMA_VERSION):
-        raise ModelFormatError(f"unsupported schema version {header[1]}", lines[0].number)
+        raise ModelFormatError(f"unsupported schema version {header[1]}", line)
 
     space: Optional[OnticSpace] = None
     labelled: Dict[str, dict] = {"preparation": {}, "measurement": {}}
@@ -302,51 +296,51 @@ def loads(text: str) -> OntologicalModel:
     cells = 0  # response cells of the measurements so far
     i = 1
     while i < len(lines):
-        head = lines[i]
-        kind, *args = head.text.split()
+        line, head, _ = lines[i]
+        kind, *args = head.split()
         if kind == "space":
             if args:
-                raise ModelFormatError("'space' takes no arguments", head.number)
+                raise ModelFormatError("'space' takes no arguments", line)
             if space is not None:
-                raise ModelFormatError("duplicate space section", head.number)
+                raise ModelFormatError("duplicate space section", line)
         elif kind in labelled:
             if space is None:
-                raise ModelFormatError("space section must come first", head.number)
+                raise ModelFormatError("space section must come first", line)
             if len(args) != 1:
-                raise ModelFormatError(f"expected '{kind} LABEL'", head.number)
+                raise ModelFormatError(f"expected '{kind} LABEL'", line)
             try:
                 _check_token(args[0], f"{kind} label")
             except ValueError as exc:
-                raise ModelFormatError(str(exc), head.number) from None
+                raise ModelFormatError(str(exc), line) from None
             if args[0] in labelled[kind]:
-                raise ModelFormatError(f"duplicate {kind} {args[0]!r}", head.number)
+                raise ModelFormatError(f"duplicate {kind} {args[0]!r}", line)
         else:
             raise ModelFormatError(
                 f"expected 'space', 'preparation', or 'measurement', got {kind!r}",
-                head.number,
+                line,
             )
         end = i + 1
-        while end < len(lines) and lines[end].text != "end":
+        while end < len(lines) and lines[end][1] != "end":
             end += 1
         parsed = _ENTRIES[kind](lines[i + 1:end], space, memo, cells)
         if end == len(lines):
-            raise ModelFormatError(f"unterminated {kind} section", head.number)
+            raise ModelFormatError(f"unterminated {kind} section", line)
         if kind == "space":
             if math.prod(len(f.labels) for f in parsed) > MAX_POINTS:
-                raise ModelFormatError(f"space has more than {MAX_POINTS} points", head.number)
+                raise ModelFormatError(f"space has more than {MAX_POINTS} points", line)
             try:
                 space = OnticSpace(tuple(parsed))
             except ValueError as exc:
-                raise ModelFormatError(str(exc), head.number) from None
+                raise ModelFormatError(str(exc), line) from None
         elif kind == "preparation":
             labelled[kind][args[0]] = EpistemicState(space, parsed)
         else:
-            meas = labelled[kind][args[0]] = _responses(space, args[0], head.number, *parsed)
+            meas = labelled[kind][args[0]] = _responses(space, args[0], line, *parsed)
             cells += meas.outcome_count * space.size
         i = end + 1
 
     if space is None:
-        raise ModelFormatError("model file has no space section", lines[-1].number)
+        raise ModelFormatError("model file has no space section", lines[-1][0])
     return OntologicalModel(space, labelled["preparation"], labelled["measurement"])
 
 

@@ -24,12 +24,11 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from operator import index
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .numerics import ONE, QSqrt2, ZERO, as_qsqrt2, is_distribution, is_probability
-from .verdicts import Verdict
+from .verdicts import Record, Verdict, _set
 
 Point = Tuple[str, ...]
 
@@ -38,22 +37,22 @@ def format_point(point: Point) -> str:
     return "(" + ",".join(point) + ")"
 
 
-@dataclass(frozen=True)
-class Factor:
+class Factor(Record):
     """One named coordinate of the ontic space, with its label order."""
 
-    name: str
-    labels: Tuple[str, ...]
+    _fields = ("name", "labels")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "labels", tuple(self.labels))
-        _check_token(self.name, "factor name")
-        if not self.labels:
-            raise ValueError(f"factor {self.name!r} has no labels")
-        for label in self.labels:
-            _check_token(label, f"label of factor {self.name!r}")
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError(f"factor {self.name!r} has duplicate labels")
+    def __init__(self, name: str, labels: Sequence[str]) -> None:
+        labels = tuple(labels)
+        _set(self, "name", name)
+        _set(self, "labels", labels)
+        _check_token(name, "factor name")
+        if not labels:
+            raise ValueError(f"factor {name!r} has no labels")
+        for label in labels:
+            _check_token(label, f"label of factor {name!r}")
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"factor {name!r} has duplicate labels")
 
 
 def _check_token(token: str, what: str) -> None:
@@ -62,15 +61,18 @@ def _check_token(token: str, what: str) -> None:
                          "without whitespace or '(', ')', ',', '#')")
 
 
-@dataclass(frozen=True)
-class OnticSpace:
-    factors: Tuple[Factor, ...]
-    _points: Tuple[Point, ...] = field(init=False, repr=False, compare=False)
-    _index: Dict[Point, int] = field(init=False, repr=False, compare=False)
+class OnticSpace(Record):
+    """The product of its factors' labels.
 
-    def __post_init__(self) -> None:
-        factors = tuple(self.factors)
-        object.__setattr__(self, "factors", factors)
+    The points and the index from point to position are built once here;
+    they take no part in equality, hashing or repr.
+    """
+
+    _fields = ("factors",)
+
+    def __init__(self, factors: Sequence[Factor]) -> None:
+        factors = tuple(factors)
+        _set(self, "factors", factors)
         if not factors:
             raise ValueError("an ontic space needs at least one factor")
         names = [f.name for f in factors]
@@ -79,8 +81,8 @@ class OnticSpace:
         points: List[Point] = [()]
         for factor in factors:
             points = [p + (label,) for p in points for label in factor.labels]
-        object.__setattr__(self, "_points", tuple(points))
-        object.__setattr__(self, "_index", {p: i for i, p in enumerate(points)})
+        _set(self, "_points", tuple(points))
+        _set(self, "_index", {p: i for i, p in enumerate(points)})
 
     @property
     def points(self) -> Tuple[Point, ...]:
@@ -115,8 +117,7 @@ class OnticSpace:
         return OnticSpace(kept)
 
 
-@dataclass(frozen=True)
-class EpistemicState:
+class EpistemicState(Record):
     """A sparsely stored exact distribution over the points of a space.
 
     Construction checks that every point belongs to the space and drops
@@ -125,17 +126,17 @@ class EpistemicState:
     be reported on).
     """
 
-    space: OnticSpace
-    weights: Mapping[Point, QSqrt2]
+    _fields = ("space", "weights")
 
-    def __post_init__(self) -> None:
+    def __init__(self, space: OnticSpace, weights: Mapping[Point, QSqrt2]) -> None:
         cleaned: Dict[Point, QSqrt2] = {}
-        for point, value in self.weights.items():
-            point = self.space.check_point(point)
+        for point, value in weights.items():
+            point = space.check_point(point)
             value = as_qsqrt2(value)
             if value:
                 cleaned[point] = value
-        object.__setattr__(self, "weights", cleaned)
+        _set(self, "space", space)
+        _set(self, "weights", cleaned)
 
     def weight(self, point: Point) -> QSqrt2:
         return self.weights.get(self.space.check_point(point), ZERO)
@@ -151,8 +152,7 @@ class EpistemicState:
         return total
 
 
-@dataclass(frozen=True)
-class ResponseFunctions:
+class ResponseFunctions(Record):
     """A dense family of outcome distributions, one per point.
 
     ``rows`` maps every point of the space to a K-tuple; outcome k (1-based)
@@ -161,50 +161,62 @@ class ResponseFunctions:
     no semantic weight once rows are dense.
     """
 
-    space: OnticSpace
-    outcome_count: int
-    rows: Mapping[Point, Tuple[QSqrt2, ...]]
-    filler: QSqrt2 = field(default=ZERO, compare=False)
+    _fields = ("space", "outcome_count", "rows", "filler")
+    _compared = ("space", "outcome_count", "rows")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "outcome_count", index(self.outcome_count))
-        if self.outcome_count < 1:
+    def __init__(
+        self,
+        space: OnticSpace,
+        outcome_count: int,
+        rows: Mapping[Point, Sequence[QSqrt2]],
+        filler: QSqrt2 = ZERO,
+    ) -> None:
+        outcome_count = index(outcome_count)
+        if outcome_count < 1:
             raise ValueError("a measurement needs at least one outcome")
-        object.__setattr__(self, "filler", as_qsqrt2(self.filler))
+        filler = as_qsqrt2(filler)
         dense: Dict[Point, Tuple[QSqrt2, ...]] = {}
-        for point, row in self.rows.items():
-            point = self.space.check_point(point)
+        for point, row in rows.items():
+            point = space.check_point(point)
             row = tuple(as_qsqrt2(v) for v in row)
-            if len(row) != self.outcome_count:
+            if len(row) != outcome_count:
                 raise ValueError(
                     f"row at {format_point(point)} has {len(row)} entries, "
-                    f"expected {self.outcome_count}"
+                    f"expected {outcome_count}"
                 )
             dense[point] = row
-        missing = [p for p in self.space.points if p not in dense]
+        missing = [p for p in space.points if p not in dense]
         if missing:
             raise ValueError(
                 f"rows missing for {len(missing)} points, first {format_point(missing[0])}"
             )
-        object.__setattr__(self, "rows", dense)
+        _set(self, "space", space)
+        _set(self, "outcome_count", outcome_count)
+        _set(self, "rows", dense)
+        _set(self, "filler", filler)
 
 
-@dataclass(frozen=True)
-class OntologicalModel:
-    space: OnticSpace
-    preparations: Mapping[str, EpistemicState]
-    measurements: Mapping[str, ResponseFunctions]
+class OntologicalModel(Record):
+    _fields = ("space", "preparations", "measurements")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "preparations", dict(self.preparations))
-        object.__setattr__(self, "measurements", dict(self.measurements))
-        for label, prep in self.preparations.items():
+    def __init__(
+        self,
+        space: OnticSpace,
+        preparations: Mapping[str, EpistemicState],
+        measurements: Mapping[str, ResponseFunctions],
+    ) -> None:
+        preparations = dict(preparations)
+        measurements = dict(measurements)
+        _set(self, "space", space)
+        _set(self, "preparations", preparations)
+        _set(self, "measurements", measurements)
+        for label, prep in preparations.items():
             _check_token(label, "preparation label")
-            if prep.space != self.space:
+            if prep.space != space:
                 raise ValueError(f"preparation {label!r} lives on a different space")
-        for label, meas in self.measurements.items():
+        for label, meas in measurements.items():
             _check_token(label, "measurement label")
-            if meas.space != self.space:
+            if meas.space != space:
                 raise ValueError(f"measurement {label!r} lives on a different space")
 
     def preparation(self, label: str) -> EpistemicState:
@@ -291,22 +303,28 @@ def predicted_statistics(
     return totals
 
 
-@dataclass(frozen=True)
-class PredictionCell:
-    prep_label: str
-    meas_label: str
-    outcome: int  # 1-based
-    predicted: QSqrt2
-    target: QSqrt2
+class PredictionCell(Record):
+    _fields = ("prep_label", "meas_label", "outcome", "predicted", "target")
+
+    def __init__(
+        self, prep_label: str, meas_label: str, outcome: int, predicted: QSqrt2, target: QSqrt2
+    ) -> None:
+        _set(self, "prep_label", prep_label)
+        _set(self, "meas_label", meas_label)
+        _set(self, "outcome", outcome)  # 1-based
+        _set(self, "predicted", predicted)
+        _set(self, "target", target)
 
     @property
     def match(self) -> bool:
         return self.predicted == self.target
 
 
-@dataclass(frozen=True)
-class PredictionReport:
-    cells: Tuple[PredictionCell, ...]
+class PredictionReport(Record):
+    _fields = ("cells",)
+
+    def __init__(self, cells: Tuple[PredictionCell, ...]) -> None:
+        _set(self, "cells", cells)
 
     @property
     def all_match(self) -> bool:

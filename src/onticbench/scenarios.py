@@ -23,7 +23,6 @@ infeasibility certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Mapping, Sequence, Tuple
 
 from .hilbert import MeasurementBasis, StateVector, born_probabilities, ket_product
@@ -38,6 +37,7 @@ from .ontology import (
     ResponseFunctions,
 )
 from .synthesis import SynthesisSpec
+from .verdicts import Record, _set
 
 COIN_LABELS = ("HH", "HT", "TH", "TT")
 STATE_ORDER = ("00", "0+", "+0", "++")
@@ -47,13 +47,20 @@ MEASUREMENT_LABEL = "M"
 SHARED_FACTOR = "lambda_s"
 
 
-@dataclass(frozen=True)
-class PbrScenario:
+class PbrScenario(Record):
     """The quantum data: product states, the basis, and their Born table."""
 
-    product_states: Mapping[str, StateVector]
-    measurement: MeasurementBasis
-    born_table: Tuple[Tuple[QSqrt2, ...], ...]  # row order = STATE_ORDER
+    _fields = ("product_states", "measurement", "born_table")
+
+    def __init__(
+        self,
+        product_states: Mapping[str, StateVector],
+        measurement: MeasurementBasis,
+        born_table: Tuple[Tuple[QSqrt2, ...], ...],  # row order = STATE_ORDER
+    ) -> None:
+        _set(self, "product_states", product_states)
+        _set(self, "measurement", measurement)
+        _set(self, "born_table", born_table)
 
 
 def build_pbr_quantum_scenario() -> PbrScenario:

@@ -51,7 +51,6 @@ returned; verify_certificate exposes the same check to callers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from operator import index
@@ -65,34 +64,32 @@ from .ontology import (
     ResponseFunctions,
     format_point,
 )
-from .verdicts import Verdict
+from .verdicts import Record, Verdict, _set
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
-@dataclass(frozen=True)
-class SynthesisSpec:
+class SynthesisSpec(Record):
     """Preparations plus target outcome rows on one ontic space.
 
     ``targets[i][k-1]`` is the required probability of outcome k under
     preparation i.  Rows must sum to one.
     """
 
-    space: OnticSpace
-    preparations: Tuple[Tuple[str, EpistemicState], ...]
-    outcome_count: int
-    targets: Tuple[Tuple[QSqrt2, ...], ...]
+    _fields = ("space", "preparations", "outcome_count", "targets")
 
-    def __init__(self, space, preparations, outcome_count, targets):
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "preparations", tuple((l, s) for l, s in preparations))
-        object.__setattr__(self, "outcome_count", index(outcome_count))
-        object.__setattr__(
-            self,
-            "targets",
-            tuple(tuple(as_qsqrt2(v) for v in row) for row in targets),
-        )
+    def __init__(
+        self,
+        space: OnticSpace,
+        preparations: Sequence[Tuple[str, EpistemicState]],
+        outcome_count: int,
+        targets: Sequence[Sequence[QSqrt2]],
+    ) -> None:
+        _set(self, "space", space)
+        _set(self, "preparations", tuple((l, s) for l, s in preparations))
+        _set(self, "outcome_count", index(outcome_count))
+        _set(self, "targets", tuple(tuple(as_qsqrt2(v) for v in row) for row in targets))
         if self.outcome_count < 1:
             raise ValueError("need at least one outcome")
         labels = [l for l, _ in self.preparations]
@@ -130,8 +127,7 @@ class SynthesisSpec:
         return self.outcome_count * self.space.size
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(Record):
     """One row: sum of coeff * x[index] over ``coeffs``, compared with ``rhs``.
 
     ``coeffs`` holds (index, coefficient) pairs, one per nonzero coefficient,
@@ -147,44 +143,43 @@ class Constraint:
     repr.
     """
 
-    cid: str
-    coeffs: Tuple[Tuple[int, Fraction], ...]
-    rhs: Fraction
-    kind: str  # "eq" or "le"
-    den: int = field(init=False, compare=False, repr=False)
-    nums: Tuple[int, ...] = field(init=False, compare=False, repr=False)
-    rhs_num: int = field(init=False, compare=False, repr=False)
+    _fields = ("cid", "coeffs", "rhs", "kind")
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("eq", "le"):
-            raise ValueError(f"unknown constraint kind {self.kind!r}")
-        coeffs = tuple([(index(j), v) for j, c in self.coeffs if (v := as_rational(c))])
-        rhs = as_rational(self.rhs)
+    def __init__(
+        self, cid: str, coeffs: Sequence[Tuple[int, Fraction]], rhs: Fraction, kind: str
+    ) -> None:
+        if kind not in ("eq", "le"):
+            raise ValueError(f"unknown constraint kind {kind!r}")
+        coeffs = tuple([(index(j), v) for j, c in coeffs if (v := as_rational(c))])
+        rhs = as_rational(rhs)
         den = lcm(rhs.denominator, *[v.denominator for _, v in coeffs])
-        nums = tuple([v.numerator * (den // v.denominator) for _, v in coeffs])
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "nums", nums)
-        object.__setattr__(self, "rhs_num", rhs.numerator * (den // rhs.denominator))
+        _set(self, "cid", cid)
+        _set(self, "coeffs", coeffs)
+        _set(self, "rhs", rhs)
+        _set(self, "kind", kind)
+        _set(self, "den", den)
+        _set(self, "nums", tuple([v.numerator * (den // v.denominator) for _, v in coeffs]))
+        _set(self, "rhs_num", rhs.numerator * (den // rhs.denominator))
 
 
-@dataclass(frozen=True)
-class LPProblem:
+class LPProblem(Record):
     """A rational LP: named variables, eq/le rows, optional min objective."""
 
-    variables: Tuple[str, ...]
-    constraints: Tuple[Constraint, ...]
-    objective: Optional[Tuple[Fraction, ...]] = None
+    _fields = ("variables", "constraints", "objective")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "variables", tuple(self.variables))
-        object.__setattr__(self, "constraints", tuple(self.constraints))
-        n = len(self.variables)
-        cids = [c.cid for c in self.constraints]
+    def __init__(
+        self,
+        variables: Sequence[str],
+        constraints: Sequence[Constraint],
+        objective: Optional[Sequence[Fraction]] = None,
+    ) -> None:
+        variables = tuple(variables)
+        constraints = tuple(constraints)
+        n = len(variables)
+        cids = [c.cid for c in constraints]
         if len(set(cids)) != len(cids):
             raise ValueError("duplicate constraint ids")
-        for c in self.constraints:
+        for c in constraints:
             last = -1
             for j, _ in c.coeffs:
                 if not 0 <= j < n:
@@ -192,19 +187,29 @@ class LPProblem:
                 if j <= last:
                     raise ValueError(f"constraint {c.cid} has index {j} after {last}")
                 last = j
-        if self.objective is not None:
-            objective = tuple(map(as_rational, self.objective))
+        if objective is not None:
+            objective = tuple(map(as_rational, objective))
             if len(objective) != n:
                 raise ValueError("objective length must match the variable count")
-            object.__setattr__(self, "objective", objective)
+        _set(self, "variables", variables)
+        _set(self, "constraints", constraints)
+        _set(self, "objective", objective)
 
 
-@dataclass(frozen=True)
-class FeasibilityResult:
-    feasible: bool
-    witness: Optional[Tuple[Fraction, ...]] = None
-    certificate: Optional[Mapping[str, Fraction]] = None
-    objective_value: Optional[Fraction] = None
+class FeasibilityResult(Record):
+    _fields = ("feasible", "witness", "certificate", "objective_value")
+
+    def __init__(
+        self,
+        feasible: bool,
+        witness: Optional[Tuple[Fraction, ...]] = None,
+        certificate: Optional[Mapping[str, Fraction]] = None,
+        objective_value: Optional[Fraction] = None,
+    ) -> None:
+        _set(self, "feasible", feasible)
+        _set(self, "witness", witness)
+        _set(self, "certificate", certificate)
+        _set(self, "objective_value", objective_value)
 
     def to_dict(self) -> dict:
         out: dict = {"feasible": self.feasible}
@@ -576,11 +581,13 @@ def verify_certificate(lp: LPProblem, result: FeasibilityResult) -> Verdict:
 # ---- violation floor ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MinViolationResult:
-    value: QSqrt2
-    lp: LPProblem
-    raw: FeasibilityResult
+class MinViolationResult(Record):
+    _fields = ("value", "lp", "raw")
+
+    def __init__(self, value: QSqrt2, lp: LPProblem, raw: FeasibilityResult) -> None:
+        _set(self, "value", value)
+        _set(self, "lp", lp)
+        _set(self, "raw", raw)
 
 
 def build_min_violation_lp(

@@ -3,6 +3,8 @@
 import ast
 import inspect
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -102,3 +104,22 @@ def test_readme_library_example_runs(capsys):
     exec(compile(block.group(1), "README.md", "exec"), namespace)
     assert capsys.readouterr().out == "0 1/4 1/4 1/2\n"
     assert namespace["result"].feasible is False
+
+
+def test_cli_import_loads_no_code_generation_machinery():
+    """`import onticbench.cli` leaves dataclasses and inspect unloaded.
+
+    Each console command pays its imports in a fresh interpreter; dataclasses
+    (which pulls in inspect, ast, dis and tokenize) and the methods it
+    generates with exec cost about a third of that import.  ``-S`` keeps
+    site packages from loading either module first.
+    """
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import onticbench.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(ROOT / "src")],
+        check=True, capture_output=True, text=True, timeout=60,
+    )
+    assert out.stdout.strip() == "[]"
