@@ -19,7 +19,7 @@ import functools
 import json
 import os
 import sys
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from collections.abc import Callable, Sequence
 
 from .independence import analyze_independence, classical_overlap
 from .modelfile import load_model, read_model, validate_model
@@ -55,7 +55,7 @@ from .synthesis import (
 
 SCHEMA_VERSION = 1
 
-_BUILTINS: Dict[str, Callable[[], OntologicalModel]] = {
+_BUILTINS: dict[str, Callable[[], OntologicalModel]] = {
     "toy-nlhv": build_toy_nlhv_model,
     "pbr-lhv": build_pbr_lhv_model,
 }
@@ -67,7 +67,7 @@ def fmt(value: QSqrt2) -> str:
     return f"{value} (~{approx:.6g})"
 
 
-def _load_any(args, lenient: bool = False) -> Tuple[OntologicalModel, str]:
+def _load_any(args, lenient: bool = False) -> tuple[OntologicalModel, str]:
     """Resolve --builtin NAME or a model file path; files are validated unless lenient."""
     if args.builtin and args.model:
         raise ValueError("give either a model file or --builtin, not both")
@@ -142,7 +142,7 @@ def _cmd_born_check(args):
 
 def _cmd_independence(args):
     model, source = _load_any(args)
-    inaccessible: Tuple[str, ...] = ()
+    inaccessible: tuple[str, ...] = ()
     if args.inaccessible is not None:
         # An empty value names no factor; an empty name in a list is an error.
         inaccessible = tuple(args.inaccessible.split(",")) if args.inaccessible else ()
@@ -217,7 +217,7 @@ def _synthesis(args):
     return (source, labels) + _certify(model, labels, born)
 
 
-def _feasibility_lines(result: FeasibilityResult, spec) -> List[str]:
+def _feasibility_lines(result: FeasibilityResult, spec) -> list[str]:
     lines = []
     if result.feasible:
         lines.append("feasible: response functions exist")
@@ -322,9 +322,9 @@ def _cmd_simulate(args):
 
 def _cmd_demo(args):
     born = build_pbr_quantum_scenario().born_table
-    lines: List[str] = []
+    lines: list[str] = []
     ok = True
-    payload: Dict[str, object] = {}
+    payload: dict[str, object] = {}
 
     lines.append("Born probabilities of the antidistinguishing measurement")
     lines.append("  (rows: preparations 00, 0+, +0, ++; columns: outcomes 1..4)")
@@ -491,7 +491,7 @@ def _seed(text: str) -> int:
     return value
 
 
-def run(argv: Optional[Sequence[str]] = None) -> int:
+def run(argv: Sequence[str] | None = None) -> int:
     try:
         code = _run(argv)
         sys.stdout.flush()
@@ -507,7 +507,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     return code
 
 
-def _run(argv: Optional[Sequence[str]]) -> int:
+def _run(argv: Sequence[str] | None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

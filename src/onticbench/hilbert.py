@@ -15,7 +15,7 @@ Conventions:
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from collections.abc import Sequence
 
 from .numerics import ONE, QSqrt2, ZERO, INV_SQRT2, as_qsqrt2
 from .verdicts import Record, Verdict, _set
@@ -93,7 +93,7 @@ def tensor_product(first: StateVector, second: StateVector) -> StateVector:
     return StateVector(tuple(amps), validate=False)
 
 
-def born_probabilities(state: StateVector, basis: MeasurementBasis) -> List[QSqrt2]:
+def born_probabilities(state: StateVector, basis: MeasurementBasis) -> list[QSqrt2]:
     """The outcome distribution (<xi_k|psi>^2) for k = 1..K."""
     if state.dim != basis.dim:
         raise ValueError(f"dimension mismatch: state {state.dim}, basis {basis.dim}")
@@ -103,8 +103,8 @@ def born_probabilities(state: StateVector, basis: MeasurementBasis) -> List[QSqr
 
 def check_orthonormal(vecs: Sequence[StateVector]) -> Verdict:
     """Check <xi_i|xi_j> = delta_ij exactly, listing every failing pair."""
-    failures: List[str] = []
-    witnesses: List[Tuple[int, int]] = []
+    failures: list[str] = []
+    witnesses: list[tuple[int, int]] = []
     for i in range(len(vecs)):
         for j in range(i, len(vecs)):
             ip = inner_product(vecs[i], vecs[j])

@@ -15,7 +15,7 @@ implies local independence over any accessible subset.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Mapping, Sequence, Tuple
+from collections.abc import Callable, Mapping, Sequence
 
 from .numerics import ONE, QSqrt2, ZERO
 from .ontology import EpistemicState, OnticSpace, Point, format_point
@@ -45,7 +45,7 @@ def marginalize(joint: EpistemicState, keep: Sequence[str]) -> EpistemicState:
         raise ValueError(f"duplicate factor names in {keep}")
     space = joint.space.subspace(keep)  # validates the names
     positions = [joint.space.factor_names.index(name) for name in space.factor_names]
-    totals: Dict[Point, QSqrt2] = {}
+    totals: dict[Point, QSqrt2] = {}
     for point, weight in joint.weights.items():
         reduced = tuple(point[i] for i in positions)
         totals[reduced] = totals.get(reduced, ZERO) + weight
@@ -113,7 +113,7 @@ def check_local_independence(
     return check_preparation_independence(reduced, mu, nu)
 
 
-def single_factor_marginals(joint: EpistemicState) -> Tuple[EpistemicState, ...]:
+def single_factor_marginals(joint: EpistemicState) -> tuple[EpistemicState, ...]:
     return tuple(marginalize(joint, (name,)) for name in joint.space.factor_names)
 
 
@@ -159,7 +159,7 @@ class StateIndependence(Record):
         prep_independent: Verdict,
         locally_independent: Verdict,
         fully_independent: Verdict,
-        witness_points: Tuple[Point, ...],
+        witness_points: tuple[Point, ...],
     ) -> None:
         _set(self, "prep_independent", prep_independent)
         _set(self, "locally_independent", locally_independent)
@@ -183,7 +183,7 @@ class IndependenceReport(Record):
     def __init__(
         self,
         states: Mapping[str, StateIndependence],
-        overlaps: Mapping[Tuple[str, str], QSqrt2],
+        overlaps: Mapping[tuple[str, str], QSqrt2],
     ) -> None:
         _set(self, "states", states)
         _set(self, "overlaps", overlaps)
@@ -216,7 +216,7 @@ def analyze_independence(
     inaccessible = tuple(inaccessible)
     if len(set(inaccessible)) != len(inaccessible):
         raise ValueError(f"duplicate inaccessible factor names in {inaccessible}")
-    states: Dict[str, StateIndependence] = {}
+    states: dict[str, StateIndependence] = {}
     for label in sorted(preparations):
         joint = preparations[label]
         names = joint.space.factor_names
@@ -233,7 +233,7 @@ def analyze_independence(
             w[0] for v in (local_v, local_v, full_v) for w in v.witnesses
         )
         states[label] = StateIndependence(local_v, local_v, full_v, witnesses)
-    overlaps: Dict[Tuple[str, str], QSqrt2] = {}
+    overlaps: dict[tuple[str, str], QSqrt2] = {}
     labels = sorted(preparations)
     for i, a in enumerate(labels):
         for b in labels[i + 1 :]:

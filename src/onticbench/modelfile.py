@@ -1,8 +1,10 @@
 """The text form of an ontological model.
 
-A model file is line-oriented UTF-8.  Blank lines separate sections;
-``#`` starts a comment that runs to the end of the line.  The header line
-names the format and its schema version:
+A model file is line-oriented UTF-8.  A line ends at a newline (LF) and
+nowhere else; a carriage return before it is dropped, so CRLF files load
+too.  Blank lines separate sections; ``#`` starts a comment that runs to
+the end of the line.  The header line names the format and its schema
+version:
 
     onticbench-model 1
 
@@ -57,7 +59,7 @@ enforces semantic validity and is what the non-diagnostic commands use.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from collections.abc import Sequence
 
 from .numerics import QSqrt2, ZERO
 from .ontology import (
@@ -94,12 +96,12 @@ class ModelValidationError(ValueError):
 
 # One logical line: (line number, text, column).  The text is stripped of
 # its comment and trimmed at both ends; the column is where it starts.
-_Line = Tuple[int, str, int]
+_Line = tuple[int, str, int]
 
 
-def _logical_lines(text: str) -> List[_Line]:
+def _logical_lines(text: str) -> list[_Line]:
     lines = []
-    for number, raw in enumerate(text.splitlines(), start=1):
+    for number, raw in enumerate(text.split("\n"), start=1):
         body = raw.split("#", 1)[0].rstrip()
         stripped = body.lstrip()
         if stripped:
@@ -116,8 +118,8 @@ class _Memo:
     """
 
     def __init__(self) -> None:
-        self.points: Dict[str, Point] = {}
-        self.values: Dict[str, QSqrt2] = {}
+        self.points: dict[str, Point] = {}
+        self.values: dict[str, QSqrt2] = {}
 
 
 def _parse_point(token: str, space: OnticSpace, memo: _Memo, line: int, col: int) -> Point:
@@ -148,6 +150,12 @@ def _is_count(token: str) -> bool:
     return token.isascii() and token.isdigit()
 
 
+# A count with more digits than MAX_CELLS, once its leading zeros are
+# stripped, exceeds every count a model holds.  Such a token is refused
+# unconverted: int() would refuse a long one with an unlocated message.
+_COUNT_DIGITS = len(str(MAX_CELLS))
+
+
 def _parse_value(text: str, memo: _Memo, line: int, col: int) -> QSqrt2:
     value = memo.values.get(text)
     if value is not None:
@@ -169,8 +177,8 @@ def _parse_value(text: str, memo: _Memo, line: int, col: int) -> QSqrt2:
 
 def _space_entries(
     body: Sequence[_Line], _space: None, _memo: _Memo, _cells: int
-) -> List[Factor]:
-    factors: Dict[str, Factor] = {}
+) -> list[Factor]:
+    factors: dict[str, Factor] = {}
     for line, text, _ in body:
         parts = text.split()
         if parts[0] != "factor" or len(parts) < 3:
@@ -186,8 +194,8 @@ def _space_entries(
 
 def _preparation_entries(
     body: Sequence[_Line], space: OnticSpace, memo: _Memo, _cells: int
-) -> Dict[Point, QSqrt2]:
-    weights: Dict[Point, QSqrt2] = {}
+) -> dict[Point, QSqrt2]:
+    weights: dict[Point, QSqrt2] = {}
     for line, text, col in body:
         parts = text.split(None, 1)
         if len(parts) != 2:
@@ -205,9 +213,9 @@ def _measurement_entries(body: Sequence[_Line], space: OnticSpace, memo: _Memo, 
     ``cells`` counts the response cells of the earlier measurements; an
     ``outcomes K`` line that takes the model past MAX_CELLS is an error.
     """
-    outcome_count: Optional[int] = None
+    outcome_count: int | None = None
     filler = ZERO
-    entries: Dict[Tuple[int, Point], QSqrt2] = {}
+    entries: dict[tuple[int, Point], QSqrt2] = {}
     seen = set()  # 'outcomes' and 'filler' come at most once
     for line, text, col in body:
         parts = text.split(None, 2)
@@ -216,9 +224,17 @@ def _measurement_entries(body: Sequence[_Line], space: OnticSpace, memo: _Memo, 
                 raise ModelFormatError(f"duplicate {parts[0]!r} line", line, col)
             seen.add(parts[0])
         if parts[0] == "outcomes":
-            if len(parts) != 2 or not _is_count(parts[1]) or int(parts[1]) < 1:
+            digits = parts[1].lstrip("0") if len(parts) == 2 and _is_count(parts[1]) else ""
+            if not digits:
                 raise ModelFormatError("expected 'outcomes K'", line, col)
-            outcome_count = int(parts[1])
+            if len(digits) > _COUNT_DIGITS:
+                raise ModelFormatError(
+                    f"an outcome count of {len(digits)} digits makes more than "
+                    f"{MAX_CELLS} response cells in the model",
+                    line,
+                    col,
+                )
+            outcome_count = int(digits)
             if cells + outcome_count * space.size > MAX_CELLS:
                 raise ModelFormatError(
                     f"{outcome_count} outcomes at {space.size} points make more than "
@@ -242,7 +258,14 @@ def _measurement_entries(body: Sequence[_Line], space: OnticSpace, memo: _Memo, 
                 raise ModelFormatError(
                     f"expected an outcome number, got {parts[0]!r}", line, col
                 )
-            outcome = int(parts[0])
+            digits = parts[0].lstrip("0")
+            if len(digits) > _COUNT_DIGITS:
+                raise ModelFormatError(
+                    f"outcome number of {len(digits)} digits out of range 1..{outcome_count}",
+                    line,
+                    col,
+                )
+            outcome = int(digits or "0")
             if not 1 <= outcome <= outcome_count:
                 raise ModelFormatError(
                     f"outcome {outcome} out of range 1..{outcome_count}", line, col
@@ -290,8 +313,8 @@ def loads(text: str) -> OntologicalModel:
     if header[1] != str(SCHEMA_VERSION):
         raise ModelFormatError(f"unsupported schema version {header[1]}", line)
 
-    space: Optional[OnticSpace] = None
-    labelled: Dict[str, dict] = {"preparation": {}, "measurement": {}}
+    space: OnticSpace | None = None
+    labelled: dict[str, dict] = {"preparation": {}, "measurement": {}}
     memo = _Memo()
     cells = 0  # response cells of the measurements so far
     i = 1
@@ -346,7 +369,7 @@ def loads(text: str) -> OntologicalModel:
 
 def dumps(model: OntologicalModel) -> str:
     """Render the canonical text form (see the module docstring)."""
-    out: List[str] = [f"{FORMAT_NAME} {SCHEMA_VERSION}", ""]
+    out: list[str] = [f"{FORMAT_NAME} {SCHEMA_VERSION}", ""]
     out.append("space")
     for factor in model.space.factors:
         out.append("  factor " + factor.name + " " + " ".join(factor.labels))
@@ -373,7 +396,7 @@ def dumps(model: OntologicalModel) -> str:
     return "\n".join(out) + "\n"
 
 
-def validate_model(model: OntologicalModel) -> Dict[str, "object"]:
+def validate_model(model: OntologicalModel) -> dict[str, object]:
     """All semantic verdicts, keyed 'preparation LABEL' / 'measurement LABEL'."""
     verdicts = {}
     for label in sorted(model.preparations):

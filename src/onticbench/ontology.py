@@ -24,13 +24,13 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
+from collections.abc import Iterable, Mapping, Sequence
 from operator import index
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .numerics import ONE, QSqrt2, ZERO, as_qsqrt2, is_distribution, is_probability
 from .verdicts import Record, Verdict, _set
 
-Point = Tuple[str, ...]
+Point = tuple[str, ...]
 
 
 def format_point(point: Point) -> str:
@@ -78,14 +78,14 @@ class OnticSpace(Record):
         names = [f.name for f in factors]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate factor names: {names}")
-        points: List[Point] = [()]
+        points: list[Point] = [()]
         for factor in factors:
             points = [p + (label,) for p in points for label in factor.labels]
         _set(self, "_points", tuple(points))
         _set(self, "_index", {p: i for i, p in enumerate(points)})
 
     @property
-    def points(self) -> Tuple[Point, ...]:
+    def points(self) -> tuple[Point, ...]:
         """All points in canonical order (first factor varies slowest)."""
         return self._points
 
@@ -94,7 +94,7 @@ class OnticSpace(Record):
         return len(self._points)
 
     @property
-    def factor_names(self) -> Tuple[str, ...]:
+    def factor_names(self) -> tuple[str, ...]:
         return tuple(f.name for f in self.factors)
 
     def check_point(self, point: Sequence[str]) -> Point:
@@ -129,7 +129,7 @@ class EpistemicState(Record):
     _fields = ("space", "weights")
 
     def __init__(self, space: OnticSpace, weights: Mapping[Point, QSqrt2]) -> None:
-        cleaned: Dict[Point, QSqrt2] = {}
+        cleaned: dict[Point, QSqrt2] = {}
         for point, value in weights.items():
             point = space.check_point(point)
             value = as_qsqrt2(value)
@@ -141,7 +141,7 @@ class EpistemicState(Record):
     def weight(self, point: Point) -> QSqrt2:
         return self.weights.get(self.space.check_point(point), ZERO)
 
-    def support(self) -> Tuple[Point, ...]:
+    def support(self) -> tuple[Point, ...]:
         """Support points in canonical space order."""
         return tuple(p for p in self.space.points if p in self.weights)
 
@@ -175,7 +175,7 @@ class ResponseFunctions(Record):
         if outcome_count < 1:
             raise ValueError("a measurement needs at least one outcome")
         filler = as_qsqrt2(filler)
-        dense: Dict[Point, Tuple[QSqrt2, ...]] = {}
+        dense: dict[Point, tuple[QSqrt2, ...]] = {}
         for point, row in rows.items():
             point = space.check_point(point)
             row = tuple(as_qsqrt2(v) for v in row)
@@ -247,8 +247,8 @@ def validate_epistemic(state: EpistemicState) -> Verdict:
     """Weights all in [0, 1] and summing to exactly one."""
     if is_distribution(state.weights.values()):
         return Verdict(True)
-    failures: List[str] = []
-    witnesses: List[Point] = []
+    failures: list[str] = []
+    witnesses: list[Point] = []
     for point in state.support():
         value = state.weights[point]
         if not is_probability(value):
@@ -262,8 +262,8 @@ def validate_epistemic(state: EpistemicState) -> Verdict:
 
 def validate_responses(responses: ResponseFunctions) -> Verdict:
     """Each point's row lies in [0, 1]^K and sums to exactly one."""
-    failures: List[str] = []
-    witnesses: List[Point] = []
+    failures: list[str] = []
+    witnesses: list[Point] = []
     for point in responses.space.points:
         row = responses.rows[point]
         if is_distribution(row):
@@ -291,7 +291,7 @@ def validate_responses(responses: ResponseFunctions) -> Verdict:
 
 def predicted_statistics(
     model: OntologicalModel, prep_label: str, meas_label: str
-) -> List[QSqrt2]:
+) -> list[QSqrt2]:
     """Law of total probability: p(k) = sum_p mu(p) * xi_k(p), exactly."""
     prep = model.preparation(prep_label)
     meas = model.measurement(meas_label)
@@ -323,7 +323,7 @@ class PredictionCell(Record):
 class PredictionReport(Record):
     _fields = ("cells",)
 
-    def __init__(self, cells: Tuple[PredictionCell, ...]) -> None:
+    def __init__(self, cells: tuple[PredictionCell, ...]) -> None:
         _set(self, "cells", cells)
 
     @property
@@ -357,7 +357,7 @@ def check_born_agreement(
     probabilities.  Every (preparation, outcome) cell is compared exactly.
     """
     meas = model.measurement(meas_label)
-    cells: List[PredictionCell] = []
+    cells: list[PredictionCell] = []
     for prep_label, row in targets.items():
         if len(row) != meas.outcome_count:
             raise ValueError(
@@ -383,9 +383,9 @@ _DYADIC_BITS = 64
 _DYADIC_DEN = 1 << _DYADIC_BITS
 
 
-def _thresholds(weights: Iterable[QSqrt2]) -> List[int]:
+def _thresholds(weights: Iterable[QSqrt2]) -> list[int]:
     """ceil(c * 2^64) for each cumulative weight c, in order."""
-    thresholds: List[int] = []
+    thresholds: list[int] = []
     running = ZERO
     for w in weights:
         running = running + w
@@ -406,7 +406,7 @@ def simulate(
     samples: int,
     seed: int,
     jobs: int = 1,
-) -> List[int]:
+) -> list[int]:
     """Draw exact samples, returning outcome counts (index k-1 = outcome k).
 
     Reproducible bit for bit given (samples, seed, jobs): the sample count

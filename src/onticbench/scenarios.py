@@ -23,7 +23,7 @@ infeasibility certificate.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Sequence, Tuple
+from collections.abc import Mapping, Sequence
 
 from .hilbert import MeasurementBasis, StateVector, born_probabilities, ket_product
 from .independence import marginalize
@@ -56,7 +56,7 @@ class PbrScenario(Record):
         self,
         product_states: Mapping[str, StateVector],
         measurement: MeasurementBasis,
-        born_table: Tuple[Tuple[QSqrt2, ...], ...],  # row order = STATE_ORDER
+        born_table: tuple[tuple[QSqrt2, ...], ...],  # row order = STATE_ORDER
     ) -> None:
         _set(self, "product_states", product_states)
         _set(self, "measurement", measurement)
@@ -89,7 +89,7 @@ def _superpose(a: StateVector, b: StateVector, scale: QSqrt2) -> StateVector:
 # ---- ontic spaces -----------------------------------------------------------
 
 
-def subsystem_states(factor_name: str = "lambda1") -> Dict[str, EpistemicState]:
+def subsystem_states(factor_name: str = "lambda1") -> dict[str, EpistemicState]:
     """The two subsystem epistemic states nu0 and nu+ on a coin-pair space.
 
     nu0 is uniform on {HH, HT} (second flip unrevealed), nu+ is uniform on
@@ -115,7 +115,7 @@ def toy_space() -> OnticSpace:
 # The composite epistemic states: four points at weight 1/4 each.  The
 # shared variable is 2 exactly when both coin pairs landed HH under
 # different preparations, and 1 otherwise.
-_NU_SUPPORTS: Dict[str, Tuple[Point, ...]] = {
+_NU_SUPPORTS: dict[str, tuple[Point, ...]] = {
     "nu00": (("HH", "HH", "1"), ("HT", "HH", "1"), ("HH", "HT", "1"), ("HT", "HT", "1")),
     "nu0+": (("HH", "HH", "2"), ("HT", "HH", "1"), ("HH", "TH", "1"), ("HT", "TH", "1")),
     "nu+0": (("HH", "HH", "2"), ("HH", "HT", "1"), ("TH", "HH", "1"), ("TH", "HT", "1")),
@@ -125,13 +125,13 @@ _NU_SUPPORTS: Dict[str, Tuple[Point, ...]] = {
 # Response table entries on the union of the supports above; every point
 # of the space outside that union gets the uniform filler 1/4 for every
 # outcome, and unlisted entries on the union are zero.
-_XI_HALF: Dict[int, Tuple[Point, ...]] = {
+_XI_HALF: dict[int, tuple[Point, ...]] = {
     1: (("HH", "HH", "2"), ("HH", "TH", "1"), ("TH", "HH", "1")),
     2: (("HH", "HH", "1"), ("HH", "HT", "1"), ("TH", "HH", "1")),
     3: (("HH", "HH", "1"), ("HT", "HH", "1"), ("HH", "TH", "1")),
     4: (("HH", "HH", "2"), ("HT", "HH", "1"), ("HH", "HT", "1")),
 }
-_XI_ONE: Dict[int, Point] = {
+_XI_ONE: dict[int, Point] = {
     1: ("TH", "TH", "1"),
     2: ("TH", "HT", "1"),
     3: ("HT", "TH", "1"),
@@ -147,7 +147,7 @@ def build_toy_nlhv_model() -> OntologicalModel:
         for label, sup in _NU_SUPPORTS.items()
     }
     union = {p for sup in _NU_SUPPORTS.values() for p in sup}
-    rows: Dict[Point, Tuple[QSqrt2, ...]] = {}
+    rows: dict[Point, tuple[QSqrt2, ...]] = {}
     for point in space.points:
         if point not in union:
             rows[point] = (QUARTER,) * 4
@@ -191,7 +191,7 @@ def build_pbr_lhv_model() -> OntologicalModel:
 # antidistinguishing basis.
 
 
-def pbr_prep_order(model: OntologicalModel) -> Tuple[str, ...]:
+def pbr_prep_order(model: OntologicalModel) -> tuple[str, ...]:
     """The Born-row order a model's labels give: nu00..nu++ or mu00..mu++."""
     for order in (PREP_ORDER, MARGINAL_PREP_ORDER):
         if all(label in model.preparations for label in order):
@@ -227,7 +227,7 @@ def lhv_synthesis_spec() -> SynthesisSpec:
     return pbr_synthesis_spec(build_pbr_lhv_model(), MARGINAL_PREP_ORDER, born)
 
 
-def forbidden_cells(prep_order: Tuple[str, ...]) -> Tuple[Tuple[str, int], ...]:
+def forbidden_cells(prep_order: tuple[str, ...]) -> tuple[tuple[str, int], ...]:
     """The antidistinguished diagonal: outcome k forbidden under the k-th preparation."""
     return tuple((label, k) for k, label in enumerate(prep_order, start=1))
 

@@ -51,10 +51,10 @@ returned; verify_certificate exposes the same check to callers.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from math import gcd, lcm
 from operator import index
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .numerics import ONE, QSqrt2, ZERO, as_qsqrt2, as_rational
 from .ontology import (
@@ -82,7 +82,7 @@ class SynthesisSpec(Record):
     def __init__(
         self,
         space: OnticSpace,
-        preparations: Sequence[Tuple[str, EpistemicState]],
+        preparations: Sequence[tuple[str, EpistemicState]],
         outcome_count: int,
         targets: Sequence[Sequence[QSqrt2]],
     ) -> None:
@@ -146,7 +146,7 @@ class Constraint(Record):
     _fields = ("cid", "coeffs", "rhs", "kind")
 
     def __init__(
-        self, cid: str, coeffs: Sequence[Tuple[int, Fraction]], rhs: Fraction, kind: str
+        self, cid: str, coeffs: Sequence[tuple[int, Fraction]], rhs: Fraction, kind: str
     ) -> None:
         if kind not in ("eq", "le"):
             raise ValueError(f"unknown constraint kind {kind!r}")
@@ -171,7 +171,7 @@ class LPProblem(Record):
         self,
         variables: Sequence[str],
         constraints: Sequence[Constraint],
-        objective: Optional[Sequence[Fraction]] = None,
+        objective: Sequence[Fraction] | None = None,
     ) -> None:
         variables = tuple(variables)
         constraints = tuple(constraints)
@@ -202,9 +202,9 @@ class FeasibilityResult(Record):
     def __init__(
         self,
         feasible: bool,
-        witness: Optional[Tuple[Fraction, ...]] = None,
-        certificate: Optional[Mapping[str, Fraction]] = None,
-        objective_value: Optional[Fraction] = None,
+        witness: tuple[Fraction, ...] | None = None,
+        certificate: Mapping[str, Fraction] | None = None,
+        objective_value: Fraction | None = None,
     ) -> None:
         _set(self, "feasible", feasible)
         _set(self, "witness", witness)
@@ -226,7 +226,7 @@ def _variable_name(outcome: int, point: Point) -> str:
     return f"x{outcome}@{format_point(point)}"
 
 
-def _synthesis_variables(spec: SynthesisSpec) -> Tuple[str, ...]:
+def _synthesis_variables(spec: SynthesisSpec) -> tuple[str, ...]:
     # k-major: variable (k, p) sits at index (k-1)*|points| + point_index(p).
     return tuple(
         _variable_name(k, p)
@@ -235,7 +235,7 @@ def _synthesis_variables(spec: SynthesisSpec) -> Tuple[str, ...]:
     )
 
 
-def _norm_rows(spec: SynthesisSpec) -> List[Constraint]:
+def _norm_rows(spec: SynthesisSpec) -> list[Constraint]:
     """One equality sum_k x(k, p) = 1 per point."""
     size = spec.space.size
     outcomes = range(spec.outcome_count)
@@ -303,7 +303,7 @@ def build_synthesis_lp(spec: SynthesisSpec) -> LPProblem:
 # unit pivot needs at most a sign flip.
 
 
-def _pivot(T: List[Dict[int, int]], D: List[int], basis: List[int], r: int, col: int) -> None:
+def _pivot(T: list[dict[int, int]], D: list[int], basis: list[int], r: int, col: int) -> None:
     """Pivot on T[r][col]: scale row r to a unit pivot, clear ``col`` from every other row."""
     prow = T[r]
     pd = prow[col]
@@ -339,7 +339,7 @@ def _pivot(T: List[Dict[int, int]], D: List[int], basis: List[int], r: int, col:
 
 
 def _bland(
-    T: List[Dict[int, int]], D: List[int], basis: List[int], eligible: int, R: int
+    T: list[dict[int, int]], D: list[int], basis: list[int], eligible: int, R: int
 ) -> str:
     """Run Bland's-rule pivots to optimality.
 
@@ -386,9 +386,9 @@ def _simplex(lp: LPProblem, optimize: bool) -> FeasibilityResult:
     n = n0 + sum(con.kind == "le" for con in cons)  # a slack column per '<=' row
     R = n + m  # the rhs column
 
-    flips: List[int] = []
-    T: List[Dict[int, int]] = []
-    D: List[int] = []
+    flips: list[int] = []
+    T: list[dict[int, int]] = []
+    D: list[int] = []
     slack = n0
     for i, con in enumerate(cons):
         # The constraint's integer row, sign-flipped so that the rhs is
@@ -410,7 +410,7 @@ def _simplex(lp: LPProblem, optimize: bool) -> FeasibilityResult:
     # Phase 1: minimize the artificial total. Initial reduced costs are the
     # negated column sums; the artificial columns start at zero.
     zd = lcm(*D)
-    z: Dict[int, int] = {}
+    z: dict[int, int] = {}
     for i, (row, d) in enumerate(zip(T, D)):
         s = zd // d
         for j, v in row.items():
@@ -444,7 +444,7 @@ def _simplex(lp: LPProblem, optimize: bool) -> FeasibilityResult:
     if optimize:
         # Drive artificials out of the basis; rows that cannot pivot are
         # redundant (zero in every original column, zero rhs) and are dropped.
-        keep: List[int] = []
+        keep: list[int] = []
         for r in range(m):
             if basis[r] >= n:
                 col = min((j for j in T[r] if j < n), default=None)
@@ -591,7 +591,7 @@ class MinViolationResult(Record):
 
 
 def build_min_violation_lp(
-    spec: SynthesisSpec, forbidden: Sequence[Tuple[str, int]]
+    spec: SynthesisSpec, forbidden: Sequence[tuple[str, int]]
 ) -> LPProblem:
     """LP for the smallest achievable cap t on the forbidden cells.
 
@@ -633,7 +633,7 @@ def build_min_violation_lp(
 
 
 def solve_min_violation(
-    spec: SynthesisSpec, forbidden: Sequence[Tuple[str, int]]
+    spec: SynthesisSpec, forbidden: Sequence[tuple[str, int]]
 ) -> MinViolationResult:
     """The exact optimum (``.value``): how badly any response family must violate the zeros."""
     lp = build_min_violation_lp(spec, forbidden)
@@ -662,13 +662,13 @@ def extract_responses(spec: SynthesisSpec, witness: Sequence[Fraction]) -> Respo
 
 def responses_to_witness(
     spec: SynthesisSpec, responses: ResponseFunctions
-) -> Tuple[Fraction, ...]:
+) -> tuple[Fraction, ...]:
     """Flatten response functions into LP variable order (rational values only)."""
     if responses.space != spec.space:
         raise ValueError("response functions live on a different space")
     if responses.outcome_count != spec.outcome_count:
         raise ValueError("outcome count mismatch")
-    values: List[Fraction] = []
+    values: list[Fraction] = []
     for k in range(1, spec.outcome_count + 1):
         for point in spec.space.points:
             value = responses.rows[point][k - 1]

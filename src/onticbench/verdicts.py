@@ -7,8 +7,6 @@ than stopping at the first one.
 
 from __future__ import annotations
 
-from typing import Any, Tuple
-
 
 # Stores a field from a Record's __init__, past its frozen __setattr__.
 # Unlike writing into ``self.__dict__``, it keeps CPython's inline attribute
@@ -27,8 +25,8 @@ class Record:
     and it hashes when its compared fields do.
     """
 
-    _fields: Tuple[str, ...] = ()
-    _compared: Tuple[str, ...] = ()
+    _fields: tuple[str, ...] = ()
+    _compared: tuple[str, ...] = ()
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -50,7 +48,7 @@ class Record:
         shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({shown})"
 
-    def __setattr__(self, name: str, value: Any) -> None:
+    def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name: str) -> None:
@@ -62,7 +60,7 @@ class Verdict(Record):
     _compared = ("ok", "failures")
 
     def __init__(
-        self, ok: bool, failures: Tuple[str, ...] = (), witnesses: Tuple[Any, ...] = ()
+        self, ok: bool, failures: tuple[str, ...] = (), witnesses: tuple[object, ...] = ()
     ) -> None:
         _set(self, "ok", ok)
         _set(self, "failures", failures)

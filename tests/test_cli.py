@@ -579,8 +579,13 @@ class TestExitContract:
             + "".join(f"  factor f{j} {' '.join(map(str, range(16)))}\n" for j in range(4))
             + "end\n"
             + "".join(f"\nmeasurement M{i}\n  outcomes 4\n  filler 1/4\nend\n" for i in range(4)),
+            GOLDEN.read_text(encoding="utf-8").replace("outcomes 4", "outcomes " + "9" * 5000),
+            GOLDEN.read_text(encoding="utf-8").replace(
+                "  1 (HH,HH,2) ", "  " + "1" * 5000 + " (HH,HH,2) ", 1
+            ),
         ],
-        ids=["nine-factor-space", "outcomes-99999", "four-full-tables"],
+        ids=["nine-factor-space", "outcomes-99999", "four-full-tables",
+             "outcomes-5000-digits", "outcome-number-5000-digits"],
     )
     def test_oversize_model_file(self, capsys, tmp_path, text):
         path = tmp_path / "oversize.model"

@@ -206,6 +206,64 @@ class TestFormatErrors:
             read_model(target)
         assert (err.value.line, err.value.column) == (4, 14)
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("  outcomes 4", "  outcomes " + "9" * 5000,
+             "an outcome count of 5000 digits makes more than 262144 response cells in the model"),
+            ("  outcomes 4", "  outcomes 1000000",
+             "an outcome count of 7 digits makes more than 262144 response cells in the model"),
+            ("  1 (HH,HH,2) 1/2", "  " + "1" * 5000 + " (HH,HH,2) 1/2",
+             "outcome number of 5000 digits out of range 1..4"),
+            ("  1 (HH,HH,2) 1/2", "  0001000000 (HH,HH,2) 1/2",
+             "outcome number of 7 digits out of range 1..4"),
+        ],
+        ids=["outcomes-5000-digits", "outcomes-7-digits", "entry-5000-digits", "entry-7-digits"],
+    )
+    def test_over_long_count_is_located(self, old, new, message):
+        text = GOLDEN.read_text(encoding="utf-8").replace(old, new, 1)
+        with pytest.raises(ModelFormatError) as err:
+            loads(text)
+        line = text.split("\n").index(new) + 1
+        assert str(err.value) == f"line {line}, column 3: {message}"
+        assert len(str(err.value)) < 200
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("outcomes 4", "outcomes 0004"),
+            ("outcomes 4", "outcomes " + "0" * 5000 + "4"),
+            ("  1 (HH,HH,2) 1/2", "  " + "0" * 5000 + "1 (HH,HH,2) 1/2"),
+        ],
+        ids=["outcomes-0004", "outcomes-5000-zeros", "entry-5000-zeros"],
+    )
+    def test_leading_zeros_do_not_count(self, old, new):
+        text = GOLDEN.read_text(encoding="utf-8").replace(old, new, 1)
+        assert loads(text) == build_toy_nlhv_model()
+
+
+# Characters at which str.splitlines() breaks a line, besides \n and \r.
+OTHER_LINE_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+class TestLineBreaks:
+    @pytest.mark.parametrize("char", OTHER_LINE_BREAKS, ids=ascii)
+    def test_comment_runs_to_the_newline(self, char):
+        lines = GOLDEN.read_text(encoding="utf-8").split("\n")
+        assert lines[1] == ""
+        lines[1] = f"# page{char}break"
+        text = "\n".join(lines)
+        assert loads(text) == build_toy_nlhv_model()
+        bad = text.replace("outcomes 4", "outcomes x")
+        with pytest.raises(ModelFormatError, match="expected 'outcomes K'") as err:
+            loads(bad)
+        editor_line = bad.count("\n", 0, bad.index("outcomes x")) + 1
+        assert (err.value.line, err.value.column) == (editor_line, 3)
+
+    def test_crlf_loads_as_lf(self):
+        text = GOLDEN.read_text(encoding="utf-8")
+        assert loads(text.replace("\n", "\r\n")) == loads(text)
+
 
 class TestValidation:
     def test_structural_load_accepts_bad_weights(self):
@@ -381,7 +439,7 @@ class _ParentLine:
 
 def _parent_logical_lines(text: str) -> List[_ParentLine]:
     lines = []
-    for number, raw in enumerate(text.splitlines(), start=1):
+    for number, raw in enumerate(text.split("\n"), start=1):
         body = raw.split("#", 1)[0].rstrip()
         if body.strip():
             lines.append(_ParentLine(number, body))

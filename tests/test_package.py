@@ -1,10 +1,12 @@
 """Tests of the package as a whole: its public names, its imports, and the README."""
 
 import ast
+import importlib
 import inspect
 import re
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -95,6 +97,48 @@ def test_no_unused_imports(path):
     assert not unused, f"{path.name} imports names it never uses: {unused}"
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_typing_import(path):
+    # With ``from __future__ import annotations`` builtin generics, ``X | None``
+    # and collections.abc spell every annotation; this also sees an import
+    # inside a function, which the fresh-interpreter check below would miss.
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names]
+    modules += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert not [m for m in modules if m and m.partition(".")[0] == "typing"]
+
+
+def _annotated_objects(module):
+    """Every function, class, method and property getter the module defines."""
+    for value in vars(module).values():
+        if getattr(value, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(value):
+            yield value
+        elif inspect.isclass(value):
+            yield value
+            for member in vars(value).values():
+                if isinstance(member, (staticmethod, classmethod)):
+                    member = member.__func__
+                elif isinstance(member, property):
+                    member = member.fget
+                if inspect.isfunction(member):
+                    yield member
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_every_annotation_resolves(path):
+    # The annotations are never evaluated at run time, so a misspelled
+    # generic or a missing import would otherwise go unseen.
+    objects = list(_annotated_objects(importlib.import_module(f"onticbench.{path.stem}")))
+    assert objects
+    for obj in objects:
+        typing.get_type_hints(obj)
+
+
 def test_readme_library_example_runs(capsys):
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     library = readme.split("\n## Library\n", 1)[1]
@@ -107,16 +151,17 @@ def test_readme_library_example_runs(capsys):
 
 
 def test_cli_import_loads_no_code_generation_machinery():
-    """`import onticbench.cli` leaves dataclasses and inspect unloaded.
+    """`import onticbench.cli` leaves dataclasses, inspect and typing unloaded.
 
     Each console command pays its imports in a fresh interpreter; dataclasses
     (which pulls in inspect, ast, dis and tokenize) and the methods it
-    generates with exec cost about a third of that import.  ``-S`` keeps
-    site packages from loading either module first.
+    generates with exec cost about a third of that import, and typing
+    (with contextlib) would serve annotations that never run.  ``-S`` keeps
+    site packages from loading any of them first.
     """
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import onticbench.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
     )
     out = subprocess.run(
         [sys.executable, "-S", "-c", code, str(ROOT / "src")],
