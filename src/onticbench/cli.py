@@ -69,12 +69,8 @@ def fmt(value: QSqrt2) -> str:
 
 def _load_any(args, lenient: bool = False) -> tuple[OntologicalModel, str]:
     """Resolve --builtin NAME or a model file path; files are validated unless lenient."""
-    if args.builtin and args.model:
-        raise ValueError("give either a model file or --builtin, not both")
     if args.builtin:
         return _BUILTINS[args.builtin](), args.builtin
-    if not args.model:
-        raise ValueError("a model file or --builtin NAME is required")
     return (read_model if lenient else load_model)(args.model), args.model
 
 
@@ -156,7 +152,7 @@ def _cmd_independence(args):
         lines.append(f"    preparation independence (accessible marginal): {_yn(state.prep_independent.ok)}")
         lines.append(f"    local independence: {_yn(state.locally_independent.ok)}")
         lines.append(f"    full factor independence: {_yn(state.fully_independent.ok)}")
-        for verdict in (state.prep_independent, state.locally_independent, state.fully_independent):
+        for verdict in (state.locally_independent, state.fully_independent):
             for failure in verdict.failures:
                 lines.append(f"      {failure}")
         all_local = all_local and state.locally_independent.ok
@@ -425,8 +421,9 @@ def _build_parser() -> argparse.ArgumentParser:
     fmt_parent.add_argument("--format", choices=("text", "json"), default="text")
 
     model_parent = argparse.ArgumentParser(add_help=False)
-    model_parent.add_argument("model", nargs="?", help="path to a model file")
-    model_parent.add_argument(
+    source = model_parent.add_mutually_exclusive_group(required=True)
+    source.add_argument("model", nargs="?", help="path to a model file")
+    source.add_argument(
         "--builtin", choices=sorted(_BUILTINS), help="use a built-in model instead of a file"
     )
 

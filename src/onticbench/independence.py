@@ -15,7 +15,7 @@ implies local independence over any accessible subset.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 from .numerics import ONE, QSqrt2, ZERO
 from .ontology import EpistemicState, OnticSpace, Point, format_point
@@ -53,16 +53,19 @@ def marginalize(joint: EpistemicState, keep: Sequence[str]) -> EpistemicState:
 
 
 def _first_mismatch(
-    joint: EpistemicState, product: Callable[[Point], QSqrt2], what: str
+    joint: EpistemicState, factors: Sequence[tuple[EpistemicState, slice]], what: str
 ) -> Verdict:
-    """Compare the joint with ``product(point)`` point by point, in canonical order.
+    """Compare the joint with the product of ``factors`` point by point, in canonical order.
 
-    The verdict's witnesses carry the first counterexample point with the
-    two values; ``what`` names the product side in the failure text.
+    Each factor is a state and the slice that picks its point out of a joint
+    point.  The verdict's witnesses carry the first counterexample point with
+    the two values; ``what`` names the product side in the failure text.
     """
     for point in joint.space.points:
         joint_w = joint.weight(point)
-        product_w = product(point)
+        product_w = ONE
+        for state, part in factors:
+            product_w = product_w * state.weight(point[part])
         if joint_w != product_w:
             return Verdict(
                 False,
@@ -87,9 +90,7 @@ def check_preparation_independence(
         )
     split = len(mu.space.factors)
     return _first_mismatch(
-        joint,
-        lambda point: mu.weight(point[:split]) * nu.weight(point[split:]),
-        "product weight",
+        joint, ((mu, slice(split)), (nu, slice(split, None))), "product weight"
     )
 
 
@@ -123,15 +124,8 @@ def check_full_independence(joint: EpistemicState) -> Verdict:
     The marginals are the only possible factors, so this decides whether
     any product decomposition over the full factor list exists.
     """
-    marginals = single_factor_marginals(joint)
-
-    def product(point: Point) -> QSqrt2:
-        product_w = ONE
-        for coord, marginal in zip(point, marginals):
-            product_w = product_w * marginal.weight((coord,))
-        return product_w
-
-    return _first_mismatch(joint, product, "marginal product")
+    factors = [(m, slice(i, i + 1)) for i, m in enumerate(single_factor_marginals(joint))]
+    return _first_mismatch(joint, factors, "marginal product")
 
 
 def classical_overlap(mu: EpistemicState, nu: EpistemicState) -> QSqrt2:
@@ -150,21 +144,25 @@ def classical_overlap(mu: EpistemicState, nu: EpistemicState) -> QSqrt2:
 
 
 class StateIndependence(Record):
-    """Independence verdicts for one composite preparation."""
+    """The local and the full independence verdict of one composite preparation."""
 
     _fields = ("prep_independent", "locally_independent", "fully_independent", "witness_points")
+    _compared = ("locally_independent", "fully_independent")
 
-    def __init__(
-        self,
-        prep_independent: Verdict,
-        locally_independent: Verdict,
-        fully_independent: Verdict,
-        witness_points: tuple[Point, ...],
-    ) -> None:
-        _set(self, "prep_independent", prep_independent)
+    def __init__(self, locally_independent: Verdict, fully_independent: Verdict) -> None:
         _set(self, "locally_independent", locally_independent)
         _set(self, "fully_independent", fully_independent)
-        _set(self, "witness_points", witness_points)
+
+    @property
+    def prep_independent(self) -> Verdict:
+        """The local verdict under its PBR name."""
+        return self.locally_independent
+
+    @property
+    def witness_points(self) -> tuple[Point, ...]:
+        """Each counterexample point of the two verdicts, once."""
+        verdicts = (self.locally_independent, self.fully_independent)
+        return tuple(dict.fromkeys(w[0] for v in verdicts for w in v.witnesses))
 
     def to_dict(self) -> dict:
         return {
@@ -208,10 +206,10 @@ def analyze_independence(
     candidate factors).  Requires distinct ``inaccessible`` names and at
     least two accessible factors per preparation.
 
-    ``prep_independent`` and ``locally_independent`` are one verdict, the
-    product check on the accessible marginal, reported under both names;
-    separating them changes golden-pinned report bytes (the "Duplicate
-    verdict (old 8(a))" re-pin under ROADMAP item 1).
+    ``prep_independent`` is ``locally_independent``, the product check on
+    the accessible marginal, reported under both names; dropping the alias
+    changes golden-pinned report bytes (the "Duplicate verdict (old 8(a))"
+    re-pin under ROADMAP item 1).
     """
     inaccessible = tuple(inaccessible)
     if len(set(inaccessible)) != len(inaccessible):
@@ -228,11 +226,7 @@ def analyze_independence(
         mu = marginalize(joint, accessible[:1])
         nu = marginalize(joint, accessible[1:])
         local_v = check_local_independence(joint, mu, nu, inaccessible)
-        full_v = check_full_independence(joint)
-        witnesses = tuple(
-            w[0] for v in (local_v, local_v, full_v) for w in v.witnesses
-        )
-        states[label] = StateIndependence(local_v, local_v, full_v, witnesses)
+        states[label] = StateIndependence(local_v, check_full_independence(joint))
     overlaps: dict[tuple[str, str], QSqrt2] = {}
     labels = sorted(preparations)
     for i, a in enumerate(labels):

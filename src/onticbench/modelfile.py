@@ -25,9 +25,12 @@ version:
 
 Points are comma-joined label tuples without spaces; probabilities use
 the Q(sqrt2) text form (which never contains a comma, so the last field
-may contain spaces, e.g. ``1/3 + sqrt2/7``).  A preparation lists its
-nonzero weights; a measurement lists ``outcome point value`` triples for
-every entry that differs from its declared filler.
+may contain spaces, e.g. ``1/3 + sqrt2/7``), with at most 4300 digits in
+a numeral (numerics.MAX_NUMERAL_DIGITS).  A preparation lists its nonzero
+weights; a measurement lists ``outcome point value`` triples for every
+entry that differs from its declared filler.  Fields are separated by any
+run of whitespace; an error in a field names the column where the field
+starts, counting a tab as one character.
 
 dumps() is canonical: sections are ordered space, preparations (sorted by
 label), measurements (sorted by label); points follow the canonical space
@@ -172,7 +175,6 @@ def _parse_value(text: str, memo: _Memo, line: int, col: int) -> QSqrt2:
 # header and its 'end', the space read so far, the call's token memo and
 # the response cells of the measurements read so far.  loads() runs them
 # before it looks for the 'end', so an entry error is reported first.
-# Columns assume one space between fields.
 
 
 def _space_entries(
@@ -203,7 +205,7 @@ def _preparation_entries(
         point = _parse_point(parts[0], space, memo, line, col)
         if point in weights:
             raise ModelFormatError(f"duplicate point {format_point(point)}", line, col)
-        weights[point] = _parse_value(parts[1], memo, line, col + len(parts[0]) + 1)
+        weights[point] = _parse_value(parts[1], memo, line, col + len(text) - len(parts[1]))
     return weights
 
 
@@ -246,9 +248,8 @@ def _measurement_entries(body: Sequence[_Line], space: OnticSpace, memo: _Memo, 
         elif parts[0] == "filler":
             if len(parts) < 2:
                 raise ModelFormatError("expected 'filler VALUE'", line, col)
-            filler = _parse_value(
-                text.split(None, 1)[1], memo, line, col + len("filler ")
-            )
+            value = text.split(None, 1)[1]
+            filler = _parse_value(value, memo, line, col + len(text) - len(value))
         else:
             if outcome_count is None:
                 raise ModelFormatError("'outcomes K' must precede entries", line, col)
@@ -270,7 +271,7 @@ def _measurement_entries(body: Sequence[_Line], space: OnticSpace, memo: _Memo, 
                 raise ModelFormatError(
                     f"outcome {outcome} out of range 1..{outcome_count}", line, col
                 )
-            point_col = col + len(parts[0]) + 1
+            point_col = col + text.index(parts[1], len(parts[0]))
             point = _parse_point(parts[1], space, memo, line, point_col)
             if (outcome, point) in entries:
                 raise ModelFormatError(
@@ -279,7 +280,7 @@ def _measurement_entries(body: Sequence[_Line], space: OnticSpace, memo: _Memo, 
                     col,
                 )
             entries[(outcome, point)] = _parse_value(
-                parts[2], memo, line, point_col + len(parts[1]) + 1
+                parts[2], memo, line, col + len(text) - len(parts[2])
             )
     return outcome_count, filler, entries
 

@@ -39,6 +39,19 @@ _TERM_RE = re.compile(
     re.VERBOSE,
 )
 
+# Python's default int-from-str digit limit (sys.int_info.default_max_str_digits).
+# parse() refuses a longer numeral itself, so a value parses or fails the
+# same way whatever limit the interpreter runs with.
+MAX_NUMERAL_DIGITS = 4300
+_LONG_NUMERAL_RE = re.compile(f"[0-9]{{{MAX_NUMERAL_DIGITS + 1},}}")
+
+
+def _quoted(text: str) -> str:
+    """repr(text), cut to its first 40 characters and its length when longer."""
+    if len(text) <= 40:
+        return repr(text)
+    return f"{text[:40]!r}... ({len(text)} characters)"
+
 
 def as_rational(value) -> Fraction:
     """Coerce an int or Fraction to Fraction; anything else raises TypeError.
@@ -121,7 +134,9 @@ class QSqrt2:
         """Parse the text form: signed sum of rational and sqrt2 terms.
 
         Accepted terms: ``p``, ``p/q``, ``sqrt2``, ``sqrt2/q``, ``p*sqrt2``,
-        ``p/q*sqrt2``, ``p*sqrt2/q``.  Raises ValueError on anything else.
+        ``p/q*sqrt2``, ``p*sqrt2/q``, each numeral at most MAX_NUMERAL_DIGITS
+        digits long.  Raises ValueError on anything else; the message quotes
+        at most 40 characters of the text.
         """
         s = text.strip()
         if not s:
@@ -141,10 +156,17 @@ class QSqrt2:
                 while pos < len(s) and s[pos].isspace():
                     pos += 1
             elif not first:
-                raise ValueError(f"expected '+' or '-' at offset {pos} in {text!r}")
+                raise ValueError(f"expected '+' or '-' at offset {pos} in {_quoted(text)}")
             match = _TERM_RE.match(s, pos)
             if match is None or match.end() == pos:
-                raise ValueError(f"malformed value at offset {pos} in {text!r}")
+                raise ValueError(f"malformed value at offset {pos} in {_quoted(text)}")
+            if match.end() - pos > MAX_NUMERAL_DIGITS:
+                numeral = _LONG_NUMERAL_RE.search(s, pos, match.end())
+                if numeral:
+                    raise ValueError(
+                        f"numeral of {len(numeral[0])} digits at offset {numeral.start()}; "
+                        f"at most {MAX_NUMERAL_DIGITS} digits are allowed"
+                    )
             rat, coef, div = match.group("rat", "coef", "div")
             if rat is not None:
                 p, q = _ratio(rat)
@@ -155,7 +177,7 @@ class QSqrt2:
                     q *= int(div)
                 ta, tb = 0, sign * p
             if not q:
-                raise ValueError(f"zero denominator at offset {pos} in {text!r}")
+                raise ValueError(f"zero denominator at offset {pos} in {_quoted(text)}")
             if q == d:
                 a, b = a + ta, b + tb
             else:

@@ -496,14 +496,16 @@ def verify_certificate(lp: LPProblem, result: FeasibilityResult) -> Verdict:
     This is an independent pass over the stated constraints: a witness must
     satisfy every row and be nonnegative; a certificate's multipliers must
     recombine the rows into an impossibility (nonpositive combination with
-    positive right-hand side, nonpositive multipliers on '<=' rows).  Every
-    value must be an int or Fraction; any other fails by name.
+    positive right-hand side, nonpositive multipliers on '<=' rows).  A
+    feasible result's objective_value, when given, must be the witness's
+    value of the LP's objective, which must exist.  Every value must be an
+    int or Fraction; any other fails by name.
 
     The check is exact integer arithmetic on each row's integer form
     (Constraint.den, nums, rhs_num).  A witness is put over one common
-    denominator L of its nonzero values; a certificate over one M, the lcm
-    of multiplier denominator times row ``den``.  A Fraction is made only to
-    print a failure.
+    denominator L of its nonzero values, and its objective value is checked
+    over L too; a certificate over one M, the lcm of multiplier denominator
+    times row ``den``.  A Fraction is made only to print a failure.
     """
     if result.feasible:
         x = result.witness
@@ -537,6 +539,21 @@ def verify_certificate(lp: LPProblem, result: FeasibilityResult) -> Verdict:
             elif con.kind == "le" and lhs > rhs:
                 value = Fraction(lhs, con.den * L)
                 failures.append(f"constraint {con.cid} violated: lhs {value} > rhs {con.rhs}")
+        claimed = result.objective_value
+        if claimed is not None:
+            if lp.objective is None:
+                failures.append(f"objective value {claimed} given for an LP without an objective")
+            elif not isinstance(claimed, (int, Fraction)):
+                failures.append(_inexact("objective", "value", claimed))
+            else:
+                # sum_j c_j x_j == C / (cd * L), with C an integer dot product.
+                cd = lcm(*[c.denominator for c in lp.objective])
+                C = sum(c.numerator * (cd // c.denominator) * X[j]
+                        for j, c in enumerate(lp.objective) if c)
+                if C * claimed.denominator != claimed.numerator * cd * L:
+                    failures.append(
+                        f"objective value {claimed} is not the witness's {Fraction(C, cd * L)}"
+                    )
         return Verdict(not failures, tuple(failures))
 
     cert = result.certificate

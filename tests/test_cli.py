@@ -43,6 +43,23 @@ preparation right
 end
 """
 
+# Correlated on the accessible pair (a, b), so the local and the full
+# independence check both fail, at different points.
+CORRELATED = """\
+onticbench-model 1
+
+space
+  factor a a1 a2
+  factor b b1 b2
+  factor s s1 s2
+end
+
+preparation p
+  (a1,b1,s1) 1/2
+  (a2,b2,s2) 1/2
+end
+"""
+
 
 def invoke(capsys, *argv):
     code = run(list(argv))
@@ -107,7 +124,12 @@ class TestValidate:
     def test_file_and_builtin_conflict(self, capsys):
         code, _, err = invoke(capsys, "validate", str(GOLDEN), "--builtin", "toy-nlhv")
         assert code == 2
-        assert "not both" in err
+        assert "argument --builtin: not allowed with argument model" in err
+
+    def test_neither_file_nor_builtin(self, capsys):
+        code, _, err = invoke(capsys, "validate")
+        assert code == 2
+        assert "one of the arguments model --builtin is required" in err
 
 
 class TestPredict:
@@ -246,6 +268,32 @@ class TestIndependence:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and "duplicate" in err
+
+    def test_each_failure_listed_once(self, capsys, tmp_path):
+        model = tmp_path / "correlated.model"
+        model.write_text(CORRELATED, encoding="utf-8")
+        code, out, _ = invoke(capsys, "independence", str(model), "--inaccessible", "s")
+        assert code == 1
+        local = "      at (a1,b1): joint weight 1/2, product weight 1/4"
+        full = "      at (a1,b1,s1): joint weight 1/2, marginal product 1/8"
+        assert out.splitlines().count(local) == 1
+        assert out.splitlines().count(full) == 1
+        code, out, _ = invoke(
+            capsys, "independence", str(model), "--inaccessible", "s", "--format", "json"
+        )
+        state = json.loads(out)["states"]["p"]
+        assert state["witness_points"] == ["(a1,b1)", "(a1,b1,s1)"]
+        assert state["prep_independent"] == state["locally_independent"]
+
+    def test_shared_witness_point_listed_once(self, capsys, tmp_path):
+        # With no factor hidden both checks fail first at the same point.
+        model = tmp_path / "correlated.model"
+        model.write_text(CORRELATED, encoding="utf-8")
+        code, out, _ = invoke(
+            capsys, "independence", str(model), "--inaccessible=", "--format", "json"
+        )
+        assert code == 1
+        assert json.loads(out)["states"]["p"]["witness_points"] == ["(a1,b1,s1)"]
 
 
 class TestOverlap:

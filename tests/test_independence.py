@@ -1,8 +1,11 @@
 """Tests for marginals, independence checks, and overlap."""
 
 from fractions import Fraction
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from onticbench.independence import (
     analyze_independence,
@@ -15,7 +18,8 @@ from onticbench.independence import (
     single_factor_marginals,
 )
 from onticbench.numerics import HALF, ONE, QSqrt2, QUARTER, ZERO
-from onticbench.ontology import EpistemicState, Factor, OnticSpace
+from onticbench.ontology import EpistemicState, Factor, OnticSpace, format_point
+from onticbench.verdicts import Verdict
 from onticbench.scenarios import (
     PREP_ORDER,
     SHARED_FACTOR,
@@ -177,6 +181,14 @@ class TestToyModelIndependence:
             assert state.fully_independent.ok is (label in ("nu00", "nu++"))
         assert all(v == QUARTER for v in report.overlaps.values())
 
+    def test_report_stores_the_local_verdict_once(self, preps):
+        report = analyze_independence(preps, (SHARED_FACTOR,))
+        for state in report.states.values():
+            assert state.prep_independent is state.locally_independent
+        nu0plus = report.states["nu0+"]
+        assert nu0plus.witness_points == (("HH", "HH", "1"),)
+        assert nu0plus.to_dict()["witness_points"] == ["(HH,HH,1)"]
+
     def test_analyze_rejects_duplicate_inaccessible(self, preps):
         with pytest.raises(ValueError, match="duplicate"):
             analyze_independence(preps, ("lambda1", "lambda1"))
@@ -201,3 +213,92 @@ class TestClassicalOverlap:
     def test_spaces_must_match(self):
         with pytest.raises(ValueError):
             classical_overlap(state_a(ONE, ZERO), state_b(ONE, ZERO))
+
+
+# ---- the two product checks as they were, kept as an oracle -------------------
+# Each check wrote its own product closure and handed it to one comparison
+# loop.  The shared (state, slice) product must give the same verdict,
+# failure text and witness.
+
+
+def _closure_first_mismatch(joint, product, what):
+    for point in joint.space.points:
+        joint_w = joint.weight(point)
+        product_w = product(point)
+        if joint_w != product_w:
+            return Verdict(
+                False,
+                (f"at {format_point(point)}: joint weight {joint_w}, {what} {product_w}",),
+                ((point, joint_w, product_w),),
+            )
+    return Verdict(True)
+
+
+def _closure_preparation(joint, mu, nu):
+    split = len(mu.space.factors)
+    return _closure_first_mismatch(
+        joint,
+        lambda point: mu.weight(point[:split]) * nu.weight(point[split:]),
+        "product weight",
+    )
+
+
+def _closure_full(joint):
+    marginals = single_factor_marginals(joint)
+
+    def product_w(point):
+        value = ONE
+        for coord, marginal in zip(point, marginals):
+            value = value * marginal.weight((coord,))
+        return value
+
+    return _closure_first_mismatch(joint, product_w, "marginal product")
+
+
+WEIGHTS = st.builds(
+    lambda a, b, d: QSqrt2(Fraction(a, d), Fraction(b, 2 * d)),
+    st.integers(0, 4),
+    st.sampled_from([0, 0, 1, -1]),
+    st.sampled_from([1, 2, 4, 8]),
+)
+
+
+def any_state(draw, factors):
+    """Drawn weights on ``factors``, normalized unless they sum to zero."""
+    space = OnticSpace(tuple(factors))
+    weights = {p: draw(WEIGHTS) for p in space.points}
+    total = sum(weights.values(), ZERO)
+    if total != ZERO:
+        weights = {p: w / total for p, w in weights.items()}
+    return EpistemicState(space, weights)
+
+
+@st.composite
+def small_joints(draw):
+    """A joint on 2-3 factors: arbitrary, a product of the first factor and
+    the rest, or a product of every factor."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
+    factors = [Factor(f"f{i}", tuple(f"v{j}" for j in range(n))) for i, n in enumerate(sizes)]
+    kind = draw(st.sampled_from(["any", "split", "product"]))
+    if kind == "any":
+        return any_state(draw, factors)
+    if kind == "split":
+        return product_state(any_state(draw, factors[:1]), any_state(draw, factors[1:]))
+    return reduce(product_state, [any_state(draw, [f]) for f in factors])
+
+
+def same_verdict(new, old):
+    return (new.ok, new.failures, new.witnesses) == (old.ok, old.failures, old.witnesses)
+
+
+class TestSameAsClosureProducts:
+    @settings(max_examples=300, deadline=None)
+    @given(joint=small_joints())
+    def test_same_verdicts(self, joint):
+        names = joint.space.factor_names
+        mu = marginalize(joint, names[:1])
+        nu = marginalize(joint, names[1:])
+        assert same_verdict(
+            check_preparation_independence(joint, mu, nu), _closure_preparation(joint, mu, nu)
+        )
+        assert same_verdict(check_full_independence(joint), _closure_full(joint))

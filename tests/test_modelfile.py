@@ -1,5 +1,9 @@
 """Tests for the model file format: parsing, canonical dumps, strict loading."""
 
+import os
+import re
+import subprocess
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -265,6 +269,83 @@ class TestLineBreaks:
         assert loads(text.replace("\n", "\r\n")) == loads(text)
 
 
+class TestFieldColumns:
+    """An error in a field names the column where that field starts."""
+
+    @pytest.mark.parametrize("gap", ["  ", "\t", " \t "], ids=["two-spaces", "tab", "mixed"])
+    @pytest.mark.parametrize(
+        "old, new, bad",
+        [
+            ("  1 (a) 1", "  1{gap}(c) 1", "(c)"),
+            ("  1 (a) 1", "  1 (a){gap}0x", "0x"),
+            ("  outcomes 2", "  outcomes 2\n  filler{gap}1/4x", "1/4x"),
+            ("  (a) 1/2", "  (a){gap}1/2x", "1/2x"),
+        ],
+        ids=["entry-point", "entry-value", "filler-value", "weight-value"],
+    )
+    def test_column_of_a_bad_field(self, gap, old, new, bad):
+        new = new.format(gap=gap)
+        text = SMALL.replace(old, new, 1)
+        line = next(l for l in text.split("\n") if bad in l.split())
+        with pytest.raises(ModelFormatError) as err:
+            loads(text)
+        assert (err.value.line, err.value.column) == (
+            text.split("\n").index(line) + 1, line.index(bad) + 1
+        )
+
+    def test_examples(self):
+        text = GOLDEN.read_text(encoding="utf-8")
+        for old, new, column in [
+            ("  1 (HH,HH,1) 0", "  1  (HH,HH,1) 0x", 16),
+            ("  filler 1/4", "  filler   1/4x", 12),
+        ]:
+            with pytest.raises(ModelFormatError) as err:
+                loads(text.replace(old, new, 1))
+            assert err.value.column == column
+
+
+# Values for the toy file's first measurement entry: one with a numeral
+# longer than Python's default int() digit limit, one 5002 characters long.
+LONG_DENOMINATOR = "1/" + "4" * 5000
+LONG_VALUE = "0." + "2" * 5000
+
+
+class TestLongValues:
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (LONG_DENOMINATOR, "numeral of 5000 digits at offset 2; at most 4300 digits are allowed"),
+            (LONG_VALUE, "expected '+' or '-' at offset 1 in '0." + "2" * 38 + "'... (5002 characters)"),
+        ],
+        ids=["5000-digit-denominator", "5000-character-value"],
+    )
+    def test_located_and_short(self, value, message):
+        text = GOLDEN.read_text(encoding="utf-8").replace("  1 (HH,HH,1) 0", f"  1 (HH,HH,1) {value}", 1)
+        line = text.split("\n").index(f"  1 (HH,HH,1) {value}") + 1
+        with pytest.raises(ModelFormatError) as err:
+            loads(text)
+        assert str(err.value) == f"line {line}, column 15: {message}"
+        assert len(str(err.value)) < 200
+
+    @pytest.mark.parametrize("digits", ["4300", "0"])
+    def test_exit_two_under_any_digit_limit(self, tmp_path, digits):
+        model = tmp_path / "long.model"
+        text = GOLDEN.read_text(encoding="utf-8")
+        model.write_text(text.replace("  1 (HH,HH,1) 0", f"  1 (HH,HH,1) {LONG_DENOMINATOR}", 1))
+        result = subprocess.run(
+            [sys.executable, "-m", "onticbench.cli", "validate", str(model)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONINTMAXSTRDIGITS": digits},
+        )
+        assert result.returncode == 2
+        assert re.match(r"error: line \d+, column 15: numeral of 5000 digits", result.stderr)
+
+    def test_longest_numeral_loads(self):
+        value = "1/" + "4" * 4300
+        text = GOLDEN.read_text(encoding="utf-8").replace("  (HH,HH,1) 1/4", f"  (HH,HH,1) {value}", 1)
+        weights = loads(text).preparations["nu++"].weights
+        assert weights[("HH", "HH", "1")] == QSqrt2.parse(value)
+
+
 class TestValidation:
     def test_structural_load_accepts_bad_weights(self):
         # loads() checks shape only; semantic checks are a separate pass
@@ -425,10 +506,12 @@ class TestInterning:
 
 # ---- the previous loader, kept as an oracle ----------------------------------
 # loads() as it was when it framed each section kind on its own and built
-# measurements through ResponseFunctions.from_entries, with one change since:
-# a bad preparation or measurement label is an error at its header line, not
-# at the file's last line.  The one-pass loader must give the same model or
-# the same error for every input.
+# measurements through ResponseFunctions.from_entries, with two changes
+# since: a bad preparation or measurement label is an error at its header
+# line, not at the file's last line, and an error in a field names the
+# column where the field starts, not one counted with one space between
+# fields.  The one-pass loader must give the same model or the same error
+# for every input.
 
 
 @dataclass
@@ -554,7 +637,7 @@ def _parent_loads(text: str) -> OntologicalModel:
                     raise ModelFormatError(
                         f"duplicate point {format_point(point)}", entry.number, col
                     )
-                value_col = col + len(parts[0]) + 1
+                value_col = col + len(stripped) - len(parts[1])
                 weights[point] = _parent_parse_value(parts[1], entry.number, value_col)
                 i += 1
             if i >= len(lines):
@@ -594,8 +677,9 @@ def _parent_loads(text: str) -> OntologicalModel:
                 elif parts[0] == "filler":
                     if len(parts) < 2:
                         raise ModelFormatError("expected 'filler VALUE'", entry.number, col)
+                    value = stripped.split(None, 1)[1]
                     filler = _parent_parse_value(
-                        stripped.split(None, 1)[1], entry.number, col + len("filler ")
+                        value, entry.number, col + len(stripped) - len(value)
                     )
                 else:
                     if outcome_count is None:
@@ -617,7 +701,7 @@ def _parent_loads(text: str) -> OntologicalModel:
                             entry.number,
                             col,
                         )
-                    point_col = col + len(parts[0]) + 1
+                    point_col = col + stripped.index(parts[1], len(parts[0]))
                     point = _parent_parse_point(parts[1], space, entry.number, point_col)
                     if (outcome, point) in entries:
                         raise ModelFormatError(
@@ -625,7 +709,7 @@ def _parent_loads(text: str) -> OntologicalModel:
                             entry.number,
                             col,
                         )
-                    value_col = point_col + len(parts[1]) + 1
+                    value_col = col + len(stripped) - len(parts[2])
                     entries[(outcome, point)] = _parent_parse_value(
                         parts[2], entry.number, value_col
                     )

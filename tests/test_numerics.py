@@ -332,6 +332,13 @@ def _oracle_rational(value):
     )
 
 
+def _oracle_quoted(text):
+    # Error messages quote at most 40 characters of a longer text, and its length.
+    if len(text) <= 40:
+        return repr(text)
+    return f"{text[:40]!r}... ({len(text)} characters)"
+
+
 @total_ordering
 @dataclass(frozen=True)
 class Oracle:
@@ -363,10 +370,10 @@ class Oracle:
                 while pos < len(s) and s[pos].isspace():
                     pos += 1
             elif not first:
-                raise ValueError(f"expected '+' or '-' at offset {pos} in {text!r}")
+                raise ValueError(f"expected '+' or '-' at offset {pos} in {_oracle_quoted(text)}")
             match = _ORACLE_TERM_RE.match(s, pos)
             if match is None or match.end() == pos:
-                raise ValueError(f"malformed value at offset {pos} in {text!r}")
+                raise ValueError(f"malformed value at offset {pos} in {_oracle_quoted(text)}")
             try:
                 if match.group("rat") is not None:
                     term = cls(Fraction(match.group("rat")))
@@ -376,7 +383,7 @@ class Oracle:
                         coef /= int(match.group("div"))
                     term = cls(Fraction(0), coef)
             except ZeroDivisionError:
-                raise ValueError(f"zero denominator at offset {pos} in {text!r}") from None
+                raise ValueError(f"zero denominator at offset {pos} in {_oracle_quoted(text)}") from None
             total = total + term * sign
             pos = match.end()
             first = False

@@ -150,9 +150,9 @@ CASES = {
         "predicted=QSqrt2(0, 0), target=QSqrt2(1/4, 0)),))",
     ),
     "StateIndependence": (
-        lambda: StateIndependence(Verdict(True), Verdict(True), Verdict(False, ("f",), ((("0",),),)), (("0",),)),
-        lambda: StateIndependence(Verdict(True, (), (1,)), Verdict(True), Verdict(False, ("f",)), (("0",),)),
-        lambda: StateIndependence(Verdict(True), Verdict(True), Verdict(True), (("0",),)),
+        lambda: StateIndependence(Verdict(True), Verdict(False, ("f",), ((("0",),),))),
+        lambda: StateIndependence(Verdict(True), Verdict(False, ("f",))),
+        lambda: StateIndependence(Verdict(True), Verdict(True)),
         True,
         "StateIndependence(prep_independent=Verdict(ok=True, failures=(), witnesses=()), "
         "locally_independent=Verdict(ok=True, failures=(), witnesses=()), "
@@ -235,10 +235,7 @@ SIGNATURES = {
         ("predicted", REQUIRED), ("target", REQUIRED),
     ],
     "PredictionReport": [("cells", REQUIRED)],
-    "StateIndependence": [
-        ("prep_independent", REQUIRED), ("locally_independent", REQUIRED),
-        ("fully_independent", REQUIRED), ("witness_points", REQUIRED),
-    ],
+    "StateIndependence": [("locally_independent", REQUIRED), ("fully_independent", REQUIRED)],
     "IndependenceReport": [("states", REQUIRED), ("overlaps", REQUIRED)],
     "PbrScenario": [("product_states", REQUIRED), ("measurement", REQUIRED), ("born_table", REQUIRED)],
     "SynthesisSpec": [

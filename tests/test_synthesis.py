@@ -430,6 +430,40 @@ class TestMinViolationEdges:
         assert floor == HALF
 
 
+@pytest.fixture(scope="module")
+def lhv_floor():
+    return solve_min_violation(lhv_synthesis_spec(), forbidden_cells(MARGINAL_PREP_ORDER))
+
+
+class TestReportedObjectiveValue:
+    """A feasible result's objective_value must be the witness's objective."""
+
+    def test_solved_value_verifies(self, lhv_floor):
+        assert lhv_floor.raw.objective_value == Fraction(1, 16)
+        assert verify_certificate(lhv_floor.lp, lhv_floor.raw).ok
+
+    @pytest.mark.parametrize("claimed", [Fraction(1, 2), 0, Fraction(1, 15)])
+    def test_wrong_value_rejected(self, lhv_floor, claimed):
+        result = FeasibilityResult(True, witness=lhv_floor.raw.witness, objective_value=claimed)
+        failure = f"objective value {claimed} is not the witness's 1/16"
+        assert verify_certificate(lhv_floor.lp, result) == Verdict(False, (failure,))
+
+    def test_value_without_objective_rejected(self, lhv_floor):
+        lp = LPProblem(lhv_floor.lp.variables, lhv_floor.lp.constraints)
+        failure = "objective value 1/16 given for an LP without an objective"
+        assert verify_certificate(lp, lhv_floor.raw) == Verdict(False, (failure,))
+
+    def test_inexact_value_named(self, lhv_floor):
+        result = FeasibilityResult(True, witness=lhv_floor.raw.witness, objective_value=0.0625)
+        failure = "objective value is not an int or Fraction: float 0.0625"
+        assert verify_certificate(lhv_floor.lp, result) == Verdict(False, (failure,))
+
+    def test_no_value_checked_as_before(self, lhv_floor):
+        result = FeasibilityResult(True, witness=lhv_floor.raw.witness)
+        assert verify_certificate(lhv_floor.lp, result).ok
+        assert verify_certificate(LPProblem(lhv_floor.lp.variables, lhv_floor.lp.constraints), result).ok
+
+
 def brute_force_deterministic_feasible(spec: SynthesisSpec) -> bool:
     """Grid search over every deterministic response family."""
     points = spec.space.points
