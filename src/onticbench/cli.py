@@ -528,10 +528,17 @@ def _run(argv: Sequence[str] | None) -> int:
     if args.format == "json":
         document = {"schema_version": SCHEMA_VERSION, "command": args.command}
         document.update(payload)
-        print(json.dumps(document, indent=2, sort_keys=False))
+        report = json.dumps(document, indent=2, sort_keys=False)
     else:
-        for line in lines:
-            print(line)
+        report = "\n".join(lines)
+    try:
+        # Printed whole: the text layer encodes all of the report before it
+        # writes any of it, so a report stdout cannot encode leaves stdout
+        # empty.
+        print(report)
+    except UnicodeEncodeError as exc:
+        print(f"error: stdout cannot encode the report: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

@@ -44,10 +44,7 @@ class StateVector(Record):
         return len(self.amplitudes)
 
     def norm_squared(self) -> QSqrt2:
-        total = ZERO
-        for a in self.amplitudes:
-            total = total + a * a
-        return total
+        return sum((a * a for a in self.amplitudes), ZERO)
 
 
 class MeasurementBasis(Record):
@@ -82,10 +79,7 @@ def inner_product(first: StateVector, second: StateVector) -> QSqrt2:
     """<first|second>."""
     if first.dim != second.dim:
         raise ValueError(f"dimension mismatch: {first.dim} vs {second.dim}")
-    total = ZERO
-    for a, b in zip(first.amplitudes, second.amplitudes):
-        total = total + a * b
-    return total
+    return sum((a * b for a, b in zip(first.amplitudes, second.amplitudes)), ZERO)
 
 
 def tensor_product(first: StateVector, second: StateVector) -> StateVector:

@@ -112,21 +112,10 @@ def _logical_lines(text: str) -> list[_Line]:
     return lines
 
 
-class _Memo:
-    """The points and values one loads() call has parsed, keyed by their text.
-
-    Each distinct token is parsed once per file; only a token that parsed is
-    stored, and the first one that fails ends the call with its own line and
-    column.  Sharing a parsed value is safe: QSqrt2 is immutable.
-    """
-
-    def __init__(self) -> None:
-        self.points: dict[str, Point] = {}
-        self.values: dict[str, QSqrt2] = {}
-
-
-def _parse_point(token: str, space: OnticSpace, memo: _Memo, line: int, col: int) -> Point:
-    point = memo.points.get(token)
+def _parse_point(
+    token: str, space: OnticSpace, points: dict[str, Point], line: int, col: int
+) -> Point:
+    point = points.get(token)
     if point is not None:
         return point
     if not (token.startswith("(") and token.endswith(")")):
@@ -143,7 +132,7 @@ def _parse_point(token: str, space: OnticSpace, memo: _Memo, line: int, col: int
             raise ModelFormatError(
                 f"factor {factor.name!r} has no label {coord!r}", line, col
             )
-    memo.points[token] = labels
+    points[token] = labels
     return labels
 
 
@@ -159,27 +148,28 @@ def _is_count(token: str) -> bool:
 _COUNT_DIGITS = len(str(MAX_CELLS))
 
 
-def _parse_value(text: str, memo: _Memo, line: int, col: int) -> QSqrt2:
-    value = memo.values.get(text)
+def _parse_value(text: str, values: dict[str, QSqrt2], line: int, col: int) -> QSqrt2:
+    value = values.get(text)
     if value is not None:
         return value
     try:
         value = QSqrt2.parse(text)
     except ValueError as exc:
         raise ModelFormatError(str(exc), line, col) from None
-    memo.values[text] = value
+    values[text] = value
     return value
 
 
-# Entry parsers, one per section kind: each takes the lines between a
-# header and its 'end', the space read so far, the call's token memo and
-# the response cells of the measurements read so far.  loads() runs them
-# before it looks for the 'end', so an entry error is reported first.
+# Section parsers: each reads the lines between a header and its 'end'.
+# loads() gives each section kind one branch (header, parser, 'end',
+# object), so an entry error is reported before a missing 'end'.
+# ``points`` and ``values`` hold what one loads() call has parsed, keyed
+# by text: each distinct token is parsed once, only one that parsed is
+# stored, and the first that fails ends the call with its own line and
+# column.  Sharing a parsed value is safe: QSqrt2 is immutable.
 
 
-def _space_entries(
-    body: Sequence[_Line], _space: None, _memo: _Memo, _cells: int
-) -> list[Factor]:
+def _space_entries(body: Sequence[_Line]) -> list[Factor]:
     factors: dict[str, Factor] = {}
     for line, text, _ in body:
         parts = text.split()
@@ -195,21 +185,27 @@ def _space_entries(
 
 
 def _preparation_entries(
-    body: Sequence[_Line], space: OnticSpace, memo: _Memo, _cells: int
+    body: Sequence[_Line], space: OnticSpace, points: dict[str, Point], values: dict[str, QSqrt2]
 ) -> dict[Point, QSqrt2]:
     weights: dict[Point, QSqrt2] = {}
     for line, text, col in body:
         parts = text.split(None, 1)
         if len(parts) != 2:
             raise ModelFormatError("expected 'POINT VALUE'", line, col)
-        point = _parse_point(parts[0], space, memo, line, col)
+        point = _parse_point(parts[0], space, points, line, col)
         if point in weights:
             raise ModelFormatError(f"duplicate point {format_point(point)}", line, col)
-        weights[point] = _parse_value(parts[1], memo, line, col + len(text) - len(parts[1]))
+        weights[point] = _parse_value(parts[1], values, line, col + len(text) - len(parts[1]))
     return weights
 
 
-def _measurement_entries(body: Sequence[_Line], space: OnticSpace, memo: _Memo, cells: int):
+def _measurement_entries(
+    body: Sequence[_Line],
+    space: OnticSpace,
+    points: dict[str, Point],
+    values: dict[str, QSqrt2],
+    cells: int,
+):
     """(outcome count or None, filler, {(outcome, point): value}).
 
     ``cells`` counts the response cells of the earlier measurements; an
@@ -249,7 +245,7 @@ def _measurement_entries(body: Sequence[_Line], space: OnticSpace, memo: _Memo, 
             if len(parts) < 2:
                 raise ModelFormatError("expected 'filler VALUE'", line, col)
             value = text.split(None, 1)[1]
-            filler = _parse_value(value, memo, line, col + len(text) - len(value))
+            filler = _parse_value(value, values, line, col + len(text) - len(value))
         else:
             if outcome_count is None:
                 raise ModelFormatError("'outcomes K' must precede entries", line, col)
@@ -272,7 +268,7 @@ def _measurement_entries(body: Sequence[_Line], space: OnticSpace, memo: _Memo, 
                     f"outcome {outcome} out of range 1..{outcome_count}", line, col
                 )
             point_col = col + text.index(parts[1], len(parts[0]))
-            point = _parse_point(parts[1], space, memo, line, point_col)
+            point = _parse_point(parts[1], space, points, line, point_col)
             if (outcome, point) in entries:
                 raise ModelFormatError(
                     f"duplicate entry for outcome {outcome} at {format_point(point)}",
@@ -280,26 +276,24 @@ def _measurement_entries(body: Sequence[_Line], space: OnticSpace, memo: _Memo, 
                     col,
                 )
             entries[(outcome, point)] = _parse_value(
-                parts[2], memo, line, col + len(text) - len(parts[2])
+                parts[2], values, line, col + len(text) - len(parts[2])
             )
     return outcome_count, filler, entries
 
 
-def _responses(space, label, line, outcome_count, filler, entries) -> ResponseFunctions:
-    """Dense rows: the filler everywhere, then the listed entries."""
-    if outcome_count is None:
-        raise ModelFormatError(f"measurement {label!r} declares no outcome count", line)
-    rows = {p: [filler] * outcome_count for p in space.points}
-    for (k, point), value in entries.items():
-        rows[point][k - 1] = value
-    return ResponseFunctions(space, outcome_count, rows, filler)
-
-
-_ENTRIES = {
-    "space": _space_entries,
-    "preparation": _preparation_entries,
-    "measurement": _measurement_entries,
-}
+def _section_label(kind: str, args: list[str], space, seen: dict, line: int) -> str:
+    """The label of a preparation or measurement header, checked."""
+    if space is None:
+        raise ModelFormatError("space section must come first", line)
+    if len(args) != 1:
+        raise ModelFormatError(f"expected '{kind} LABEL'", line)
+    try:
+        _check_token(args[0], f"{kind} label")
+    except ValueError as exc:
+        raise ModelFormatError(str(exc), line) from None
+    if args[0] in seen:
+        raise ModelFormatError(f"duplicate {kind} {args[0]!r}", line)
+    return args[0]
 
 
 def loads(text: str) -> OntologicalModel:
@@ -315,57 +309,61 @@ def loads(text: str) -> OntologicalModel:
         raise ModelFormatError(f"unsupported schema version {header[1]}", line)
 
     space: OnticSpace | None = None
-    labelled: dict[str, dict] = {"preparation": {}, "measurement": {}}
-    memo = _Memo()
+    preparations: dict[str, EpistemicState] = {}
+    measurements: dict[str, ResponseFunctions] = {}
+    points: dict[str, Point] = {}
+    values: dict[str, QSqrt2] = {}
     cells = 0  # response cells of the measurements so far
     i = 1
     while i < len(lines):
         line, head, _ = lines[i]
         kind, *args = head.split()
+        end = i + 1
+        while end < len(lines) and lines[end][1] != "end":
+            end += 1
+        body = lines[i + 1:end]
         if kind == "space":
             if args:
                 raise ModelFormatError("'space' takes no arguments", line)
             if space is not None:
                 raise ModelFormatError("duplicate space section", line)
-        elif kind in labelled:
-            if space is None:
-                raise ModelFormatError("space section must come first", line)
-            if len(args) != 1:
-                raise ModelFormatError(f"expected '{kind} LABEL'", line)
+            factors = _space_entries(body)
+            if end == len(lines):
+                raise ModelFormatError(f"unterminated {kind} section", line)
+            if math.prod(len(f.labels) for f in factors) > MAX_POINTS:
+                raise ModelFormatError(f"space has more than {MAX_POINTS} points", line)
             try:
-                _check_token(args[0], f"{kind} label")
+                space = OnticSpace(tuple(factors))
             except ValueError as exc:
                 raise ModelFormatError(str(exc), line) from None
-            if args[0] in labelled[kind]:
-                raise ModelFormatError(f"duplicate {kind} {args[0]!r}", line)
+        elif kind == "preparation":
+            label = _section_label(kind, args, space, preparations, line)
+            weights = _preparation_entries(body, space, points, values)
+            if end == len(lines):
+                raise ModelFormatError(f"unterminated {kind} section", line)
+            preparations[label] = EpistemicState(space, weights)
+        elif kind == "measurement":
+            label = _section_label(kind, args, space, measurements, line)
+            outcomes, filler, entries = _measurement_entries(body, space, points, values, cells)
+            if end == len(lines):
+                raise ModelFormatError(f"unterminated {kind} section", line)
+            if outcomes is None:
+                raise ModelFormatError(f"measurement {label!r} declares no outcome count", line)
+            rows = {p: [filler] * outcomes for p in space.points}
+            for (k, point), value in entries.items():
+                rows[point][k - 1] = value
+            measurements[label] = ResponseFunctions(space, outcomes, rows, filler)
+            cells += outcomes * space.size
         else:
             raise ModelFormatError(
                 f"expected 'space', 'preparation', or 'measurement', got {kind!r}",
                 line,
             )
-        end = i + 1
-        while end < len(lines) and lines[end][1] != "end":
-            end += 1
-        parsed = _ENTRIES[kind](lines[i + 1:end], space, memo, cells)
-        if end == len(lines):
-            raise ModelFormatError(f"unterminated {kind} section", line)
-        if kind == "space":
-            if math.prod(len(f.labels) for f in parsed) > MAX_POINTS:
-                raise ModelFormatError(f"space has more than {MAX_POINTS} points", line)
-            try:
-                space = OnticSpace(tuple(parsed))
-            except ValueError as exc:
-                raise ModelFormatError(str(exc), line) from None
-        elif kind == "preparation":
-            labelled[kind][args[0]] = EpistemicState(space, parsed)
-        else:
-            meas = labelled[kind][args[0]] = _responses(space, args[0], line, *parsed)
-            cells += meas.outcome_count * space.size
         i = end + 1
 
     if space is None:
         raise ModelFormatError("model file has no space section", lines[-1][0])
-    return OntologicalModel(space, labelled["preparation"], labelled["measurement"])
+    return OntologicalModel(space, preparations, measurements)
 
 
 def dumps(model: OntologicalModel) -> str:

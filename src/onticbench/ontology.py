@@ -10,13 +10,14 @@ A model is a triple (space, preparations, measurements):
   * a response function family assigns each point a length-K outcome
     distribution, stored densely.
 
-Constructors check shape only.  OnticSpace.check_point is the one
-point-membership check, used by every constructor and lookup that takes a
-point.  Validators return verdicts rather than raising, so a malformed
-model can be loaded, inspected, and reported on.  The quantum side enters
-only as data: check_born_agreement compares a model's predictions cell by
-cell with target rows, one exact outcome distribution per preparation,
-such as the Born rows of a quantum scenario.
+Constructors check shape only.  OnticSpace.check_point is the
+point-membership check of every constructor and lookup that takes a point;
+the model loader checks each point itself first, so that its error can
+name the line and column.  Validators return verdicts rather than raising,
+so a malformed model can be loaded, inspected, and reported on.  The
+quantum side enters only as data: check_born_agreement compares a model's
+predictions cell by cell with target rows, one exact outcome distribution
+per preparation, such as the Born rows of a quantum scenario.
 """
 
 from __future__ import annotations
@@ -146,10 +147,7 @@ class EpistemicState(Record):
         return tuple(p for p in self.space.points if p in self.weights)
 
     def total(self) -> QSqrt2:
-        total = ZERO
-        for value in self.weights.values():
-            total = total + value
-        return total
+        return sum(self.weights.values(), ZERO)
 
 
 class ResponseFunctions(Record):
@@ -275,9 +273,7 @@ def validate_responses(responses: ResponseFunctions) -> Verdict:
                     f"response for outcome {k} at {format_point(point)} is {value}, outside [0, 1]"
                 )
                 bad = True
-        total = ZERO
-        for value in row:
-            total = total + value
+        total = sum(row, ZERO)
         if total != ONE:
             failures.append(f"responses at {format_point(point)} sum to {total}, not 1")
             bad = True

@@ -103,9 +103,7 @@ class SynthesisSpec(Record):
         for (label, _), row in zip(self.preparations, self.targets):
             if len(row) != self.outcome_count:
                 raise ValueError(f"target row for {label!r} has wrong length")
-            total = ZERO
-            for v in row:
-                total = total + v
+            total = sum(row, ZERO)
             if total != ONE:
                 raise ValueError(f"target row for {label!r} sums to {total}, not 1")
 

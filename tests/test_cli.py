@@ -744,34 +744,39 @@ class TestClosedStdout:
     FORMATS = ([], ["--format", "json"])
 
     @staticmethod
-    def demo(extra, stdout, unbuffered):
+    def command(argv, stdout, unbuffered):
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"
         return subprocess.Popen(
-            [sys.executable, "-m", "onticbench.cli", "demo-pbr", *extra],
+            [sys.executable, "-m", "onticbench.cli", *argv],
             stdout=stdout, stderr=subprocess.PIPE, env=env,
         )
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="relies on Linux socket send-buffer accounting")
     @pytest.mark.parametrize("extra", FORMATS)
-    def test_reader_closes_after_one_line(self, extra):
-        # Unbuffered, each printed line is its own write.  A socket with the
-        # smallest send buffer holds only a few writes, so the demo is still
-        # writing when the reader has taken one line and closes its end.
+    def test_reader_closes_after_one_line(self, extra, tmp_path):
+        # The report is one write.  A socket with the smallest send buffer
+        # (4608 bytes) holds only part of a longer one, so the command is
+        # still writing when the reader has taken one line and closes its
+        # end.  300 more preparations make the text report about 8 kB; a
+        # report that fits the buffer whole would leave nothing to fail.
+        path = tmp_path / "many.model"
+        extra_preps = "".join(f"\npreparation p{i}\n  (HH,HH,1) 1\nend\n" for i in range(300))
+        path.write_text(GOLDEN.read_text(encoding="utf-8") + extra_preps, encoding="utf-8")
         reader, writer = socket.socketpair()
         writer.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 1)
         with writer:
-            proc = self.demo(extra, writer.fileno(), unbuffered=True)
+            proc = self.command(["validate", str(path), *extra], writer.fileno(), unbuffered=True)
         line = b""
         with reader:
             while not line.endswith(b"\n"):
                 byte = reader.recv(1)
-                assert byte, f"demo-pbr closed its stdout after {line!r}"
+                assert byte, f"validate closed its stdout after {line!r}"
                 line += byte
         _, err = proc.communicate()
-        assert line in (b"Born probabilities of the antidistinguishing measurement\n", b"{\n")
+        assert line in (f"model: {path}\n".encode(), b"{\n")
         assert proc.returncode == 2, err
         assert err == b""
 
@@ -781,12 +786,35 @@ class TestClosedStdout:
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            proc = self.demo(extra, write_end, unbuffered=False)
+            proc = self.command(["demo-pbr", *extra], write_end, unbuffered=False)
         finally:
             os.close(write_end)
         _, err = proc.communicate()
         assert proc.returncode == 2, err
         assert err == b""
+
+
+class TestUnencodableStdout:
+    """A report stdout cannot encode exits 2 with nothing written, not 1."""
+
+    @pytest.mark.parametrize("extra, code", [([], 2), (["--format", "json"], 0)])
+    def test_ascii_stdout(self, tmp_path, extra, code):
+        path = tmp_path / "accent.model"
+        text = GOLDEN.read_text(encoding="utf-8").replace("preparation nu00", "preparation nu\u00e9")
+        path.write_text(text, encoding="utf-8")
+        raw = io.BytesIO()
+        stdout = io.TextIOWrapper(raw, encoding="ascii")
+        err = io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(err):
+            assert run(["validate", str(path), *extra]) == code
+        stdout.flush()
+        if code == 2:
+            assert raw.getvalue() == b""
+            assert err.getvalue().startswith("error: ")
+        else:
+            # JSON output is ASCII: the label travels as an escape.
+            assert json.loads(raw.getvalue())["components"]["preparation nu\u00e9"]["ok"]
+            assert err.getvalue() == ""
 
 
 class TestSharedParser:

@@ -421,6 +421,52 @@ class TestSizeLimits:
         assert sum(m.outcome_count for m in model.measurements.values()) * MAX_POINTS == MAX_CELLS
 
 
+HEADER = f"{FORMAT_NAME} {SCHEMA_VERSION}\n\n"
+TWO_LABELS = "space\n  factor a x y\nend\n"
+NINE_FACTORS = space_text(9, 8)
+BAD_LABEL = (
+    "bad preparation label: 'p(q' "
+    "(tokens must be non-empty, without whitespace or '(', ')', ',', '#')"
+)
+
+
+class TestErrorPrecedence:
+    """Which of several faults in a section is reported, and where."""
+
+    @pytest.mark.parametrize(
+        "body, line, message",
+        [
+            ("space\n  factor a x y\n  bogus\n", 5, "expected 'factor NAME LABEL...' or 'end'"),
+            ("space\n  factor a x y\n  bogus\npreparation p\n", 5,
+             "expected 'factor NAME LABEL...' or 'end'"),
+            (TWO_LABELS + "measurement M\n", 6, "unterminated measurement section"),
+            (TWO_LABELS + "measurement M\nend\n", 6, "measurement 'M' declares no outcome count"),
+            ("space\n", 3, "unterminated space section"),
+            ("space\nend\n", 3, "an ontic space needs at least one factor"),
+            (NINE_FACTORS[len(HEADER):-len("end\n")], 3, "unterminated space section"),
+            (NINE_FACTORS[len(HEADER):], 3, "space has more than 65536 points"),
+            ("preparation p\n  junk\nend\n", 3, "space section must come first"),
+            (TWO_LABELS + "preparation p(q\n  junk\nend\n", 6, BAD_LABEL),
+        ],
+        ids=[
+            "bad-factor-at-eof",
+            "bad-factor-before-preparation",
+            "measurement-at-eof",
+            "measurement-without-outcomes",
+            "space-at-eof",
+            "space-without-factors",
+            "oversize-space-at-eof",
+            "oversize-space",
+            "preparation-before-space",
+            "bad-preparation-label",
+        ],
+    )
+    def test_first_fault_wins(self, body, line, message):
+        with pytest.raises(ModelFormatError) as err:
+            loads(HEADER + body)
+        assert str(err.value) == f"line {line}, column 1: {message}"
+
+
 PAD = 16
 
 
