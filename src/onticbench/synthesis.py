@@ -36,8 +36,10 @@ The solver is a two-phase primal simplex with Bland's rule, which cannot
 cycle, so termination is unconditional.  Each tableau row is a dict from
 column to nonzero integer over one positive denominator, kept reduced, so
 the simplex holds exactly the rationals a Fraction tableau would while
-creating no Fraction per entry, and a pivot walks only the nonzeros of the
-pivot row; results come back as Fractions.  Infeasibility comes
+creating no Fraction per entry.  A pivot finds the rows that hold the
+entering column in one pass over the tableau; the ratio test and the
+elimination walk only those rows, and the elimination only the nonzeros of
+the pivot row.  Results come back as Fractions.  Infeasibility comes
 with a Farkas certificate: row multipliers y with
 
     sum_i y_i * row_i <= 0 componentwise over the variables,
@@ -298,22 +300,36 @@ def build_synthesis_lp(spec: SynthesisSpec) -> LPProblem:
 # and every value is the rational a Fraction tableau would hold, so Bland's
 # rule makes the same pivots.  A constraint row also holds its basic entry
 # as T[i][basis[i]] == D[i], so its gcd is 1 and scaling the pivot row to a
-# unit pivot needs at most a sign flip.
+# unit pivot needs at most a sign flip.  Each pivot reads T once to list
+# the rows that hold the entering column, with their entries (_column); the
+# ratio test walks the constraint rows of that list, and _pivot updates
+# exactly its rows, so the rows without the column are not read again.
 
 
-def _pivot(T: list[dict[int, int]], D: list[int], basis: list[int], r: int, col: int) -> None:
-    """Pivot on T[r][col]: scale row r to a unit pivot, clear ``col`` from every other row."""
+def _pivot(
+    T: list[dict[int, int]],
+    D: list[int],
+    basis: list[int],
+    r: int,
+    col: int,
+    hits: list[tuple[int, int]],
+) -> None:
+    """Pivot on T[r][col]: scale row r to a unit pivot, clear ``col`` from every other row.
+
+    ``hits`` lists ``(i, T[i][col])`` for every row i that holds ``col``, in
+    row order and row r included (``_column``); only those rows change.
+    """
     prow = T[r]
     pd = prow[col]
     if pd < 0:
         T[r] = prow = {j: -v for j, v in prow.items()}
         pd = -pd
     D[r] = pd
-    for i, row in enumerate(T):
-        f = row.get(col)
-        if f is None or i == r:
+    for i, f in hits:
+        if i == r:
             continue
         # N/d - (f/d) * prow/pd == (s*N - f'*prow) / (s*d), s = pd/g, f' = f/g.
+        row = T[i]
         g = gcd(f, pd)
         s, f = pd // g, f // g
         d = D[i]
@@ -336,15 +352,23 @@ def _pivot(T: list[dict[int, int]], D: list[int], basis: list[int], r: int, col:
     basis[r] = col
 
 
+def _column(T: list[dict[int, int]], col: int) -> list[tuple[int, int]]:
+    """``(i, T[i][col])`` for every row i that holds ``col``, in row order."""
+    return [(i, row[col]) for i, row in enumerate(T) if col in row]
+
+
 def _bland(
     T: list[dict[int, int]], D: list[int], basis: list[int], eligible: int, R: int
 ) -> str:
     """Run Bland's-rule pivots to optimality.
 
     ``eligible`` bounds the entering columns; ``R`` is the rhs column.  The
-    last row is priced and only the constraint rows enter the ratio test, so
-    a cost row riding along in phase 1 is updated but never read.
+    last row is priced.  One pass over T finds the rows that hold the
+    entering column; the ratio test walks the constraint rows among them and
+    the pivot clears the column from exactly those rows, so a cost row
+    riding along in phase 1 is updated but never read.
     """
+    m = len(basis)
     while True:
         z = T[-1]
         enter = -1
@@ -354,13 +378,14 @@ def _bland(
                 break
         if enter < 0:
             return "optimal"
+        hits = _column(T, enter)
         # The ratio of row i is T[i][R] / T[i][enter]: its denominator cancels.
         leave = -1
-        for i in range(len(basis)):
-            row = T[i]
-            a = row.get(enter, 0)
+        for i, a in hits:
+            if i >= m:
+                break  # the objective rows come last
             if a > 0:
-                rhs = row.get(R, 0)
+                rhs = T[i].get(R, 0)
                 if leave >= 0:
                     lhs, best = rhs * best_a, best_rhs * a
                     if lhs > best or (lhs == best and basis[i] > basis[leave]):
@@ -368,7 +393,7 @@ def _bland(
                 best_rhs, best_a, leave = rhs, a, i
         if leave < 0:
             return "unbounded"
-        _pivot(T, D, basis, leave, enter)
+        _pivot(T, D, basis, leave, enter, hits)
 
 
 def _simplex(lp: LPProblem, optimize: bool) -> FeasibilityResult:
@@ -448,7 +473,7 @@ def _simplex(lp: LPProblem, optimize: bool) -> FeasibilityResult:
                 col = min((j for j in T[r] if j < n), default=None)
                 if col is None:
                     continue  # redundant row
-                _pivot(T, D, basis, r, col)
+                _pivot(T, D, basis, r, col, _column(T, col))
             keep.append(r)
         basis = [basis[r] for r in keep]
         if any(var >= n for var in basis):

@@ -8,6 +8,8 @@ pivots on the same rationals, so every answer must match exactly.
 """
 
 import hashlib
+import inspect
+import random
 from fractions import Fraction
 from math import gcd
 from typing import List, Optional
@@ -17,7 +19,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from onticbench import cli, scenarios, synthesis
-from onticbench.synthesis import Constraint, FeasibilityResult, LPProblem
+from onticbench.numerics import QSqrt2
+from onticbench.ontology import EpistemicState, Factor, OnticSpace
+from onticbench.synthesis import Constraint, FeasibilityResult, LPProblem, SynthesisSpec
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -221,12 +225,58 @@ def _answer(lp: LPProblem, optimize: bool, solve):
         return str(exc)
 
 
-# The builtin LPs, with dozens of pivots each; the drawn ones stay small.
+def planted_sqrt2_lp(seed):
+    """A feasible LP with sqrt2-split rows: 16 points, 8 preparations of
+    support 2 and 4 outcomes, targets made from a planted rational response
+    family.  Each preparation moves a sqrt2 multiple of the weight of one
+    support point to the other, so every born row has a sqrt2 twin."""
+    rng = random.Random(seed)
+    space = OnticSpace((Factor("a", tuple(f"a{i}" for i in range(16))),))
+    witness = {}
+    for point in space.points:
+        cuts = sorted(rng.randint(0, 7) for _ in range(3))
+        witness[point] = [Fraction(b - a, 7) for a, b in zip([0] + cuts, cuts + [7])]
+    preparations, targets = [], []
+    for i in range(8):
+        source, sink = rng.sample(space.points, 2)
+        k = rng.randint(1, 6)
+        moved = QSqrt2(0, Fraction(k, 14))
+        weights = {source: QSqrt2(Fraction(k, 7)) - moved, sink: QSqrt2(Fraction(7 - k, 7)) + moved}
+        preparations.append((f"q{i}", EpistemicState(space, weights)))
+        targets.append(tuple(
+            sum((w * witness[p][j] for p, w in weights.items()), QSqrt2()) for j in range(4)
+        ))
+    return synthesis.build_synthesis_lp(SynthesisSpec(space, preparations, 4, targets))
+
+
+def padded_lhv_floor_lp():
+    """The local PBR floor LP on the coin space times a uniform 2-value factor."""
+    lhv = scenarios.lhv_synthesis_spec()
+    pad = Factor("pad", ("p0", "p1"))
+    space = OnticSpace(lhv.space.factors + (pad,))
+    half = QSqrt2(Fraction(1, 2))
+    preparations = [
+        (label, EpistemicState(
+            space, {p + (e,): w * half for p, w in state.weights.items() for e in pad.labels}
+        ))
+        for label, state in lhv.preparations
+    ]
+    spec = SynthesisSpec(space, preparations, lhv.outcome_count, lhv.targets)
+    return synthesis.build_min_violation_lp(
+        spec, scenarios.forbidden_cells(scenarios.MARGINAL_PREP_ORDER)
+    )
+
+
+# The builtin LPs, with dozens of pivots each, and two larger LPs whose
+# rows gain and lose the entering column over many pivots; the drawn ones
+# stay small.
 TOY_LP = synthesis.build_synthesis_lp(scenarios.toy_synthesis_spec())
 LHV_LP = synthesis.build_synthesis_lp(scenarios.lhv_synthesis_spec())
 LHV_FLOOR_LP = synthesis.build_min_violation_lp(
     scenarios.lhv_synthesis_spec(), scenarios.forbidden_cells(scenarios.MARGINAL_PREP_ORDER)
 )
+PLANTED_SQRT2_LP = planted_sqrt2_lp("planted-sqrt2")
+PADDED_LHV_FLOOR_LP = padded_lhv_floor_lp()
 
 
 @settings(max_examples=400, deadline=None)
@@ -234,6 +284,8 @@ LHV_FLOOR_LP = synthesis.build_min_violation_lp(
 @example(TOY_LP)
 @example(LHV_LP)
 @example(LHV_FLOOR_LP)
+@example(PLANTED_SQRT2_LP)
+@example(PADDED_LHV_FLOOR_LP)
 def test_same_answers_as_the_fraction_tableau(lp):
     optimize = lp.objective is not None
     assert _answer(lp, optimize, synthesis._solve) == _answer(lp, optimize, _oracle_solve)
@@ -248,19 +300,30 @@ BUILTIN_RUNS = [
 ]
 
 
-def run_with_pivot_hook(monkeypatch, capsys, argv, after=None):
-    """Run the CLI on ``argv``; return the arguments of every pivot, each
-    passed to ``after`` once that pivot is done."""
-    calls = []
+def pivot_hook(calls, before=None, after=None):
+    """A stand-in for ``synthesis._pivot`` that appends the arguments of
+    every pivot to ``calls``, each a dict by ``_pivot``'s parameter names,
+    and passes them as keywords to ``before`` just ahead of that pivot and
+    to ``after`` once it is done."""
     pivot = synthesis._pivot
+    signature = inspect.signature(pivot)
 
-    def counted(*args):
-        calls.append(args)
-        pivot(*args)
+    def counted(*args, **kwargs):
+        call = signature.bind(*args, **kwargs).arguments
+        calls.append(call)
+        if before is not None:
+            before(**call)
+        pivot(*args, **kwargs)
         if after is not None:
-            after(*args)
+            after(**call)
 
-    monkeypatch.setattr(synthesis, "_pivot", counted)
+    return counted
+
+
+def run_with_pivot_hook(monkeypatch, capsys, argv, before=None, after=None):
+    """Run the CLI on ``argv`` under ``pivot_hook``; return every pivot's arguments."""
+    calls = []
+    monkeypatch.setattr(synthesis, "_pivot", pivot_hook(calls, before, after))
     cli.run(list(argv))
     capsys.readouterr()
     return calls
@@ -281,11 +344,17 @@ PIVOT_DIGESTS = {
 def test_pivot_counts(monkeypatch, capsys, argv, pivots):
     calls = run_with_pivot_hook(monkeypatch, capsys, argv)
     assert len(calls) == pivots
-    sequence = repr([(r, col) for _, _, _, r, col in calls])
+    sequence = repr([(call["r"], call["col"]) for call in calls])
     assert hashlib.sha256(sequence.encode()).hexdigest() == PIVOT_DIGESTS[argv]
 
 
-def check_tableau(T, D, basis, r, col):
+def check_column_rows(T, col, hits, **_):
+    """The rows handed to a pivot are exactly the rows of T that hold
+    ``col``, in row order, each with its entry."""
+    assert hits == [(i, T[i][col]) for i in range(len(T)) if T[i].get(col, 0) != 0]
+
+
+def check_tableau(T, D, basis, **_):
     """One or two objective rows follow the constraint rows (the cost row
     rides along through phase 1 of an optimizing run), sparse rows store no
     0, each row is reduced over a positive denominator, and a constraint row
@@ -302,5 +371,15 @@ def check_tableau(T, D, basis, r, col):
 
 @pytest.mark.parametrize("argv, pivots", BUILTIN_RUNS)
 def test_tableau_invariant_after_every_pivot(monkeypatch, capsys, argv, pivots):
-    calls = run_with_pivot_hook(monkeypatch, capsys, argv, check_tableau)
+    calls = run_with_pivot_hook(monkeypatch, capsys, argv, check_column_rows, check_tableau)
     assert len(calls) == pivots
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_lps())
+def test_tableau_invariant_on_drawn_lps(lp):
+    """Drawn LPs also reach the pivots that drive artificials out after
+    phase 1, where the cost row is among the rows that hold the column."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(synthesis, "_pivot", pivot_hook([], check_column_rows, check_tableau))
+        _answer(lp, lp.objective is not None, synthesis._solve)
