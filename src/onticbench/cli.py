@@ -217,19 +217,13 @@ def _feasibility_lines(result: FeasibilityResult, spec) -> list[str]:
     lines = []
     if result.feasible:
         lines.append("feasible: response functions exist")
-        responses = extract_responses(spec, result.witness)
-        shown = 0
-        for point in spec.space.points:
-            row = responses.rows[point]
-            if any(v != ZERO for v in row):
-                lines.append(
-                    "  " + format_point(point) + ": "
-                    + ", ".join(str(v) for v in row)
-                )
-                shown += 1
-            if shown >= 8:
-                lines.append("  ... (full witness in --format json)")
-                break
+        # A verified witness meets every norm@ row, so no row is all zero.
+        rows = extract_responses(spec, result.witness).rows
+        points = spec.space.points
+        for point in points[:8]:
+            lines.append("  " + format_point(point) + ": " + ", ".join(str(v) for v in rows[point]))
+        if len(points) > 8:
+            lines.append("  ... (full witness in --format json)")
     else:
         kind = "response functions" if spec.rational else "rational response functions"
         lines.append(f"infeasible: no {kind} exist")
@@ -360,7 +354,7 @@ def _cmd_demo(args):
     for (a, b), value in ind.overlaps.items():
         lines.append(f"  {a} vs {b}: {fmt(value)}")
     payload["overlap_nu0_nu+"] = str(base_overlap)
-    payload["overlaps"] = {f"{a}|{b}": str(v) for (a, b), v in ind.overlaps.items()}
+    payload["overlaps"] = payload["independence"]["overlaps"]
 
     lhv = build_pbr_lhv_model()
     lhv_labels = pbr_prep_order(lhv)
@@ -375,7 +369,7 @@ def _cmd_demo(args):
     payload["lhv"] = {
         "feasible": lhv_result.feasible,
         "certificate_verified": True,
-        "certificate": {cid: str(v) for cid, v in (lhv_result.certificate or {}).items()},
+        "certificate": lhv_result.to_dict().get("certificate", {}),
         "min_violation": str(floor.value),
     }
 
@@ -407,9 +401,13 @@ def _cmd_demo(args):
 def _build_parser() -> argparse.ArgumentParser:
     """The process's one parser, built on the first ``run`` call and reused.
 
-    It holds only constants: the sorted builtin names, the ``_cmd_*``
-    handlers and ``_seed``.  argparse looks up ``sys.stdout`` and
-    ``sys.stderr`` when it prints, so redirected streams still work.
+    An argument that several commands take is declared once, in a parent
+    parser: ``--format`` (all nine), ``MODEL | --builtin`` (all but
+    demo-pbr), ``--prep``/``--meas`` (predict, simulate) and the Born-row
+    ``--preps`` (synthesize, nogo).  The parser holds only constants: the
+    sorted builtin names, the ``_cmd_*`` handlers and ``_seed``.  argparse
+    looks up ``sys.stdout`` and ``sys.stderr`` when it prints, so redirected
+    streams still work.
     """
     parser = argparse.ArgumentParser(
         prog="onticbench",
@@ -427,44 +425,40 @@ def _build_parser() -> argparse.ArgumentParser:
         "--builtin", choices=sorted(_BUILTINS), help="use a built-in model instead of a file"
     )
 
-    p = sub.add_parser("validate", parents=[fmt_parent, model_parent],
-                       help="check normalization and bounds of every component")
-    p.set_defaults(handler=_cmd_validate)
+    pair_parent = argparse.ArgumentParser(add_help=False)
+    pair_parent.add_argument("--prep", required=True)
+    pair_parent.add_argument("--meas", required=True)
 
-    p = sub.add_parser("predict", parents=[fmt_parent, model_parent],
-                       help="exact outcome distribution of one (preparation, measurement) pair")
-    p.add_argument("--prep", required=True)
-    p.add_argument("--meas", required=True)
-    p.set_defaults(handler=_cmd_predict)
+    born_rows_parent = argparse.ArgumentParser(add_help=False)
+    born_rows_parent.add_argument(
+        "--preps", help="comma-separated preparation labels, in Born-row order"
+    )
 
-    p = sub.add_parser("born-check", parents=[fmt_parent, model_parent],
-                       help="compare model predictions with the built-in quantum scenario")
-    p.set_defaults(handler=_cmd_born_check)
+    def command(name, handler, help, *parents):
+        p = sub.add_parser(name, parents=[fmt_parent, *parents], help=help)
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("independence", parents=[fmt_parent, model_parent],
-                       help="preparation/local/full independence and pairwise overlaps")
+    command("validate", _cmd_validate, "check normalization and bounds of every component",
+            model_parent)
+    command("predict", _cmd_predict,
+            "exact outcome distribution of one (preparation, measurement) pair",
+            model_parent, pair_parent)
+    command("born-check", _cmd_born_check,
+            "compare model predictions with the built-in quantum scenario", model_parent)
+    p = command("independence", _cmd_independence,
+                "preparation/local/full independence and pairwise overlaps", model_parent)
     p.add_argument("--inaccessible", help="comma-separated factor names to marginalize out")
-    p.set_defaults(handler=_cmd_independence)
-
-    p = sub.add_parser("overlap", parents=[fmt_parent, model_parent],
-                       help="classical overlap of two preparations")
+    p = command("overlap", _cmd_overlap, "classical overlap of two preparations", model_parent)
     p.add_argument("--preps", required=True, help="two comma-separated preparation labels")
-    p.set_defaults(handler=_cmd_overlap)
-
-    p = sub.add_parser("synthesize", parents=[fmt_parent, model_parent],
-                       help="solve for response functions reproducing the Born table")
-    p.add_argument("--preps", help="comma-separated preparation labels, in Born-row order")
-    p.set_defaults(handler=_cmd_synthesize)
-
-    p = sub.add_parser("nogo", parents=[fmt_parent, model_parent],
-                       help="certify whether Born-reproducing response functions are impossible")
-    p.add_argument("--preps", help="comma-separated preparation labels, in Born-row order")
-    p.set_defaults(handler=_cmd_nogo)
-
-    p = sub.add_parser("simulate", parents=[fmt_parent, model_parent],
-                       help="draw exact seeded samples and compare frequencies")
-    p.add_argument("--prep", required=True)
-    p.add_argument("--meas", required=True)
+    command("synthesize", _cmd_synthesize,
+            "solve for response functions reproducing the Born table",
+            model_parent, born_rows_parent)
+    command("nogo", _cmd_nogo,
+            "certify whether Born-reproducing response functions are impossible",
+            model_parent, born_rows_parent)
+    p = command("simulate", _cmd_simulate, "draw exact seeded samples and compare frequencies",
+                model_parent, pair_parent)
     p.add_argument("--samples", type=int, default=100000)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument(
@@ -472,11 +466,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="split the draws into JOBS seeded sub-streams 'SEED:w' (w = 0..JOBS-1); "
         "they run one after another in this process, not as parallel workers",
     )
-    p.set_defaults(handler=_cmd_simulate)
-
-    p = sub.add_parser("demo-pbr", parents=[fmt_parent],
-                       help="full walkthrough: Born table, agreement, independence, no-go")
-    p.set_defaults(handler=_cmd_demo)
+    command("demo-pbr", _cmd_demo, "full walkthrough: Born table, agreement, independence, no-go")
 
     return parser
 

@@ -208,8 +208,8 @@ def analyze_independence(
 
     ``prep_independent`` is ``locally_independent``, the product check on
     the accessible marginal, reported under both names; dropping the alias
-    changes golden-pinned report bytes (the "Duplicate verdict (old 8(a))"
-    re-pin under ROADMAP item 1).
+    changes golden-pinned report bytes (the "Duplicate verdict" re-pin
+    under ROADMAP item 1).
     """
     inaccessible = tuple(inaccessible)
     if len(set(inaccessible)) != len(inaccessible):

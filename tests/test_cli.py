@@ -60,6 +60,33 @@ preparation p
 end
 """
 
+# Four point masses on a 2 x 2 x |c| space; the points with a = 1 are free.
+SMALL_SPACE = """\
+onticbench-model 1
+
+space
+  factor a 0 1
+  factor b 0 1
+  factor c {c_labels}
+end
+
+preparation nu00
+  (0,0,0) 1
+end
+
+preparation nu0+
+  (0,0,1) 1
+end
+
+preparation nu+0
+  (0,1,0) 1
+end
+
+preparation nu++
+  (0,1,1) 1
+end
+"""
+
 
 def invoke(capsys, *argv):
     code = run(list(argv))
@@ -402,6 +429,27 @@ class TestSynthesisCommands:
         assert "rational_only" not in json.loads(out)
         _, out, _ = invoke(capsys, "synthesize", "--builtin", "pbr-lhv")
         assert "infeasible: no response functions exist\n" in out
+
+    @pytest.mark.parametrize(
+        "c_labels, last_row, after",
+        [
+            ("0 1", "(1,1,1)", "verification: passed"),
+            ("0 1 2", "(1,0,1)", "  ... (full witness in --format json)"),
+        ],
+        ids=["eight-points", "twelve-points"],
+    )
+    def test_witness_rows_of_the_first_eight_points(
+        self, capsys, tmp_path, c_labels, last_row, after
+    ):
+        path = tmp_path / "small.model"
+        path.write_text(SMALL_SPACE.format(c_labels=c_labels), encoding="utf-8")
+        code, out, _ = invoke(capsys, "synthesize", str(path))
+        lines = out.splitlines()
+        rows = [i for i, line in enumerate(lines) if line.startswith("  (")]
+        assert code == 0
+        assert len(rows) == 8
+        assert lines[rows[-1]].startswith(f"  {last_row}: ")
+        assert lines[rows[-1] + 1] == after
 
     def test_nogo_not_blocked_exits_one(self, capsys):
         code, out, _ = invoke(capsys, "nogo", "--builtin", "toy-nlhv")

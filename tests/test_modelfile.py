@@ -447,6 +447,7 @@ class TestErrorPrecedence:
             (NINE_FACTORS[len(HEADER):], 3, "space has more than 65536 points"),
             ("preparation p\n  junk\nend\n", 3, "space section must come first"),
             (TWO_LABELS + "preparation p(q\n  junk\nend\n", 6, BAD_LABEL),
+            (TWO_LABELS + "preparation p\n  (x) 1\n", 6, "unterminated preparation section"),
         ],
         ids=[
             "bad-factor-at-eof",
@@ -459,12 +460,18 @@ class TestErrorPrecedence:
             "oversize-space",
             "preparation-before-space",
             "bad-preparation-label",
+            "preparation-at-eof",
         ],
     )
     def test_first_fault_wins(self, body, line, message):
         with pytest.raises(ModelFormatError) as err:
             loads(HEADER + body)
         assert str(err.value) == f"line {line}, column 1: {message}"
+
+    def test_entry_error_wins_over_missing_end(self):
+        with pytest.raises(ModelFormatError) as err:
+            loads(HEADER + TWO_LABELS + "preparation p\n  (z) 1\n")
+        assert str(err.value) == "line 7, column 3: factor 'a' has no label 'z'"
 
 
 PAD = 16

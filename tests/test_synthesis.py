@@ -458,6 +458,12 @@ class TestReportedObjectiveValue:
         failure = "objective value is not an int or Fraction: float 0.0625"
         assert verify_certificate(lhv_floor.lp, result) == Verdict(False, (failure,))
 
+    def test_value_in_dict(self, lhv_floor, toy_solved):
+        doc = lhv_floor.raw.to_dict()
+        assert (doc["feasible"], doc["objective_value"]) == (True, "1/16")
+        # A feasibility LP has no objective, so its result's dict has no value.
+        assert "objective_value" not in toy_solved[2].to_dict()
+
     def test_no_value_checked_as_before(self, lhv_floor):
         result = FeasibilityResult(True, witness=lhv_floor.raw.witness)
         assert verify_certificate(lhv_floor.lp, result).ok
