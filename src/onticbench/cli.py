@@ -81,14 +81,13 @@ def _load_any(args, lenient: bool = False) -> tuple[OntologicalModel, str]:
 def _cmd_validate(args):
     model, source = _load_any(args, lenient=True)
     verdicts = validate_model(model)
+    ok = all(verdict.ok for verdict in verdicts.values())
     lines = [f"model: {source}"]
-    ok = True
     for name, verdict in verdicts.items():
         status = "valid" if verdict.ok else "INVALID"
         lines.append(f"  {name}: {status}")
         for failure in verdict.failures:
             lines.append(f"    {failure}")
-        ok = ok and verdict.ok
     lines.append("verdict: " + ("all components valid" if ok else "model is invalid"))
     payload = {
         "model": source,
@@ -145,8 +144,8 @@ def _cmd_independence(args):
     elif SHARED_FACTOR in model.space.factor_names:
         inaccessible = (SHARED_FACTOR,)
     report = analyze_independence(model.preparations, inaccessible)
+    all_local = all(state.locally_independent.ok for state in report.states.values())
     lines = [f"model: {source}", f"inaccessible factors: {list(inaccessible) or 'none'}"]
-    all_local = True
     for label, state in report.states.items():
         lines.append(f"  preparation {label}:")
         lines.append(f"    preparation independence (accessible marginal): {_yn(state.prep_independent.ok)}")
@@ -155,7 +154,6 @@ def _cmd_independence(args):
         for verdict in (state.locally_independent, state.fully_independent):
             for failure in verdict.failures:
                 lines.append(f"      {failure}")
-        all_local = all_local and state.locally_independent.ok
     lines.append("  pairwise overlaps:")
     for (a, b), value in report.overlaps.items():
         lines.append(f"    {a} vs {b}: {fmt(value)}")
@@ -176,7 +174,7 @@ def _cmd_overlap(args):
     if len(labels) != 2:
         raise ValueError("--preps takes exactly two comma-separated labels")
     # A label the model defines wins over the subsystem states nu0 and nu+.
-    states = {**subsystem_states("lambda1"), **model.preparations}
+    states = {**subsystem_states(), **model.preparations}
     unknown = [label for label in labels if label not in states]
     if unknown:
         raise ValueError(f"unknown preparation {unknown[0]!r}; have {sorted(states)}")
@@ -208,7 +206,7 @@ def _certify(
 def _synthesis(args):
     """load -> spec -> LP -> solve (verified inside), shared by synthesize and nogo."""
     model, source = _load_any(args)
-    labels = args.preps.split(",") if args.preps else pbr_prep_order(model)
+    labels = args.preps.split(",") if args.preps is not None else pbr_prep_order(model)
     born = build_pbr_quantum_scenario().born_table
     return (source, labels) + _certify(model, labels, born)
 
@@ -312,85 +310,81 @@ def _cmd_simulate(args):
 
 def _cmd_demo(args):
     born = build_pbr_quantum_scenario().born_table
-    lines: list[str] = []
-    ok = True
-    payload: dict[str, object] = {}
-
-    lines.append("Born probabilities of the antidistinguishing measurement")
-    lines.append("  (rows: preparations 00, 0+, +0, ++; columns: outcomes 1..4)")
-    for name, row in zip(STATE_ORDER, born):
-        lines.append(f"    {name}:  " + "  ".join(f"{str(v):>4}" for v in row))
     diag_zero = all(born[i][i] == ZERO for i in range(4))
-    ok = ok and diag_zero
-    lines.append(f"  diagonal exactly zero: {_yn(diag_zero)}")
-    payload["born_table"] = [[str(v) for v in row] for row in born]
-
     model = build_toy_nlhv_model()
     report = _born_report(model, born)
-    matched = sum(1 for c in report.cells if c.match)
-    lines.append("")
-    lines.append("Relational coin model vs quantum predictions")
-    lines.append(f"  exact agreement: {matched}/{len(report.cells)} cells")
-    ok = ok and report.all_match
-    payload["agreement_cells"] = f"{matched}/{len(report.cells)}"
-
+    agreement = f"{sum(1 for c in report.cells if c.match)}/{len(report.cells)}"
     ind = analyze_independence(model.preparations, (SHARED_FACTOR,))
-    lines.append("")
-    lines.append("Independence structure (shared factor inaccessible)")
-    for label, state in ind.states.items():
-        lines.append(
-            f"  {label}: local {_yn(state.locally_independent.ok)}, "
-            f"full {_yn(state.fully_independent.ok)}"
-        )
     all_local = all(s.locally_independent.ok for s in ind.states.values())
-    ok = ok and all_local
-    payload["independence"] = ind.to_dict()
-
-    subs = subsystem_states("lambda1")
+    subs = subsystem_states()
     base_overlap = classical_overlap(subs["nu0"], subs["nu+"])
-    lines.append("")
-    lines.append("Epistemic overlaps")
-    lines.append(f"  nu0 vs nu+: {fmt(base_overlap)}")
-    for (a, b), value in ind.overlaps.items():
-        lines.append(f"  {a} vs {b}: {fmt(value)}")
-    payload["overlap_nu0_nu+"] = str(base_overlap)
-    payload["overlaps"] = payload["independence"]["overlaps"]
-
     lhv = build_pbr_lhv_model()
     lhv_labels = pbr_prep_order(lhv)
     lhv_spec, _, lhv_result = _certify(lhv, lhv_labels, born)
     floor = solve_min_violation(lhv_spec, forbidden_cells(lhv_labels))
-    lines.append("")
-    lines.append("Local-variable obstruction (16-point product space)")
-    lines.append(f"  synthesis feasible: {_yn(lhv_result.feasible)}")
-    lines.append("  Farkas certificate verified: yes")
-    lines.append(f"  smallest achievable cap on forbidden cells: {fmt(floor.value)}")
-    ok = ok and not lhv_result.feasible
-    payload["lhv"] = {
-        "feasible": lhv_result.feasible,
-        "certificate_verified": True,
-        "certificate": lhv_result.to_dict().get("certificate", {}),
-        "min_violation": str(floor.value),
-    }
-
     toy_spec, toy_lp, toy_result = _certify(model, pbr_prep_order(model), born)
     tables_witness = responses_to_witness(toy_spec, model.measurements[MEASUREMENT_LABEL])
     tables_check = verify_certificate(
         toy_lp, FeasibilityResult(True, witness=tables_witness)
     )
-    lines.append("")
-    lines.append("Relational circumvention (32-point space with shared factor)")
-    lines.append(f"  synthesis feasible: {_yn(toy_result.feasible)}")
-    lines.append(f"  built-in response tables verified as a witness: {_yn(tables_check.ok)}")
-    ok = ok and toy_result.feasible and tables_check.ok
-    payload["relational"] = {
-        "feasible": toy_result.feasible,
-        "tables_are_witness": tables_check.ok,
-    }
+    ok = (diag_zero and report.all_match and all_local and not lhv_result.feasible
+          and toy_result.feasible and tables_check.ok)
 
-    lines.append("")
-    lines.append("overall: " + ("all checks passed" if ok else "CHECKS FAILED"))
-    payload["ok"] = ok
+    lines = [
+        "Born probabilities of the antidistinguishing measurement",
+        "  (rows: preparations 00, 0+, +0, ++; columns: outcomes 1..4)",
+    ]
+    for name, row in zip(STATE_ORDER, born):
+        lines.append(f"    {name}:  " + "  ".join(f"{str(v):>4}" for v in row))
+    lines += [
+        f"  diagonal exactly zero: {_yn(diag_zero)}",
+        "",
+        "Relational coin model vs quantum predictions",
+        f"  exact agreement: {agreement} cells",
+        "",
+        "Independence structure (shared factor inaccessible)",
+    ]
+    for label, state in ind.states.items():
+        lines.append(
+            f"  {label}: local {_yn(state.locally_independent.ok)}, "
+            f"full {_yn(state.fully_independent.ok)}"
+        )
+    lines += ["", "Epistemic overlaps", f"  nu0 vs nu+: {fmt(base_overlap)}"]
+    for (a, b), value in ind.overlaps.items():
+        lines.append(f"  {a} vs {b}: {fmt(value)}")
+    lines += [
+        "",
+        "Local-variable obstruction (16-point product space)",
+        f"  synthesis feasible: {_yn(lhv_result.feasible)}",
+        "  Farkas certificate verified: yes",
+        f"  smallest achievable cap on forbidden cells: {fmt(floor.value)}",
+        "",
+        "Relational circumvention (32-point space with shared factor)",
+        f"  synthesis feasible: {_yn(toy_result.feasible)}",
+        f"  built-in response tables verified as a witness: {_yn(tables_check.ok)}",
+        "",
+        "overall: " + ("all checks passed" if ok else "CHECKS FAILED"),
+    ]
+
+    independence = ind.to_dict()
+    payload = {
+        "born_table": [[str(v) for v in row] for row in born],
+        "agreement_cells": agreement,
+        "independence": independence,
+        "overlap_nu0_nu+": str(base_overlap),
+        "overlaps": independence["overlaps"],
+        "lhv": {
+            "feasible": lhv_result.feasible,
+            "certificate_verified": True,
+            "certificate": lhv_result.to_dict().get("certificate", {}),
+            "min_violation": str(floor.value),
+        },
+        "relational": {
+            "feasible": toy_result.feasible,
+            "tables_are_witness": tables_check.ok,
+        },
+        "ok": ok,
+    }
     return (0 if ok else 1), payload, lines
 
 

@@ -15,10 +15,11 @@ Born statistics exactly, its composite states marginalize to products of
 the subsystem states, and the shared variable is the only obstruction to
 full factor-by-factor independence.
 
-Dropping the relational variable leaves the four product marginals on the
-local coin pairs; no response functions on that reduced space can
-reproduce the Born table, which the synthesis module proves with an exact
-infeasibility certificate.
+PBR's local model is preparation independence: each composite state is the
+product of its two subsystem states on the local coin pairs, which equals
+the relational state with the shared variable summed out.  No response
+functions on that reduced space can reproduce the Born table, which the
+synthesis module proves with an exact infeasibility certificate.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 
 from .hilbert import MeasurementBasis, StateVector, born_probabilities, ket_product
-from .independence import marginalize
+from .independence import product_state
 from .numerics import HALF, ONE, QSqrt2, QUARTER, ZERO, INV_SQRT2
 from .ontology import (
     EpistemicState,
@@ -166,20 +167,19 @@ def build_toy_nlhv_model() -> OntologicalModel:
 
 
 def build_pbr_lhv_model() -> OntologicalModel:
-    """The four local marginals mu00..mu++ on the 16-point coin space.
+    """PBR's preparation independence: mu_xy = nu_x on lambda1 times nu_y on lambda2.
 
-    Each mu is the matching nu of the relational model with the shared
+    Each product state equals the relational state nu_xy with the shared
     factor summed out.  No measurement carries over: response functions
     condition on the full point, and the point of this model is that no
     response functions on the reduced space exist.
     """
-    toy = build_toy_nlhv_model()
-    local = [name for name in toy.space.factor_names if name != SHARED_FACTOR]
+    first, second = subsystem_states("lambda1"), subsystem_states("lambda2")
     preparations = {
-        new: marginalize(toy.preparations[old], local)
-        for old, new in zip(PREP_ORDER, MARGINAL_PREP_ORDER)
+        label: product_state(first["nu" + label[2]], second["nu" + label[3]])
+        for label in MARGINAL_PREP_ORDER
     }
-    return OntologicalModel(toy.space.subspace(local), preparations, {})
+    return OntologicalModel(preparations["mu00"].space, preparations, {})
 
 
 # ---- the PBR pairing ---------------------------------------------------------

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onticbench import hilbert, scenarios, synthesis
+from onticbench import cli, hilbert, scenarios, synthesis
 from onticbench.cli import run
 from onticbench.modelfile import dumps
 from onticbench.numerics import QSqrt2
@@ -610,6 +610,14 @@ class TestExitContract:
         assert code == 2
         assert err.startswith("error:") and "duplicate" in err
 
+    @pytest.mark.parametrize("command, builtin", [("synthesize", "toy-nlhv"), ("nogo", "pbr-lhv")])
+    def test_empty_preps(self, capsys, command, builtin):
+        # An empty value is one empty label, not the default Born-row order.
+        code, out, err = invoke(capsys, command, "--builtin", builtin, "--preps=")
+        assert code == 2
+        assert out == ""
+        assert "needs exactly 4 preparations, got 1" in err
+
     @pytest.mark.parametrize(
         "old, new",
         [
@@ -755,6 +763,29 @@ class TestDemo:
         calls = count_calls(monkeypatch, scenarios.build_pbr_quantum_scenario)
         assert invoke(capsys, "demo-pbr")[0] == 0
         assert len(calls) == 1
+
+    def test_builds_each_model_once(self, capsys, monkeypatch):
+        calls = count_calls(monkeypatch, scenarios.build_toy_nlhv_model)
+        assert invoke(capsys, "demo-pbr")[0] == 0
+        assert len(calls) == 1
+        # pbr-lhv is built from the subsystem states, not from toy-nlhv.
+        assert invoke(capsys, "nogo", "--builtin", "pbr-lhv")[0] == 0
+        assert len(calls) == 1
+
+    def test_failed_check_exits_one(self, capsys, monkeypatch):
+        # With the shared factor accessible, local independence fails for
+        # the relational states nu0+ and nu+0.
+        original = cli.analyze_independence
+        monkeypatch.setattr(
+            cli, "analyze_independence", lambda preparations, inaccessible: original(preparations, ())
+        )
+        code, out, _ = invoke(capsys, "demo-pbr")
+        assert code == 1
+        assert "overall: CHECKS FAILED" in out.splitlines()
+        assert "  nu0+: local no, full no" in out.splitlines()
+        code, out, _ = invoke(capsys, "demo-pbr", "--format", "json")
+        assert code == 1
+        assert json.loads(out)["ok"] is False
 
 
 class TestUsage:

@@ -122,6 +122,23 @@ class TestArithmetic:
         assert 2 * INV_SQRT2 == SQRT2
         assert SQRT2 - 1 == q(-1, 1)
 
+    @pytest.mark.parametrize("foreign", [0.5, "1"])
+    @pytest.mark.parametrize(
+        "op",
+        [operator.add, operator.sub, operator.mul, operator.truediv,
+         operator.lt, operator.le, operator.gt, operator.ge],
+    )
+    def test_foreign_operands_raise(self, op, foreign):
+        with pytest.raises(TypeError):
+            op(SQRT2, foreign)
+        with pytest.raises(TypeError):
+            op(foreign, SQRT2)
+
+    def test_foreign_equality_and_unary_plus(self):
+        assert (QSqrt2(1) == "1") is False
+        assert (QSqrt2(1) == 1.0) is False
+        assert +SQRT2 is SQRT2
+
 
 class TestOrder:
     def test_sign_exact_cases(self):

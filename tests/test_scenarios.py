@@ -10,6 +10,7 @@ from onticbench.hilbert import (
     inner_product,
     ket_product,
 )
+from onticbench.independence import marginalize
 from onticbench.numerics import HALF, ONE, QSqrt2, QUARTER, ZERO
 from onticbench.ontology import (
     OntologicalModel,
@@ -170,6 +171,13 @@ class TestLhvRestriction:
         # the shared flag is integrated out; the four cells keep weight 1/4
         assert mu.weight(("HH", "HH")) == QUARTER
         assert mu.weight(("HT", "TH")) == QUARTER
+
+    def test_relational_states_with_the_shared_factor_summed_out(self, toy):
+        model = build_pbr_lhv_model()
+        local = ("lambda1", "lambda2")
+        assert model.space == toy.space.subspace(local)
+        for nu, mu in zip(PREP_ORDER, MARGINAL_PREP_ORDER):
+            assert model.preparations[mu] == marginalize(toy.preparations[nu], local)
 
 
 class TestPrepOrder:
