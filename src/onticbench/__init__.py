@@ -50,11 +50,9 @@ from .independence import (
     analyze_independence,
     check_full_independence,
     check_local_independence,
-    check_preparation_independence,
     classical_overlap,
     marginalize,
     product_state,
-    single_factor_marginals,
 )
 from .synthesis import (
     Constraint,
@@ -102,8 +100,7 @@ __all__ = [
     "PredictionCell", "PredictionReport", "format_point",
     "validate_epistemic", "validate_responses", "predicted_statistics",
     "check_born_agreement", "simulate",
-    "product_state", "marginalize", "single_factor_marginals",
-    "check_preparation_independence", "check_local_independence",
+    "product_state", "marginalize", "check_local_independence",
     "check_full_independence", "classical_overlap",
     "StateIndependence", "IndependenceReport", "analyze_independence",
     "SynthesisSpec", "Constraint", "LPProblem", "FeasibilityResult",

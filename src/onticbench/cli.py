@@ -144,6 +144,10 @@ def _cmd_independence(args):
     elif SHARED_FACTOR in model.space.factor_names:
         inaccessible = (SHARED_FACTOR,)
     report = analyze_independence(model.preparations, inaccessible)
+    # Only a model without preparations gets here with an unknown name.
+    unknown = set(inaccessible) - set(model.space.factor_names)
+    if unknown:
+        raise ValueError(f"inaccessible factors {sorted(unknown)} are not in the joint space")
     all_local = all(state.locally_independent.ok for state in report.states.values())
     lines = [f"model: {source}", f"inaccessible factors: {list(inaccessible) or 'none'}"]
     for label, state in report.states.items():

@@ -1,11 +1,10 @@
 """Independence structure and overlap of epistemic states.
 
-Two grades of independence matter for composite preparations:
-
-  * preparation independence: the joint distribution is the product of
-    the subsystem distributions over the declared subsystem factors;
-  * local independence: the same product condition, demanded only after
-    marginalizing out designated inaccessible factors.
+One check, ``check_local_independence``, serves both grades of
+independence for composite preparations: the joint distribution must be
+the product of the subsystem distributions once the inaccessible factors,
+its argument, are summed out.  With none hidden it is PBR's preparation
+independence over the full factor list.
 
 A joint distribution can be locally independent while failing to be a
 product over its full factor list; the gap is exactly what relational
@@ -75,13 +74,28 @@ def _first_mismatch(
     return Verdict(True)
 
 
-def check_preparation_independence(
-    joint: EpistemicState, mu: EpistemicState, nu: EpistemicState
+def check_local_independence(
+    joint: EpistemicState,
+    mu: EpistemicState,
+    nu: EpistemicState,
+    inaccessible: Sequence[str] = (),
 ) -> Verdict:
-    """Is the joint exactly the product mu (x) nu over its full space?
+    """Is the joint, with the inaccessible factors summed out, exactly mu (x) nu?
 
-    The joint's factor list must be mu's factors followed by nu's.
+    With nothing inaccessible (the default) this is PBR's preparation
+    independence over the full space.  The remaining factor list must be
+    mu's factors followed by nu's.
     """
+    inaccessible = tuple(inaccessible)
+    names = set(joint.space.factor_names)
+    unknown = set(inaccessible) - names
+    if unknown:
+        raise ValueError(f"inaccessible factors {sorted(unknown)} are not in the joint space")
+    overlap = set(inaccessible) & (set(mu.space.factor_names) | set(nu.space.factor_names))
+    if overlap:
+        raise ValueError(f"inaccessible factors {sorted(overlap)} belong to a subsystem")
+    if inaccessible:
+        joint = marginalize(joint, [n for n in joint.space.factor_names if n not in inaccessible])
     expected_factors = mu.space.factors + nu.space.factors
     if joint.space.factors != expected_factors:
         raise ValueError(
@@ -94,37 +108,16 @@ def check_preparation_independence(
     )
 
 
-def check_local_independence(
-    joint: EpistemicState,
-    mu: EpistemicState,
-    nu: EpistemicState,
-    inaccessible: Sequence[str],
-) -> Verdict:
-    """Preparation independence after marginalizing out inaccessible factors."""
-    inaccessible = tuple(inaccessible)
-    names = set(joint.space.factor_names)
-    unknown = set(inaccessible) - names
-    if unknown:
-        raise ValueError(f"inaccessible factors {sorted(unknown)} are not in the joint space")
-    overlap = set(inaccessible) & (set(mu.space.factor_names) | set(nu.space.factor_names))
-    if overlap:
-        raise ValueError(f"inaccessible factors {sorted(overlap)} belong to a subsystem")
-    accessible = [n for n in joint.space.factor_names if n not in set(inaccessible)]
-    reduced = marginalize(joint, accessible) if inaccessible else joint
-    return check_preparation_independence(reduced, mu, nu)
-
-
-def single_factor_marginals(joint: EpistemicState) -> tuple[EpistemicState, ...]:
-    return tuple(marginalize(joint, (name,)) for name in joint.space.factor_names)
-
-
 def check_full_independence(joint: EpistemicState) -> Verdict:
     """Is the joint the product of all of its single-factor marginals?
 
     The marginals are the only possible factors, so this decides whether
     any product decomposition over the full factor list exists.
     """
-    factors = [(m, slice(i, i + 1)) for i, m in enumerate(single_factor_marginals(joint))]
+    factors = [
+        (marginalize(joint, (name,)), slice(i, i + 1))
+        for i, name in enumerate(joint.space.factor_names)
+    ]
     return _first_mismatch(joint, factors, "marginal product")
 
 

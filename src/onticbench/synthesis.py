@@ -396,11 +396,11 @@ def _bland(
         _pivot(T, D, basis, leave, enter, hits)
 
 
-def _simplex(lp: LPProblem, optimize: bool) -> FeasibilityResult:
-    """Decide ``lp`` (or minimize its objective) over x >= 0, in exact rational arithmetic.
+def _simplex(lp: LPProblem) -> FeasibilityResult:
+    """Decide ``lp`` over x >= 0 exactly; minimize its objective when it has one.
 
-    Returns a witness, with the optimal value of ``lp.objective`` when ``optimize``
-    is set, or a Farkas certificate keyed by constraint id: multipliers y with
+    Returns a witness, with the optimal value of ``lp.objective`` if there is
+    one, or a Farkas certificate keyed by constraint id: multipliers y with
     sum_i y_i A_i <= 0 componentwise, y.b > 0 and y_i <= 0 on '<=' rows.
     """
     cons = lp.constraints
@@ -439,7 +439,7 @@ def _simplex(lp: LPProblem, optimize: bool) -> FeasibilityResult:
         for j, v in row.items():
             if j != n + i:
                 z[j] = z.get(j, 0) - s * v
-    if optimize:
+    if lp.objective is not None:
         # The cost row: its reduced costs against the artificial basis are
         # the objective itself, over the lcm of its denominators.
         cd = lcm(*(v.denominator for v in lp.objective))
@@ -464,7 +464,7 @@ def _simplex(lp: LPProblem, optimize: bool) -> FeasibilityResult:
         return FeasibilityResult(False, certificate=certificate)
 
     value = None
-    if optimize:
+    if lp.objective is not None:
         # Drive artificials out of the basis; rows that cannot pivot are
         # redundant (zero in every original column, zero rhs) and are dropped.
         keep: list[int] = []
@@ -491,8 +491,8 @@ def _simplex(lp: LPProblem, optimize: bool) -> FeasibilityResult:
     return FeasibilityResult(True, witness=tuple(x), objective_value=value)
 
 
-def _solve(lp: LPProblem, optimize: bool) -> FeasibilityResult:
-    result = _simplex(lp, optimize)
+def _solve(lp: LPProblem) -> FeasibilityResult:
+    result = _simplex(lp)
     verdict = verify_certificate(lp, result)
     if not verdict.ok:
         raise AssertionError(
@@ -504,9 +504,11 @@ def _solve(lp: LPProblem, optimize: bool) -> FeasibilityResult:
 def solve_feasibility(lp: LPProblem) -> FeasibilityResult:
     """Decide the system exactly: witness if feasible, certificate if not.
 
-    Whatever it returns has already passed verify_certificate.
+    An LP with an objective is minimized: the witness is optimal and
+    ``objective_value`` holds its value.  Whatever it returns has already
+    passed verify_certificate.
     """
-    return _solve(lp, optimize=False)
+    return _solve(lp)
 
 
 def _inexact(kind: str, name: str, value) -> str:
@@ -677,7 +679,7 @@ def solve_min_violation(
 ) -> MinViolationResult:
     """The exact optimum (``.value``): how badly any response family must violate the zeros."""
     lp = build_min_violation_lp(spec, forbidden)
-    result = _solve(lp, optimize=True)
+    result = _solve(lp)
     return MinViolationResult(QSqrt2(result.objective_value), lp, result)
 
 

@@ -19,7 +19,6 @@ from onticbench.independence import (
     classical_overlap,
     marginalize,
     product_state,
-    single_factor_marginals,
 )
 from onticbench.modelfile import dumps, loads
 from onticbench.numerics import HALF, ONE, QSqrt2, QUARTER, ZERO
@@ -148,8 +147,8 @@ def test_criterion_3_independence_split():
     point = ("HH", "HH", "2")
     joint = model.preparations["nu0+"]
     prod = ONE
-    for coord, marginal in zip(point, single_factor_marginals(joint)):
-        prod = prod * marginal.weight((coord,))
+    for name, coord in zip(joint.space.factor_names, point):
+        prod = prod * marginalize(joint, (name,)).weight((coord,))
     witness_ok = joint.weight(point) == QUARTER and prod == SIXTEENTH
     ok = local_ok and split_ok and witness_ok
     assert check(

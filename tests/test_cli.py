@@ -296,6 +296,18 @@ class TestIndependence:
         assert out == ""
         assert err.startswith("error: ") and "duplicate" in err
 
+    def test_unknown_name_on_a_space_only_model_exits_two(self, capsys, tmp_path):
+        # No preparation checks the names, so the command must.
+        model = tmp_path / "space-only.model"
+        model.write_text(
+            "onticbench-model 1\n\nspace\n  factor a 0 1\n  factor b 0 1\nend\n", encoding="utf-8"
+        )
+        for names, unknown in (("bogus", "['bogus']"), ("lambda1,", "['', 'lambda1']")):
+            code, out, err = invoke(capsys, "independence", str(model), "--inaccessible", names)
+            assert code == 2
+            assert out == ""
+            assert err == f"error: inaccessible factors {unknown} are not in the joint space\n"
+
     def test_each_failure_listed_once(self, capsys, tmp_path):
         model = tmp_path / "correlated.model"
         model.write_text(CORRELATED, encoding="utf-8")

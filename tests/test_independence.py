@@ -11,11 +11,9 @@ from onticbench.independence import (
     analyze_independence,
     check_full_independence,
     check_local_independence,
-    check_preparation_independence,
     classical_overlap,
     marginalize,
     product_state,
-    single_factor_marginals,
 )
 from onticbench.numerics import HALF, ONE, QSqrt2, QUARTER, ZERO
 from onticbench.ontology import EpistemicState, Factor, OnticSpace, format_point
@@ -90,14 +88,14 @@ class TestPreparationIndependence:
     def test_product_passes(self):
         mu = state_a(HALF, HALF)
         nu = state_b(QUARTER, HALF + QUARTER)
-        assert check_preparation_independence(product_state(mu, nu), mu, nu).ok
+        assert check_local_independence(product_state(mu, nu), mu, nu).ok
 
     def test_correlated_fails_with_first_counterexample(self):
         space = OnticSpace((Factor("a", ("a1", "a2")), Factor("b", ("b1", "b2"))))
         joint = EpistemicState(space, {("a1", "b1"): HALF, ("a2", "b2"): HALF})
         mu = marginalize(joint, ("a",))
         nu = marginalize(joint, ("b",))
-        verdict = check_preparation_independence(joint, mu, nu)
+        verdict = check_local_independence(joint, mu, nu)
         assert not verdict.ok
         point, joint_w, product_w = verdict.witnesses[0]
         assert point == ("a1", "b1")
@@ -108,7 +106,7 @@ class TestPreparationIndependence:
         nu = state_b(ONE, ZERO)
         joint = product_state(mu, nu)
         with pytest.raises(ValueError):
-            check_preparation_independence(joint, nu, mu)
+            check_local_independence(joint, nu, mu)
 
 
 @pytest.fixture(scope="module")
@@ -157,7 +155,7 @@ class TestToyModelIndependence:
         # at (HH, HH, 2) the joint weight is 1/4 but the marginals multiply to 1/16
         point = ("HH", "HH", "2")
         joint = preps["nu0+"]
-        marginals = single_factor_marginals(joint)
+        marginals = [marginalize(joint, (name,)) for name in joint.space.factor_names]
         prod = ONE
         for coord, marginal in zip(point, marginals):
             prod = prod * marginal.weight((coord,))
@@ -188,6 +186,24 @@ class TestToyModelIndependence:
         nu0plus = report.states["nu0+"]
         assert nu0plus.witness_points == (("HH", "HH", "1"),)
         assert nu0plus.to_dict()["witness_points"] == ["(HH,HH,1)"]
+
+    def test_nothing_hidden_is_pbr_independence(self, preps):
+        # PBR's check is the local one with no factor summed out: the shared
+        # coin then correlates the two subsystems of nu0+ and nu+0.
+        report = analyze_independence(preps, ())
+        failing = {"nu0+", "nu+0"}
+        for label in PREP_ORDER:
+            joint = preps[label]
+            mu = marginalize(joint, ("lambda1",))
+            nu = marginalize(joint, ("lambda2", SHARED_FACTOR))
+            for verdict in (report.states[label].locally_independent,
+                            check_local_independence(joint, mu, nu)):
+                assert verdict.ok is (label not in failing), label
+                if label in failing:
+                    assert verdict.witnesses[0] == (("HH", "HH", "1"), ZERO, q(Fraction(1, 8)))
+                    assert verdict.failures[0] == (
+                        "at (HH,HH,1): joint weight 0, product weight 1/8"
+                    )
 
     def test_analyze_rejects_duplicate_inaccessible(self, preps):
         with pytest.raises(ValueError, match="duplicate"):
@@ -244,7 +260,7 @@ def _closure_preparation(joint, mu, nu):
 
 
 def _closure_full(joint):
-    marginals = single_factor_marginals(joint)
+    marginals = [marginalize(joint, (name,)) for name in joint.space.factor_names]
 
     def product_w(point):
         value = ONE
@@ -299,6 +315,6 @@ class TestSameAsClosureProducts:
         mu = marginalize(joint, names[:1])
         nu = marginalize(joint, names[1:])
         assert same_verdict(
-            check_preparation_independence(joint, mu, nu), _closure_preparation(joint, mu, nu)
+            check_local_independence(joint, mu, nu), _closure_preparation(joint, mu, nu)
         )
         assert same_verdict(check_full_independence(joint), _closure_full(joint))

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import onticbench
-from onticbench import hilbert, modelfile, numerics, ontology, scenarios, synthesis
+from onticbench import hilbert, independence, modelfile, numerics, ontology, scenarios, synthesis
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "onticbench").glob("*.py"))
@@ -30,6 +30,8 @@ DELETED = [
     (scenarios, "coin_pair_space"),
     (scenarios, "support_union"),
     (scenarios, "pbr_born_pairing"),
+    (independence, "check_preparation_independence"),
+    (independence, "single_factor_marginals"),
     (synthesis, "min_violation"),
     (modelfile, "dump_model"),
 ]

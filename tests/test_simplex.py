@@ -154,9 +154,10 @@ def _oracle_standard_form(lp: LPProblem):
     return A, [con.rhs for con in lp.constraints], n, n0
 
 
-def _oracle_solve(lp: LPProblem, optimize: bool) -> FeasibilityResult:
+def _oracle_solve(lp: LPProblem) -> FeasibilityResult:
     """``synthesis._solve`` on the oracle tableau, without the final re-check."""
     A, b, n, n0 = _oracle_standard_form(lp)
+    optimize = lp.objective is not None
     c = list(lp.objective) + [_F0] * (n - n0) if optimize else None
     outcome = _oracle_simplex(A, b, c)
     if outcome[0] == "infeasible":
@@ -218,9 +219,9 @@ def small_lps(draw):
     return LPProblem(tuple(f"x{j}" for j in range(n)), constraints, objective)
 
 
-def _answer(lp: LPProblem, optimize: bool, solve):
+def _answer(lp: LPProblem, solve):
     try:
-        return solve(lp, optimize)
+        return solve(lp)
     except ValueError as exc:
         return str(exc)
 
@@ -287,8 +288,7 @@ PADDED_LHV_FLOOR_LP = padded_lhv_floor_lp()
 @example(PLANTED_SQRT2_LP)
 @example(PADDED_LHV_FLOOR_LP)
 def test_same_answers_as_the_fraction_tableau(lp):
-    optimize = lp.objective is not None
-    assert _answer(lp, optimize, synthesis._solve) == _answer(lp, optimize, _oracle_solve)
+    assert _answer(lp, synthesis._solve) == _answer(lp, _oracle_solve)
 
 
 # ---- pinned pivot counts and the tableau invariant ------------------------------
@@ -382,4 +382,4 @@ def test_tableau_invariant_on_drawn_lps(lp):
     phase 1, where the cost row is among the rows that hold the column."""
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(synthesis, "_pivot", pivot_hook([], check_column_rows, check_tableau))
-        _answer(lp, lp.objective is not None, synthesis._solve)
+        _answer(lp, synthesis._solve)

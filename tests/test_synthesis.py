@@ -442,6 +442,13 @@ class TestReportedObjectiveValue:
         assert lhv_floor.raw.objective_value == Fraction(1, 16)
         assert verify_certificate(lhv_floor.lp, lhv_floor.raw).ok
 
+    def test_feasibility_minimizes_an_lp_with_an_objective(self, lhv_floor):
+        lp = build_min_violation_lp(lhv_synthesis_spec(), forbidden_cells(MARGINAL_PREP_ORDER))
+        result = solve_feasibility(lp)
+        assert result.objective_value == Fraction(1, 16)
+        assert verify_certificate(lp, result).ok
+        assert result == lhv_floor.raw
+
     @pytest.mark.parametrize("claimed", [Fraction(1, 2), 0, Fraction(1, 15)])
     def test_wrong_value_rejected(self, lhv_floor, claimed):
         result = FeasibilityResult(True, witness=lhv_floor.raw.witness, objective_value=claimed)
