@@ -143,11 +143,7 @@ def _cmd_independence(args):
         inaccessible = tuple(args.inaccessible.split(",")) if args.inaccessible else ()
     elif SHARED_FACTOR in model.space.factor_names:
         inaccessible = (SHARED_FACTOR,)
-    report = analyze_independence(model.preparations, inaccessible)
-    # Only a model without preparations gets here with an unknown name.
-    unknown = set(inaccessible) - set(model.space.factor_names)
-    if unknown:
-        raise ValueError(f"inaccessible factors {sorted(unknown)} are not in the joint space")
+    report = analyze_independence(model, inaccessible)
     all_local = all(state.locally_independent.ok for state in report.states.values())
     lines = [f"model: {source}", f"inaccessible factors: {list(inaccessible) or 'none'}"]
     for label, state in report.states.items():
@@ -318,7 +314,7 @@ def _cmd_demo(args):
     model = build_toy_nlhv_model()
     report = _born_report(model, born)
     agreement = f"{sum(1 for c in report.cells if c.match)}/{len(report.cells)}"
-    ind = analyze_independence(model.preparations, (SHARED_FACTOR,))
+    ind = analyze_independence(model, (SHARED_FACTOR,))
     all_local = all(s.locally_independent.ok for s in ind.states.values())
     subs = subsystem_states()
     base_overlap = classical_overlap(subs["nu0"], subs["nu+"])

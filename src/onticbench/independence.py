@@ -1,10 +1,9 @@
 """Independence structure and overlap of epistemic states.
 
-One check, ``check_local_independence``, serves both grades of
-independence for composite preparations: the joint distribution must be
-the product of the subsystem distributions once the inaccessible factors,
-its argument, are summed out.  With none hidden it is PBR's preparation
-independence over the full factor list.
+``check_local_independence`` is PBR's preparation independence: the joint
+distribution must be the product of the subsystem distributions.  The
+paper's weaker principle is the same check on the accessible marginal;
+``analyze_independence`` sums out the inaccessible factors before it.
 
 A joint distribution can be locally independent while failing to be a
 product over its full factor list; the gap is exactly what relational
@@ -17,7 +16,7 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 
 from .numerics import ONE, QSqrt2, ZERO
-from .ontology import EpistemicState, OnticSpace, Point, format_point
+from .ontology import EpistemicState, OnticSpace, OntologicalModel, Point, format_point
 from .verdicts import Record, Verdict, _set
 
 
@@ -75,27 +74,12 @@ def _first_mismatch(
 
 
 def check_local_independence(
-    joint: EpistemicState,
-    mu: EpistemicState,
-    nu: EpistemicState,
-    inaccessible: Sequence[str] = (),
+    joint: EpistemicState, mu: EpistemicState, nu: EpistemicState
 ) -> Verdict:
-    """Is the joint, with the inaccessible factors summed out, exactly mu (x) nu?
+    """Is the joint exactly mu (x) nu?  PBR's preparation independence.
 
-    With nothing inaccessible (the default) this is PBR's preparation
-    independence over the full space.  The remaining factor list must be
-    mu's factors followed by nu's.
+    The joint's factor list must be mu's factors followed by nu's.
     """
-    inaccessible = tuple(inaccessible)
-    names = set(joint.space.factor_names)
-    unknown = set(inaccessible) - names
-    if unknown:
-        raise ValueError(f"inaccessible factors {sorted(unknown)} are not in the joint space")
-    overlap = set(inaccessible) & (set(mu.space.factor_names) | set(nu.space.factor_names))
-    if overlap:
-        raise ValueError(f"inaccessible factors {sorted(overlap)} belong to a subsystem")
-    if inaccessible:
-        joint = marginalize(joint, [n for n in joint.space.factor_names if n not in inaccessible])
     expected_factors = mu.space.factors + nu.space.factors
     if joint.space.factors != expected_factors:
         raise ValueError(
@@ -189,15 +173,16 @@ class IndependenceReport(Record):
 
 
 def analyze_independence(
-    preparations: Mapping[str, EpistemicState],
+    model: OntologicalModel,
     inaccessible: Sequence[str] = (),
 ) -> IndependenceReport:
     """Report the three independence verdicts for each preparation.
 
-    Subsystem distributions are the joint's marginals on the first
-    accessible factor and on the remaining accessible ones (the unique
-    candidate factors).  Requires distinct ``inaccessible`` names and at
-    least two accessible factors per preparation.
+    The ``inaccessible`` names must be distinct factors of the model's
+    space that leave at least two accessible ones.  Each preparation is
+    summed onto the accessible factors, and that marginal is checked
+    against its marginals on the first accessible factor and on the rest
+    (the unique candidate factors).
 
     ``prep_independent`` is ``locally_independent``, the product check on
     the accessible marginal, reported under both names; dropping the alias
@@ -207,21 +192,24 @@ def analyze_independence(
     inaccessible = tuple(inaccessible)
     if len(set(inaccessible)) != len(inaccessible):
         raise ValueError(f"duplicate inaccessible factor names in {inaccessible}")
+    names = model.space.factor_names
+    accessible = [n for n in names if n not in inaccessible]
+    if len(accessible) < 2:
+        raise ValueError(f"hiding {list(inaccessible)} leaves fewer than two accessible factors")
+    unknown = set(inaccessible) - set(names)
+    if unknown:
+        raise ValueError(f"inaccessible factors {sorted(unknown)} are not in the joint space")
+    preparations = model.preparations
+    labels = sorted(preparations)
     states: dict[str, StateIndependence] = {}
-    for label in sorted(preparations):
+    for label in labels:
         joint = preparations[label]
-        names = joint.space.factor_names
-        accessible = [n for n in names if n not in set(inaccessible)]
-        if len(accessible) < 2:
-            raise ValueError(
-                f"preparation {label!r} has fewer than two accessible factors"
-            )
-        mu = marginalize(joint, accessible[:1])
-        nu = marginalize(joint, accessible[1:])
-        local_v = check_local_independence(joint, mu, nu, inaccessible)
+        local = marginalize(joint, accessible) if inaccessible else joint
+        mu = marginalize(local, accessible[:1])
+        nu = marginalize(local, accessible[1:])
+        local_v = check_local_independence(local, mu, nu)
         states[label] = StateIndependence(local_v, check_full_independence(joint))
     overlaps: dict[tuple[str, str], QSqrt2] = {}
-    labels = sorted(preparations)
     for i, a in enumerate(labels):
         for b in labels[i + 1 :]:
             overlaps[(a, b)] = classical_overlap(preparations[a], preparations[b])

@@ -34,7 +34,6 @@ from onticbench.scenarios import (
     MARGINAL_PREP_ORDER,
     MEASUREMENT_LABEL,
     PREP_ORDER,
-    SHARED_FACTOR,
     STATE_ORDER,
     build_pbr_quantum_scenario,
     build_toy_nlhv_model,
@@ -131,7 +130,7 @@ def test_criterion_3_independence_split():
     }
     local_ok = all(
         check_local_independence(
-            model.preparations[label], subs1[l], subs2[r], (SHARED_FACTOR,)
+            marginalize(model.preparations[label], ("lambda1", "lambda2")), subs1[l], subs2[r]
         ).ok
         for label, (l, r) in pairing.items()
     )

@@ -88,6 +88,14 @@ end
 """
 
 
+def space_only_and_point_mass(names):
+    """Model texts on the factors ``names``, each valued 0 or 1: one with no
+    preparation, and one with a point mass on the all-zero point."""
+    space = "onticbench-model 1\n\nspace\n" + "".join(f"  factor {n} 0 1\n" for n in names) + "end\n"
+    point = ",".join("0" for _ in names)
+    return space, f"{space}\npreparation p\n  ({point}) 1\nend\n"
+
+
 def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
@@ -297,16 +305,51 @@ class TestIndependence:
         assert err.startswith("error: ") and "duplicate" in err
 
     def test_unknown_name_on_a_space_only_model_exits_two(self, capsys, tmp_path):
-        # No preparation checks the names, so the command must.
+        # The names are checked against the space, not per preparation.
         model = tmp_path / "space-only.model"
-        model.write_text(
-            "onticbench-model 1\n\nspace\n  factor a 0 1\n  factor b 0 1\nend\n", encoding="utf-8"
-        )
+        model.write_text(space_only_and_point_mass(("a", "b"))[0], encoding="utf-8")
         for names, unknown in (("bogus", "['bogus']"), ("lambda1,", "['', 'lambda1']")):
             code, out, err = invoke(capsys, "independence", str(model), "--inaccessible", names)
             assert code == 2
             assert out == ""
             assert err == f"error: inaccessible factors {unknown} are not in the joint space\n"
+
+    @pytest.mark.parametrize("names", ["a", "b,a", "bogus", "a,a"])
+    def test_unusable_list_exits_two_with_or_without_preparations(self, capsys, tmp_path, names):
+        results = []
+        for i, text in enumerate(space_only_and_point_mass(("a", "b"))):
+            model = tmp_path / f"{i}.model"
+            model.write_text(text, encoding="utf-8")
+            results.append(invoke(capsys, "independence", str(model), f"--inaccessible={names}"))
+        (code, out, err), other = results
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert other == results[0]
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_preparations_do_not_change_the_list_check(self, tmp_path_factory, data):
+        names = data.draw(st.lists(st.sampled_from(("a", "b", "c")), min_size=2, max_size=3, unique=True))
+        hidden = data.draw(st.lists(st.sampled_from([*names, "bogus", ""]), max_size=4))
+        value = ",".join(hidden)
+        parsed = value.split(",") if value else []
+        usable = (len(set(parsed)) == len(parsed) and set(parsed) <= set(names)
+                  and len(names) - len(parsed) >= 2)
+        base = tmp_path_factory.getbasetemp()
+        results = []
+        for i, text in enumerate(space_only_and_point_mass(names)):
+            model = base / f"list-check-{i}.model"
+            model.write_text(text, encoding="utf-8")
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = run(["independence", str(model), f"--inaccessible={value}"])
+            results.append((code, err.getvalue().partition("\n")[0]))
+        assert results[0] == results[1], value
+        # A point mass is a product, so a usable list passes.
+        code, first_line = results[0]
+        assert code == (0 if usable else 2), value
+        assert first_line.startswith("error: ") is not usable, value
 
     def test_each_failure_listed_once(self, capsys, tmp_path):
         model = tmp_path / "correlated.model"
@@ -789,7 +832,7 @@ class TestDemo:
         # the relational states nu0+ and nu+0.
         original = cli.analyze_independence
         monkeypatch.setattr(
-            cli, "analyze_independence", lambda preparations, inaccessible: original(preparations, ())
+            cli, "analyze_independence", lambda model, inaccessible: original(model, ())
         )
         code, out, _ = invoke(capsys, "demo-pbr")
         assert code == 1

@@ -110,8 +110,13 @@ class TestPreparationIndependence:
 
 
 @pytest.fixture(scope="module")
-def preps():
-    return build_toy_nlhv_model().preparations
+def model():
+    return build_toy_nlhv_model()
+
+
+@pytest.fixture(scope="module")
+def preps(model):
+    return model.preparations
 
 
 class TestToyModelIndependence:
@@ -142,7 +147,7 @@ class TestToyModelIndependence:
         }
         for label, (left, right) in pairs.items():
             verdict = check_local_independence(
-                preps[label], subs1[left], subs2[right], (SHARED_FACTOR,)
+                marginalize(preps[label], ("lambda1", "lambda2")), subs1[left], subs2[right]
             )
             assert verdict.ok, label
 
@@ -169,8 +174,8 @@ class TestToyModelIndependence:
         assert point == ("HH", "HH", "1")
         assert (joint_w, product_w) == (ZERO, THREE_SIXTEENTHS)
 
-    def test_analyze_report(self, preps):
-        report = analyze_independence(preps, (SHARED_FACTOR,))
+    def test_analyze_report(self, model):
+        report = analyze_independence(model, (SHARED_FACTOR,))
         for label in PREP_ORDER:
             state = report.states[label]
             # the accessible marginal is a product for every state
@@ -179,18 +184,18 @@ class TestToyModelIndependence:
             assert state.fully_independent.ok is (label in ("nu00", "nu++"))
         assert all(v == QUARTER for v in report.overlaps.values())
 
-    def test_report_stores_the_local_verdict_once(self, preps):
-        report = analyze_independence(preps, (SHARED_FACTOR,))
+    def test_report_stores_the_local_verdict_once(self, model):
+        report = analyze_independence(model, (SHARED_FACTOR,))
         for state in report.states.values():
             assert state.prep_independent is state.locally_independent
         nu0plus = report.states["nu0+"]
         assert nu0plus.witness_points == (("HH", "HH", "1"),)
         assert nu0plus.to_dict()["witness_points"] == ["(HH,HH,1)"]
 
-    def test_nothing_hidden_is_pbr_independence(self, preps):
+    def test_nothing_hidden_is_pbr_independence(self, model, preps):
         # PBR's check is the local one with no factor summed out: the shared
         # coin then correlates the two subsystems of nu0+ and nu+0.
-        report = analyze_independence(preps, ())
+        report = analyze_independence(model, ())
         failing = {"nu0+", "nu+0"}
         for label in PREP_ORDER:
             joint = preps[label]
@@ -205,9 +210,9 @@ class TestToyModelIndependence:
                         "at (HH,HH,1): joint weight 0, product weight 1/8"
                     )
 
-    def test_analyze_rejects_duplicate_inaccessible(self, preps):
+    def test_analyze_rejects_duplicate_inaccessible(self, model):
         with pytest.raises(ValueError, match="duplicate"):
-            analyze_independence(preps, ("lambda1", "lambda1"))
+            analyze_independence(model, ("lambda1", "lambda1"))
 
 
 class TestClassicalOverlap:

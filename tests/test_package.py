@@ -57,6 +57,7 @@ class TestPublicSurface:
         assert not hasattr(hilbert.MeasurementBasis, "outcome_count")
         assert not hasattr(ontology.OnticSpace, "project")
         assert "validate" not in inspect.signature(hilbert.MeasurementBasis).parameters
+        assert "inaccessible" not in inspect.signature(independence.check_local_independence).parameters
 
 
 def _imported_names(tree: ast.Module):

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from onticbench.hilbert import MeasurementBasis, StateVector, born_probabilities, ket, ket_product
-from onticbench.independence import analyze_independence, check_local_independence, marginalize
+from onticbench.independence import analyze_independence, marginalize
 from onticbench.modelfile import ModelFormatError, loads
 from onticbench.numerics import HALF, ONE, QSqrt2, ZERO
 from onticbench.ontology import (
@@ -88,15 +88,8 @@ CASES = [
     ("marginalize-repeated-factor",
      lambda: marginalize(EpistemicState(TWO_FACTORS, {("a", "c"): ONE}), ("x", "x")),
      ValueError, "duplicate factor names"),
-    ("hide-a-subsystem-factor",
-     lambda: check_local_independence(
-         EpistemicState(TWO_FACTORS, {("a", "c"): ONE}),
-         EpistemicState(TWO_FACTORS.subspace(["x"]), {("a",): ONE}),
-         EpistemicState(TWO_FACTORS.subspace(["y"]), {("c",): ONE}),
-         ("x",)),
-     ValueError, "belong to a subsystem"),
     ("one-accessible-factor",
-     lambda: analyze_independence(build_toy_nlhv_model().preparations, ("lambda1", "lambda_s")),
+     lambda: analyze_independence(build_toy_nlhv_model(), ("lambda1", "lambda_s")),
      ValueError, "fewer than two accessible factors"),
     # synthesis
     ("prep-index-unknown", lambda: toy_synthesis_spec().prep_index("nope"),
