@@ -48,11 +48,14 @@ over the measurements); a larger space is a ModelFormatError at its
 ``space`` line, and the ``outcomes K`` line that takes the model past
 MAX_CELLS is one at that line, each raised before anything is allocated.
 
-Repeated content is cheap: loads() parses each distinct point token and
-value text once per call and shares the result (a padded model repeats a
-few values over many lines), and the validators decide each row in
-integers (numerics.is_distribution), walking a row value by value only to
-name the faults of one that fails.
+Repeated content is cheap.  loads() parses each distinct point token,
+value text and outcome numeral once per call and shares the result (a
+padded model repeats a few values over many lines), so a line whose
+tokens were all read before costs dict lookups only; a column is computed
+only for an error.  ResponseFunctions checks a whole table at once and
+walks it point by point only to name a fault, and the validators decide
+each row in integers (numerics.is_distribution), walking a row value by
+value only to name the faults of one that fails.
 
 read_model() is the one place a model file is opened and decoded: it
 reads a path and hands the text to loads().  load_model() additionally
@@ -105,35 +108,41 @@ _Line = tuple[int, str, int]
 def _logical_lines(text: str) -> list[_Line]:
     lines = []
     for number, raw in enumerate(text.split("\n"), start=1):
-        body = raw.split("#", 1)[0].rstrip()
-        stripped = body.lstrip()
+        stripped = raw.strip()
+        if "#" in stripped:
+            stripped = stripped.split("#", 1)[0].rstrip()
         if stripped:
-            lines.append((number, stripped, len(body) - len(stripped) + 1))
+            lines.append((number, stripped, len(raw) - len(raw.lstrip()) + 1))
     return lines
 
 
 def _parse_point(
-    token: str, space: OnticSpace, points: dict[str, Point], line: int, col: int
+    token: str, space: OnticSpace, points: dict[str, Point], line: int, text: str, col: int,
+    after: int = 0,
 ) -> Point:
-    point = points.get(token)
-    if point is not None:
-        return point
-    if not (token.startswith("(") and token.endswith(")")):
-        raise ModelFormatError(f"expected a point like (a,b), got {token!r}", line, col)
-    labels = tuple(token[1:-1].split(","))
-    if len(labels) != len(space.factors):
-        raise ModelFormatError(
-            f"point {token} has {len(labels)} coordinates, space has {len(space.factors)}",
-            line,
-            col,
-        )
-    for coord, factor in zip(labels, space.factors):
-        if coord not in factor.labels:
-            raise ModelFormatError(
-                f"factor {factor.name!r} has no label {coord!r}", line, col
+    """The point a first-seen token names, stored in ``points``.
+
+    ``token`` is the first field of the line ``text`` (starting at column
+    ``col``) at or after offset ``after``; the labels are walked, and the
+    column computed, only to name a bad token.
+    """
+    if token.startswith("(") and token.endswith(")"):
+        labels = tuple(token[1:-1].split(","))
+        if labels in space._index:
+            points[token] = labels
+            return labels
+        if len(labels) != len(space.factors):
+            message = (
+                f"point {token} has {len(labels)} coordinates, space has {len(space.factors)}"
             )
-    points[token] = labels
-    return labels
+        else:
+            coord, factor = next(
+                (c, f) for c, f in zip(labels, space.factors) if c not in f.labels
+            )
+            message = f"factor {factor.name!r} has no label {coord!r}"
+    else:
+        message = f"expected a point like (a,b), got {token!r}"
+    raise ModelFormatError(message, line, col + text.index(token, after))
 
 
 def _is_count(token: str) -> bool:
@@ -148,25 +157,31 @@ def _is_count(token: str) -> bool:
 _COUNT_DIGITS = len(str(MAX_CELLS))
 
 
-def _parse_value(text: str, values: dict[str, QSqrt2], line: int, col: int) -> QSqrt2:
-    value = values.get(text)
-    if value is not None:
-        return value
+def _parse_value(
+    value: str, values: dict[str, QSqrt2], line: int, text: str, col: int
+) -> QSqrt2:
+    """The value of a first-seen value text, stored in ``values``.
+
+    ``value`` is the last field of the line ``text``, which starts at
+    column ``col``.
+    """
     try:
-        value = QSqrt2.parse(text)
+        parsed = QSqrt2.parse(value)
     except ValueError as exc:
-        raise ModelFormatError(str(exc), line, col) from None
-    values[text] = value
-    return value
+        raise ModelFormatError(str(exc), line, col + len(text) - len(value)) from None
+    values[value] = parsed
+    return parsed
 
 
 # Section parsers: each reads the lines between a header and its 'end'.
 # loads() gives each section kind one branch (header, parser, 'end',
 # object), so an entry error is reported before a missing 'end'.
 # ``points`` and ``values`` hold what one loads() call has parsed, keyed
-# by text: each distinct token is parsed once, only one that parsed is
-# stored, and the first that fails ends the call with its own line and
-# column.  Sharing a parsed value is safe: QSqrt2 is immutable.
+# by text, and a measurement keeps its outcome numerals the same way: each
+# field is looked up there first, so a line whose tokens were all read
+# before costs dict hits.  Only a miss is parsed and checked; the first
+# fault ends the call with its own line and column, and only a token that
+# parsed is stored.  Sharing a parsed value is safe: QSqrt2 is immutable.
 
 
 def _space_entries(body: Sequence[_Line]) -> list[Factor]:
@@ -192,10 +207,13 @@ def _preparation_entries(
         parts = text.split(None, 1)
         if len(parts) != 2:
             raise ModelFormatError("expected 'POINT VALUE'", line, col)
-        point = _parse_point(parts[0], space, points, line, col)
+        point = points.get(parts[0]) or _parse_point(parts[0], space, points, line, text, col)
         if point in weights:
             raise ModelFormatError(f"duplicate point {format_point(point)}", line, col)
-        weights[point] = _parse_value(parts[1], values, line, col + len(text) - len(parts[1]))
+        value = values.get(parts[1])
+        weights[point] = (
+            value if value is not None else _parse_value(parts[1], values, line, text, col)
+        )
     return weights
 
 
@@ -214,39 +232,45 @@ def _measurement_entries(
     outcome_count: int | None = None
     filler = ZERO
     entries: dict[tuple[int, Point], QSqrt2] = {}
+    numerals: dict[str, int] = {}  # outcome token -> outcome, once it passed
     seen = set()  # 'outcomes' and 'filler' come at most once
     for line, text, col in body:
         parts = text.split(None, 2)
-        if parts[0] in ("outcomes", "filler"):
-            if parts[0] in seen:
-                raise ModelFormatError(f"duplicate {parts[0]!r} line", line, col)
-            seen.add(parts[0])
-        if parts[0] == "outcomes":
-            digits = parts[1].lstrip("0") if len(parts) == 2 and _is_count(parts[1]) else ""
-            if not digits:
-                raise ModelFormatError("expected 'outcomes K'", line, col)
-            if len(digits) > _COUNT_DIGITS:
-                raise ModelFormatError(
-                    f"an outcome count of {len(digits)} digits makes more than "
-                    f"{MAX_CELLS} response cells in the model",
-                    line,
-                    col,
-                )
-            outcome_count = int(digits)
-            if cells + outcome_count * space.size > MAX_CELLS:
-                raise ModelFormatError(
-                    f"{outcome_count} outcomes at {space.size} points make more than "
-                    f"{MAX_CELLS} response cells in the model "
-                    f"({cells} in earlier measurements)",
-                    line,
-                    col,
-                )
-        elif parts[0] == "filler":
-            if len(parts) < 2:
-                raise ModelFormatError("expected 'filler VALUE'", line, col)
-            value = text.split(None, 1)[1]
-            filler = _parse_value(value, values, line, col + len(text) - len(value))
-        else:
+        outcome = numerals.get(parts[0]) if len(parts) == 3 else None
+        if outcome is None:
+            if parts[0] in ("outcomes", "filler"):
+                if parts[0] in seen:
+                    raise ModelFormatError(f"duplicate {parts[0]!r} line", line, col)
+                seen.add(parts[0])
+            if parts[0] == "outcomes":
+                digits = parts[1].lstrip("0") if len(parts) == 2 and _is_count(parts[1]) else ""
+                if not digits:
+                    raise ModelFormatError("expected 'outcomes K'", line, col)
+                if len(digits) > _COUNT_DIGITS:
+                    raise ModelFormatError(
+                        f"an outcome count of {len(digits)} digits makes more than "
+                        f"{MAX_CELLS} response cells in the model",
+                        line,
+                        col,
+                    )
+                outcome_count = int(digits)
+                if cells + outcome_count * space.size > MAX_CELLS:
+                    raise ModelFormatError(
+                        f"{outcome_count} outcomes at {space.size} points make more than "
+                        f"{MAX_CELLS} response cells in the model "
+                        f"({cells} in earlier measurements)",
+                        line,
+                        col,
+                    )
+                continue
+            if parts[0] == "filler":
+                if len(parts) < 2:
+                    raise ModelFormatError("expected 'filler VALUE'", line, col)
+                value = text.split(None, 1)[1]
+                filler = values.get(value)
+                if filler is None:
+                    filler = _parse_value(value, values, line, text, col)
+                continue
             if outcome_count is None:
                 raise ModelFormatError("'outcomes K' must precede entries", line, col)
             if len(parts) != 3:
@@ -267,17 +291,20 @@ def _measurement_entries(
                 raise ModelFormatError(
                     f"outcome {outcome} out of range 1..{outcome_count}", line, col
                 )
-            point_col = col + text.index(parts[1], len(parts[0]))
-            point = _parse_point(parts[1], space, points, line, point_col)
-            if (outcome, point) in entries:
-                raise ModelFormatError(
-                    f"duplicate entry for outcome {outcome} at {format_point(point)}",
-                    line,
-                    col,
-                )
-            entries[(outcome, point)] = _parse_value(
-                parts[2], values, line, col + len(text) - len(parts[2])
+            numerals[parts[0]] = outcome
+        point = points.get(parts[1]) or _parse_point(
+            parts[1], space, points, line, text, col, len(parts[0])
+        )
+        if (outcome, point) in entries:
+            raise ModelFormatError(
+                f"duplicate entry for outcome {outcome} at {format_point(point)}",
+                line,
+                col,
             )
+        value = values.get(parts[2])
+        entries[(outcome, point)] = (
+            value if value is not None else _parse_value(parts[2], values, line, text, col)
+        )
     return outcome_count, filler, entries
 
 

@@ -10,14 +10,17 @@ A model is a triple (space, preparations, measurements):
   * a response function family assigns each point a length-K outcome
     distribution, stored densely.
 
-Constructors check shape only.  OnticSpace.check_point is the
-point-membership check of every constructor and lookup that takes a point;
-the model loader checks each point itself first, so that its error can
-name the line and column.  Validators return verdicts rather than raising,
-so a malformed model can be loaded, inspected, and reported on.  The
-quantum side enters only as data: check_born_agreement compares a model's
-predictions cell by cell with target rows, one exact outcome distribution
-per preparation, such as the Born rows of a quantum scenario.
+Constructors check shape only.  ResponseFunctions decides a whole table
+at once and walks it point by point only to coerce values or name a
+fault; EpistemicState tests each point with one index lookup.
+OnticSpace.check_point names a point that is not in the space for both,
+and for every lookup that takes a point.  The model loader checks each
+point itself first, so that its error can name the line and column.
+Validators return verdicts rather than raising, so a malformed model can
+be loaded, inspected, and reported on.  The quantum side enters only as
+data: check_born_agreement compares a model's predictions cell by cell
+with target rows, one exact outcome distribution per preparation, such as
+the Born rows of a quantum scenario.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import math
 import random
 from bisect import bisect_right
 from collections.abc import Iterable, Mapping, Sequence
+from itertools import chain
 from operator import index
 
 from .numerics import ONE, QSqrt2, ZERO, as_qsqrt2, is_distribution, is_probability
@@ -124,16 +128,22 @@ class EpistemicState(Record):
     Construction checks that every point belongs to the space and drops
     exact zeros; it does not insist on normalization, which is the job of
     validate_epistemic (invalid states must be representable so they can
-    be reported on).
+    be reported on).  A plain-tuple point of the space and a QSqrt2 value
+    cost one index lookup and two type tests; any other key goes through
+    check_point, which copies it to a plain tuple or names the first point
+    that is not in the space, and any other value through as_qsqrt2.
     """
 
     _fields = ("space", "weights")
 
     def __init__(self, space: OnticSpace, weights: Mapping[Point, QSqrt2]) -> None:
+        known = space._index
         cleaned: dict[Point, QSqrt2] = {}
         for point, value in weights.items():
-            point = space.check_point(point)
-            value = as_qsqrt2(value)
+            if type(point) is not tuple or point not in known:
+                point = space.check_point(point)
+            if type(value) is not QSqrt2:
+                value = as_qsqrt2(value)
             if value:
                 cleaned[point] = value
         _set(self, "space", space)
@@ -157,6 +167,12 @@ class ResponseFunctions(Record):
     of point p is rows[p][k-1].  ``filler`` records the default value used
     for unlisted entries in the text form, so dumps round-trip; it carries
     no semantic weight once rows are dense.
+
+    Construction decides the whole mapping at once: its keys are exactly
+    the space's points, as plain tuples, and every row is a tuple or list
+    of K QSqrt2 values.  Any other mapping is walked point by point, which
+    coerces int and Fraction values and names the first foreign point,
+    wrong-length row or missing point.
     """
 
     _fields = ("space", "outcome_count", "rows", "filler")
@@ -173,21 +189,31 @@ class ResponseFunctions(Record):
         if outcome_count < 1:
             raise ValueError("a measurement needs at least one outcome")
         filler = as_qsqrt2(filler)
-        dense: dict[Point, tuple[QSqrt2, ...]] = {}
-        for point, row in rows.items():
-            point = space.check_point(point)
-            row = tuple(as_qsqrt2(v) for v in row)
-            if len(row) != outcome_count:
+        table = rows.values()
+        if (
+            set(map(type, rows)) == {tuple}
+            and rows.keys() == space._index.keys()
+            and set(map(type, table)) <= {tuple, list}
+            and set(map(len, table)) == {outcome_count}
+            and set(map(type, chain.from_iterable(table))) == {QSqrt2}
+        ):
+            dense = dict(zip(rows, map(tuple, table)))
+        else:
+            dense = {}
+            for point, row in rows.items():
+                point = space.check_point(point)
+                row = tuple(as_qsqrt2(v) for v in row)
+                if len(row) != outcome_count:
+                    raise ValueError(
+                        f"row at {format_point(point)} has {len(row)} entries, "
+                        f"expected {outcome_count}"
+                    )
+                dense[point] = row
+            missing = [p for p in space.points if p not in dense]
+            if missing:
                 raise ValueError(
-                    f"row at {format_point(point)} has {len(row)} entries, "
-                    f"expected {outcome_count}"
+                    f"rows missing for {len(missing)} points, first {format_point(missing[0])}"
                 )
-            dense[point] = row
-        missing = [p for p in space.points if p not in dense]
-        if missing:
-            raise ValueError(
-                f"rows missing for {len(missing)} points, first {format_point(missing[0])}"
-            )
         _set(self, "space", space)
         _set(self, "outcome_count", outcome_count)
         _set(self, "rows", dense)

@@ -10,7 +10,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from onticbench.modelfile import (
@@ -297,6 +297,7 @@ class TestFieldColumns:
         text = GOLDEN.read_text(encoding="utf-8")
         for old, new, column in [
             ("  1 (HH,HH,1) 0", "  1  (HH,HH,1) 0x", 16),
+            ("  1 (HH,HH,1) 0", "  01 1 0", 6),  # the bad point also occurs in the numeral
             ("  filler 1/4", "  filler   1/4x", 12),
         ]:
             with pytest.raises(ModelFormatError) as err:
@@ -503,11 +504,14 @@ def padded_toy_text() -> str:
     return dumps(OntologicalModel(space, preparations, measurements))
 
 
+PADDED = padded_toy_text()
+
+
 class TestInterning:
     """loads() parses each distinct point and value text once per call."""
 
     def test_each_value_text_parsed_once(self, monkeypatch):
-        text = padded_toy_text()
+        text = PADDED
         parse = QSqrt2.parse
         calls = []
 
@@ -528,7 +532,7 @@ class TestInterning:
         assert dumps(loads(text)) == text
 
     def test_points_shared_across_sections(self):
-        model = loads(padded_toy_text())
+        model = loads(PADDED)
         first: Dict[Point, Point] = {}
         for state in model.preparations.values():
             for point in state.weights:
@@ -547,7 +551,7 @@ class TestInterning:
     )
     def test_bad_token_after_good_lines_is_located(self, old, new):
         # The good form of each token is parsed on many lines before the bad one.
-        lines = padded_toy_text().splitlines()
+        lines = PADDED.splitlines()
         at = max(i for i, line in enumerate(lines) if old in line.split())
         assert sum(old in line.split() for line in lines[:at]) >= 3 and at > 100
         column = lines[at].index(old) + 1
@@ -814,24 +818,42 @@ SECTION_LINES = (
     "preparation p\nend", "preparation q\n  (a) 1",
 )
 CHARS = " \t\x0c\u00a0\u2028()#,/-+0123456789abxyHT_sqrt\u00b2\u00e9"
+OUTCOME_NUMERALS = ("01", "0", "5", "x")
 
 
 @st.composite
 def mutated_model_text(draw):
-    """The golden file or SMALL with a few lines after the header deleted,
-    duplicated, inserted as section keywords, or with a character changed."""
-    header, *lines = draw(st.sampled_from([GOLDEN.read_text(encoding="utf-8"), SMALL])).splitlines()
+    """The golden file, SMALL or the padded toy file with a few lines after
+    the header deleted, duplicated, repeated further down, swapped, inserted
+    as section keywords, with a character changed, or with an entry's outcome
+    numeral replaced.  In the padded file most mutated lines carry points and
+    values that earlier lines already hold."""
+    source = draw(st.sampled_from([GOLDEN.read_text(encoding="utf-8"), SMALL, PADDED]))
+    header, *lines = source.splitlines()
+    kinds = ["delete", "duplicate", "repeat", "swap", "insert", "change", "outcome"]
     for _ in range(draw(st.integers(1, 4))):
-        kind = draw(st.sampled_from(["delete", "duplicate", "insert", "change"]))
+        kind = draw(st.sampled_from(kinds))
         if kind == "insert" or not lines:
             indent = draw(st.sampled_from(["", "  "]))
             lines.insert(draw(st.integers(0, len(lines))), indent + draw(st.sampled_from(SECTION_LINES)))
+            continue
+        if kind == "outcome":
+            entries = [i for i, line in enumerate(lines) if re.match(r"\s+\d+ \(", line)]
+            if entries:
+                i = draw(st.sampled_from(entries))
+                rest = lines[i].split(None, 1)[1]
+                lines[i] = "  " + draw(st.sampled_from(OUTCOME_NUMERALS)) + " " + rest
             continue
         i = draw(st.integers(0, len(lines) - 1))
         if kind == "delete":
             del lines[i]
         elif kind == "duplicate":
             lines.insert(i, lines[i])
+        elif kind == "repeat":
+            lines.insert(draw(st.integers(i + 1, len(lines))), lines[i])
+        elif kind == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
         elif lines[i]:
             j = draw(st.integers(0, len(lines[i]) - 1))
             lines[i] = lines[i][:j] + draw(st.sampled_from(CHARS)) + lines[i][j + 1:]
@@ -846,8 +868,14 @@ def load_outcome(load, text):
     return dumps(model), model
 
 
+LAST_ENTRY = "  4 (TH,TH,1) 0\n"  # its point and value appear on earlier lines
+
+
 class TestSameAsPreviousLoader:
     @settings(max_examples=600, deadline=None)
+    @example(text=GOLDEN.read_text(encoding="utf-8").replace(LAST_ENTRY, LAST_ENTRY * 2))
+    @example(text=GOLDEN.read_text(encoding="utf-8").replace(LAST_ENTRY, "  5 (TH,TH,1) 0\n"))
+    @example(text=GOLDEN.read_text(encoding="utf-8").replace(LAST_ENTRY, "  4 (TH,TH,1)\n"))
     @given(text=mutated_model_text())
     def test_same_model_or_same_error(self, text):
         assert load_outcome(loads, text) == load_outcome(_parent_loads, text)

@@ -235,6 +235,101 @@ class TestResponseFunctions:
         assert xi.filler == HALF
 
 
+class _PointSubclass(tuple):
+    pass
+
+
+def _stored(mapping) -> list:
+    """Each item with the types of its key, value and (for rows) entries."""
+    return [
+        (type(key), key, type(value), value,
+         [type(v) for v in value] if isinstance(value, tuple) else None)
+        for key, value in mapping.items()
+    ]
+
+
+class TestConstructorsBuildAndName:
+    """What EpistemicState and ResponseFunctions store, and the first fault
+    they name, whether or not a whole mapping passes their bulk test."""
+
+    @pytest.mark.parametrize(
+        "build, expected",
+        [
+            pytest.param(
+                lambda: ResponseFunctions(
+                    TWO, 2, {("a",): [1, Fraction(0)], ("b",): [Fraction(1, 2), HALF]}
+                ).rows,
+                [(tuple, ("a",), tuple, (ONE, ZERO), [QSqrt2, QSqrt2]),
+                 (tuple, ("b",), tuple, (HALF, HALF), [QSqrt2, QSqrt2])],
+                id="list-rows-of-int-and-fraction",
+            ),
+            pytest.param(
+                lambda: ResponseFunctions(
+                    TWO, 2, {("a",): iter((ONE, ZERO)), ("b",): iter((ONE, ZERO))}
+                ).rows,
+                [(tuple, ("a",), tuple, (ONE, ZERO), [QSqrt2, QSqrt2]),
+                 (tuple, ("b",), tuple, (ONE, ZERO), [QSqrt2, QSqrt2])],
+                id="iterator-rows",
+            ),
+            pytest.param(
+                lambda: ResponseFunctions(
+                    TWO, 2, {_PointSubclass(("a",)): (ONE, ZERO), ("b",): (ONE, ZERO)}
+                ).rows,
+                [(tuple, ("a",), tuple, (ONE, ZERO), [QSqrt2, QSqrt2]),
+                 (tuple, ("b",), tuple, (ONE, ZERO), [QSqrt2, QSqrt2])],
+                id="rows-tuple-subclass-key",
+            ),
+            pytest.param(
+                lambda: EpistemicState(TWO, {_PointSubclass(("a",)): HALF, ("b",): HALF}).weights,
+                [(tuple, ("a",), QSqrt2, HALF, None), (tuple, ("b",), QSqrt2, HALF, None)],
+                id="weights-tuple-subclass-key",
+            ),
+            pytest.param(
+                lambda: EpistemicState(TWO, {("a",): ONE, ("b",): ZERO}).weights,
+                [(tuple, ("a",), QSqrt2, ONE, None)],
+                id="zero-weight-dropped",
+            ),
+            pytest.param(
+                lambda: EpistemicState(TWO, {("a",): 1, ("b",): Fraction(0)}).weights,
+                [(tuple, ("a",), QSqrt2, ONE, None)],
+                id="zero-weight-dropped-int-and-fraction",
+            ),
+            pytest.param(
+                lambda: ResponseFunctions(TWO, 2, {("a",): (ONE, ZERO), ("b",): (ONE,)}),
+                "row at (b) has 1 entries, expected 2",
+                id="wrong-length-row",
+            ),
+            pytest.param(
+                lambda: ResponseFunctions(TWO, 2, {("a",): (ONE,), ("c",): (ONE, ZERO)}),
+                "row at (a) has 1 entries, expected 2",
+                id="wrong-length-before-foreign-point",
+            ),
+            pytest.param(
+                lambda: ResponseFunctions(TWO, 2, {("c",): (ONE, ZERO), ("a",): (ONE,)}),
+                "point (c) is not in the space",
+                id="foreign-point-before-wrong-length",
+            ),
+            pytest.param(
+                lambda: ResponseFunctions(TWO, 2, {("a",): (ONE, ZERO)}),
+                "rows missing for 1 points, first (b)",
+                id="missing-point",
+            ),
+            pytest.param(
+                lambda: EpistemicState(TWO, {("a",): HALF, ("c",): HALF}),
+                "point (c) is not in the space",
+                id="foreign-point-in-state",
+            ),
+        ],
+    )
+    def test_stored_or_first_fault(self, build, expected):
+        if isinstance(expected, str):
+            with pytest.raises(ValueError) as err:
+                build()
+            assert str(err.value) == expected
+        else:
+            assert _stored(build()) == expected
+
+
 class TestModel:
     def test_component_space_must_match(self):
         prep = two_state(HALF, HALF)
