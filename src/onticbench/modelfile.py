@@ -341,13 +341,14 @@ def loads(text: str) -> OntologicalModel:
     points: dict[str, Point] = {}
     values: dict[str, QSqrt2] = {}
     cells = 0  # response cells of the measurements so far
+    # A section ends at the next line that reads just "end"; one that never
+    # does lands on the sentinel at len(lines).
+    texts = [head for _, head, _ in lines] + ["end"]
     i = 1
     while i < len(lines):
         line, head, _ = lines[i]
         kind, *args = head.split()
-        end = i + 1
-        while end < len(lines) and lines[end][1] != "end":
-            end += 1
+        end = texts.index("end", i + 1)
         body = lines[i + 1:end]
         if kind == "space":
             if args:

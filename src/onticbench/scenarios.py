@@ -1,25 +1,21 @@
 """Built-in scenarios: the PBR preparations and the relational coin model.
 
-The quantum side is the standard PBR setup on two qubits: four product
-preparations |00>, |0+>, |+0>, |++> measured in an entangled basis whose
-outcome k is orthogonal to the k-th preparation, so each outcome
+Every object here is built from the product states |xy> of STATE_ORDER:
+|00>, |0+>, |+0>, |++>.  The quantum side measures them in PBR's entangled
+basis, whose outcome k is orthogonal to the k-th |xy>, so each outcome
 antidistinguishes one preparation (its Born probability is exactly zero).
 
-The ontological side is a coin model in which each subsystem carries a
-pair of coin flips (labels HH, HT, TH, TT) and the composite carries one
-extra shared relational variable with values 1 and 2.  The four composite
-epistemic states each weight four points at 1/4; the shared variable takes
-value 2 exactly when both subsystems landed on HH under different
-preparations.  With the matching response table the model reproduces the
-Born statistics exactly, its composite states marginalize to products of
-the subsystem states, and the shared variable is the only obstruction to
-full factor-by-factor independence.
-
-PBR's local model is preparation independence: each composite state is the
-product of its two subsystem states on the local coin pairs, which equals
-the relational state with the shared variable summed out.  No response
-functions on that reduced space can reproduce the Born table, which the
-synthesis module proves with an exact infeasibility certificate.
+On the ontological side each subsystem carries a pair of coin flips
+(labels HH, HT, TH, TT).  PBR's local model pbr-lhv is preparation
+independence: mu_xy is nu_x on lambda1 times nu_y on lambda2.  No response
+functions on that space reproduce the Born table, which the synthesis
+module proves with an exact infeasibility certificate.  The relational
+model toy-nlhv is the same product states with one shared variable
+lambda_s appended, 2 exactly when both coin pairs read HH under different
+preparations, so summing lambda_s out gives pbr-lhv by construction.  Its
+response table, stated point by point, reproduces the Born statistics
+exactly, and lambda_s is the only obstruction to full factor-by-factor
+independence.
 """
 
 from __future__ import annotations
@@ -42,8 +38,8 @@ from .verdicts import Record, _set
 
 COIN_LABELS = ("HH", "HT", "TH", "TT")
 STATE_ORDER = ("00", "0+", "+0", "++")
-PREP_ORDER = ("nu00", "nu0+", "nu+0", "nu++")
-MARGINAL_PREP_ORDER = ("mu00", "mu0+", "mu+0", "mu++")
+PREP_ORDER = tuple("nu" + xy for xy in STATE_ORDER)
+MARGINAL_PREP_ORDER = tuple("mu" + xy for xy in STATE_ORDER)
 MEASUREMENT_LABEL = "M"
 SHARED_FACTOR = "lambda_s"
 
@@ -65,26 +61,23 @@ class PbrScenario(Record):
 
 
 def build_pbr_quantum_scenario() -> PbrScenario:
-    """Construct the two-qubit scenario; the Born table is computed, not typed in."""
-    product = {name: ket_product(name) for name in STATE_ORDER}
-    s = INV_SQRT2
-    # Outcome k is orthogonal to the k-th product state in STATE_ORDER.
+    """Construct the two-qubit scenario from its product states |xy>.
+
+    Outcome k is (|x y'> + |x' y>)/sqrt2 for the k-th |xy> in STATE_ORDER,
+    with 0' = 1 and +' = -: both terms are orthogonal to |xy>, so outcome k
+    antidistinguishes it.  The Born table is computed, not typed in.
+    """
+    product = {xy: ket_product(xy) for xy in STATE_ORDER}
+    flip = {"0": "1", "+": "-"}
     basis = MeasurementBasis(
-        (
-            _superpose(ket_product("01"), ket_product("10"), s),
-            _superpose(ket_product("0-"), ket_product("1+"), s),
-            _superpose(ket_product("+1"), ket_product("-0"), s),
-            _superpose(ket_product("+-"), ket_product("-+"), s),
-        )
+        tuple(_superpose(ket_product(x + flip[y]), ket_product(flip[x] + y)) for x, y in STATE_ORDER)
     )
-    table = tuple(
-        tuple(born_probabilities(product[name], basis)) for name in STATE_ORDER
-    )
+    table = tuple(tuple(born_probabilities(product[xy], basis)) for xy in STATE_ORDER)
     return PbrScenario(product, basis, table)
 
 
-def _superpose(a: StateVector, b: StateVector, scale: QSqrt2) -> StateVector:
-    return StateVector(tuple((x + y) * scale for x, y in zip(a.amplitudes, b.amplitudes)))
+def _superpose(a: StateVector, b: StateVector) -> StateVector:
+    return StateVector(tuple((x + y) * INV_SQRT2 for x, y in zip(a.amplitudes, b.amplitudes)))
 
 
 # ---- ontic spaces -----------------------------------------------------------
@@ -104,64 +97,50 @@ def subsystem_states(factor_name: str = "lambda1") -> dict[str, EpistemicState]:
 
 
 def toy_space() -> OnticSpace:
-    return OnticSpace(
-        (
-            Factor("lambda1", COIN_LABELS),
-            Factor("lambda2", COIN_LABELS),
-            Factor(SHARED_FACTOR, ("1", "2")),
-        )
-    )
+    """The coin pairs lambda1 and lambda2, and the shared lambda_s in {1, 2}."""
+    coins = (Factor("lambda1", COIN_LABELS), Factor("lambda2", COIN_LABELS))
+    return OnticSpace(coins + (Factor(SHARED_FACTOR, ("1", "2")),))
 
 
-# The composite epistemic states: four points at weight 1/4 each.  The
-# shared variable is 2 exactly when both coin pairs landed HH under
-# different preparations, and 1 otherwise.
-_NU_SUPPORTS: dict[str, tuple[Point, ...]] = {
-    "nu00": (("HH", "HH", "1"), ("HT", "HH", "1"), ("HH", "HT", "1"), ("HT", "HT", "1")),
-    "nu0+": (("HH", "HH", "2"), ("HT", "HH", "1"), ("HH", "TH", "1"), ("HT", "TH", "1")),
-    "nu+0": (("HH", "HH", "2"), ("HH", "HT", "1"), ("TH", "HH", "1"), ("TH", "HT", "1")),
-    "nu++": (("HH", "HH", "1"), ("HH", "TH", "1"), ("TH", "HH", "1"), ("TH", "TH", "1")),
-}
-
-# Response table entries on the union of the supports above; every point
-# of the space outside that union gets the uniform filler 1/4 for every
-# outcome, and unlisted entries on the union are zero.
-_XI_HALF: dict[int, tuple[Point, ...]] = {
-    1: (("HH", "HH", "2"), ("HH", "TH", "1"), ("TH", "HH", "1")),
-    2: (("HH", "HH", "1"), ("HH", "HT", "1"), ("TH", "HH", "1")),
-    3: (("HH", "HH", "1"), ("HT", "HH", "1"), ("HH", "TH", "1")),
-    4: (("HH", "HH", "2"), ("HT", "HH", "1"), ("HH", "HT", "1")),
-}
-_XI_ONE: dict[int, Point] = {
-    1: ("TH", "TH", "1"),
-    2: ("TH", "HT", "1"),
-    3: ("HT", "TH", "1"),
-    4: ("HT", "HT", "1"),
+# xi_1..xi_4 on the ten points some nu_xy weights, stated point by point;
+# every other point answers 1/4 to each outcome.  Each of the four points in
+# a single preparation's support answers the one outcome its Born row needs.
+_RESPONSES: dict[Point, tuple[QSqrt2, ...]] = {
+    ("HH", "HH", "1"): (ZERO, HALF, HALF, ZERO),
+    ("HH", "HH", "2"): (HALF, ZERO, ZERO, HALF),
+    ("HH", "HT", "1"): (ZERO, HALF, ZERO, HALF),
+    ("HH", "TH", "1"): (HALF, ZERO, HALF, ZERO),
+    ("HT", "HH", "1"): (ZERO, ZERO, HALF, HALF),
+    ("TH", "HH", "1"): (HALF, HALF, ZERO, ZERO),
+    ("HT", "HT", "1"): (ZERO, ZERO, ZERO, ONE),
+    ("HT", "TH", "1"): (ZERO, ZERO, ONE, ZERO),
+    ("TH", "HT", "1"): (ZERO, ONE, ZERO, ZERO),
+    ("TH", "TH", "1"): (ONE, ZERO, ZERO, ZERO),
 }
 
 
 def build_toy_nlhv_model() -> OntologicalModel:
-    """The 32-point relational model with its Born-reproducing measurement."""
+    """The 32-point relational model: pbr-lhv's product states plus lambda_s.
+
+    nu_xy is nu_x on lambda1 times nu_y on lambda2, with lambda_s = 2 where
+    x != y and both coin pairs read HH, and 1 elsewhere; summing lambda_s
+    out gives pbr-lhv's mu_xy by construction.  Measurement M is the stated
+    response table above, which reproduces the Born table.
+    """
     space = toy_space()
+    nu = subsystem_states()
     preparations = {
-        label: EpistemicState(space, {p: QUARTER for p in sup})
-        for label, sup in _NU_SUPPORTS.items()
+        "nu" + x + y: EpistemicState(
+            space,
+            {
+                (p, q, "2" if x != y and p == q == "HH" else "1"): wp * wq
+                for (p,), wp in nu["nu" + x].weights.items()
+                for (q,), wq in nu["nu" + y].weights.items()
+            },
+        )
+        for x, y in STATE_ORDER
     }
-    union = {p for sup in _NU_SUPPORTS.values() for p in sup}
-    rows: dict[Point, tuple[QSqrt2, ...]] = {}
-    for point in space.points:
-        if point not in union:
-            rows[point] = (QUARTER,) * 4
-            continue
-        row = []
-        for k in range(1, 5):
-            if point in _XI_HALF[k]:
-                row.append(HALF)
-            elif point == _XI_ONE[k]:
-                row.append(ONE)
-            else:
-                row.append(ZERO)
-        rows[point] = tuple(row)
+    rows = {point: _RESPONSES.get(point, (QUARTER,) * 4) for point in space.points}
     measurement = ResponseFunctions(space, 4, rows, filler=QUARTER)
     return OntologicalModel(space, preparations, {MEASUREMENT_LABEL: measurement})
 
@@ -176,8 +155,7 @@ def build_pbr_lhv_model() -> OntologicalModel:
     """
     first, second = subsystem_states("lambda1"), subsystem_states("lambda2")
     preparations = {
-        label: product_state(first["nu" + label[2]], second["nu" + label[3]])
-        for label in MARGINAL_PREP_ORDER
+        "mu" + x + y: product_state(first["nu" + x], second["nu" + y]) for x, y in STATE_ORDER
     }
     return OntologicalModel(preparations["mu00"].space, preparations, {})
 

@@ -876,6 +876,11 @@ class TestSameAsPreviousLoader:
     @example(text=GOLDEN.read_text(encoding="utf-8").replace(LAST_ENTRY, LAST_ENTRY * 2))
     @example(text=GOLDEN.read_text(encoding="utf-8").replace(LAST_ENTRY, "  5 (TH,TH,1) 0\n"))
     @example(text=GOLDEN.read_text(encoding="utf-8").replace(LAST_ENTRY, "  4 (TH,TH,1)\n"))
+    # "end x" is an entry of the space section, not its terminator.
+    @example(text=GOLDEN.read_text(encoding="utf-8").replace("2\nend\n", "2\nend x\n", 1))
+    @example(
+        text=GOLDEN.read_text(encoding="utf-8").replace(LAST_ENTRY + "end", LAST_ENTRY + "end  # done")
+    )
     @given(text=mutated_model_text())
     def test_same_model_or_same_error(self, text):
         assert load_outcome(loads, text) == load_outcome(_parent_loads, text)
