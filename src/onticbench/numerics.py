@@ -303,18 +303,8 @@ class QSqrt2:
         return bool(self._a or self._b)
 
     def __ceil__(self) -> int:
-        """The least integer n with self <= n, decided in integers.
-
-        For (a + b*sqrt2)/d, floor(b*sqrt2) is isqrt(2b^2) for b >= 0 and
-        -isqrt(2b^2) - 1 for b < 0; for b != 0 the value is irrational, so
-        its ceiling is one more than its floor.
-        """
-        a, b, d = self._a, self._b, self._d
-        if not b:
-            return -(-a // d)
-        root = math.isqrt(2 * b * b)
-        floor_b_sqrt2 = root if b > 0 else -root - 1
-        return (a + floor_b_sqrt2) // d + 1
+        """The least integer n with self <= n, decided in integers."""
+        return ceil_sqrt2(self._a, self._b, self._d)
 
     # ---- display --------------------------------------------------------
 
@@ -357,6 +347,20 @@ def _make(a: int, b: int, d: int) -> QSqrt2:
     _set_b(x, b)
     _set_d(x, d)
     return x
+
+
+def ceil_sqrt2(a: int, b: int, d: int) -> int:
+    """The least integer n with (a + b*sqrt2)/d <= n, for ints with d > 0.
+
+    floor(b*sqrt2) is isqrt(2b^2) for b >= 0 and -isqrt(2b^2) - 1 for b < 0,
+    and floor(x/d) = floor(floor(x)/d), so no reduction is needed; for
+    b != 0 the value is irrational, so its ceiling is one more than its floor.
+    """
+    if not b:
+        return -(-a // d)
+    root = math.isqrt(2 * b * b)
+    floor_b_sqrt2 = root if b > 0 else -root - 1
+    return (a + floor_b_sqrt2) // d + 1
 
 
 def _coerce(value):

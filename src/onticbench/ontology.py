@@ -27,12 +27,15 @@ from __future__ import annotations
 
 import math
 import random
+import re
+import sys
 from bisect import bisect_right
+from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from itertools import chain
 from operator import index
 
-from .numerics import ONE, QSqrt2, ZERO, as_qsqrt2, is_distribution, is_probability
+from .numerics import ONE, QSqrt2, ZERO, as_qsqrt2, ceil_sqrt2, is_distribution, is_probability
 from .verdicts import Record, Verdict, _set
 
 Point = tuple[str, ...]
@@ -398,21 +401,69 @@ def check_born_agreement(
 # a support point, the second that point's outcome, each as the first index
 # with u < cdf.  For an integer r, r / 2^64 < c holds exactly when
 # r < ceil(c * 2^64), rational or irrational c alike, so before any draw the
-# exact cumulative weights become integer threshold lists, one for the support
-# and one per support point, and each word is one bisect_right over a plain
+# exact cumulative weights become integer threshold lists, one for the
+# support and one per support point, and a word picks bisect_right over its
 # list: a zero-probability cell can never be selected.
+#
+# Most draws are decided by their words' top bytes (a guide table: Chen &
+# Asau, AIIE Trans. 6 (1974); Devroye, Non-Uniform Random Variate
+# Generation (1986), III.2).  Bucket b holds the words with top byte b.  A
+# threshold cuts the buckets at t / 2^56: strictly inside a bucket, which it
+# splits, unless t is a multiple of 2^56.  In a run of buckets that no
+# threshold cuts, every word has the same bisect_right index in every list
+# as the run's first word.  So per word one 256-entry table maps a top byte
+# to the first bucket of its run, and another marks the split buckets.
+#
+# Words come up to _BLOCK draws at a time from one getrandbits(128 * n) call
+# read little-endian, which on CPython gives the words of 2n successive
+# getrandbits(64) calls: bytes 16i..16i+7 are draw i's first word, the next
+# 8 its second.  bytes.translate maps each block's top bytes to runs and a
+# Counter tallies the (first run, second run) pairs; a draw with a split
+# bucket takes the two bisections on its full words instead.  At the end
+# each unsplit pair takes them once, on its runs' first words.  The law, and
+# so every count, is that of one pair of bisections per draw; the
+# exact_counts oracle in tests/test_ontology.py, which draws with
+# getrandbits(64), checks the word order on every Python version tested.
 _DYADIC_BITS = 64
-_DYADIC_DEN = 1 << _DYADIC_BITS
+_BUCKET_SHIFT = _DYADIC_BITS - 8
+_BUCKET_MASK = (1 << _BUCKET_SHIFT) - 1
+_BLOCK = 4096
 
 
 def _thresholds(weights: Iterable[QSqrt2]) -> list[int]:
-    """ceil(c * 2^64) for each cumulative weight c, in order."""
+    """ceil(c * 2^64) for each cumulative weight c, in order.
+
+    The weights are summed once in integers over the lcm L of their
+    denominators, so each running sum is (A + B*sqrt2)/L.
+    """
+    values = tuple(weights)
+    den = math.lcm(*[v._d for v in values])
+    a = b = 0
     thresholds: list[int] = []
-    running = ZERO
-    for w in weights:
-        running = running + w
-        thresholds.append(math.ceil(running * _DYADIC_DEN))
+    for v in values:
+        scale = den // v._d
+        a += v._a * scale
+        b += v._b * scale
+        thresholds.append(ceil_sqrt2(a << _DYADIC_BITS, b << _DYADIC_BITS, den))
     return thresholds
+
+
+def _guide(lists: Iterable[Sequence[int]]) -> tuple[bytearray, bytearray]:
+    """The guide and split tables of some threshold lists (see above).
+
+    guide[b] is the first bucket of the run that holds bucket b; split[b]
+    is 255 when a threshold lies strictly inside bucket b, else 0.
+    """
+    thresholds = set(chain.from_iterable(lists))
+    inside = {t >> _BUCKET_SHIFT for t in thresholds if t & _BUCKET_MASK}
+    edges = sorted({t >> _BUCKET_SHIFT for t in thresholds} | {b + 1 for b in inside} | {0, 256})
+    guide = bytearray(256)
+    for low, high in zip(edges, edges[1:]):
+        guide[low:high] = bytes((low,)) * (high - low)
+    split = bytearray(256)
+    for b in inside:
+        split[b] = 0xFF
+    return guide, split
 
 
 def _substream(seed: int, worker: int) -> random.Random:
@@ -451,14 +502,37 @@ def simulate(
     support = prep.support()
     points = _thresholds(prep.weights[p] for p in support)
     rows = [_thresholds(meas.rows[p]) for p in support]
+    point_guide, point_split = _guide([points])
+    row_guide, row_split = _guide(rows)
 
     counts = [0] * meas.outcome_count
+    pairs: Counter[int] = Counter()
     base, extra = divmod(samples, jobs)
     # Workers past the sample count draw nothing, so they are never seeded.
     for worker in range(min(jobs, samples)):
-        chunk = base + (1 if worker < extra else 0)
+        left = base + (1 if worker < extra else 0)
         draw = _substream(seed, worker).getrandbits
-        for _ in range(chunk):
-            row = rows[bisect_right(points, draw(_DYADIC_BITS))]
-            counts[bisect_right(row, draw(_DYADIC_BITS))] += 1
+        while left:
+            n = min(left, _BLOCK)
+            left -= n
+            raw = draw(128 * n).to_bytes(16 * n, "little")
+            first, second = raw[7::16], raw[15::16]
+            keys = bytearray(2 * n)
+            keys[0::2] = first.translate(point_guide)
+            keys[1::2] = second.translate(row_guide)
+            pairs.update(memoryview(keys).cast("H"))
+            # A byte of the two split masks OR-ed is 255 exactly where either is.
+            flags = int.from_bytes(first.translate(point_split), "little") | int.from_bytes(
+                second.translate(row_split), "little"
+            )
+            for match in re.finditer(b"\xff", flags.to_bytes(n, "little")):
+                i = 16 * match.start()
+                row = rows[bisect_right(points, int.from_bytes(raw[i : i + 8], "little"))]
+                counts[bisect_right(row, int.from_bytes(raw[i + 8 : i + 16], "little"))] += 1
+    for key, count in pairs.items():
+        # The cast read each pair of bytes in native order; this undoes it.
+        first_run, second_run = key.to_bytes(2, sys.byteorder)
+        if not (point_split[first_run] or row_split[second_run]):
+            row = rows[bisect_right(points, first_run << _BUCKET_SHIFT)]
+            counts[bisect_right(row, second_run << _BUCKET_SHIFT)] += count
     return counts

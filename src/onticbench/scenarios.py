@@ -96,12 +96,6 @@ def subsystem_states(factor_name: str = "lambda1") -> dict[str, EpistemicState]:
     }
 
 
-def toy_space() -> OnticSpace:
-    """The coin pairs lambda1 and lambda2, and the shared lambda_s in {1, 2}."""
-    coins = (Factor("lambda1", COIN_LABELS), Factor("lambda2", COIN_LABELS))
-    return OnticSpace(coins + (Factor(SHARED_FACTOR, ("1", "2")),))
-
-
 # xi_1..xi_4 on the ten points some nu_xy weights, stated point by point;
 # every other point answers 1/4 to each outcome.  Each of the four points in
 # a single preparation's support answers the one outcome its Born row needs.
@@ -127,7 +121,9 @@ def build_toy_nlhv_model() -> OntologicalModel:
     out gives pbr-lhv's mu_xy by construction.  Measurement M is the stated
     response table above, which reproduces the Born table.
     """
-    space = toy_space()
+    # The coin pairs lambda1 and lambda2, then the shared lambda_s in {1, 2}.
+    coins = (Factor("lambda1", COIN_LABELS), Factor("lambda2", COIN_LABELS))
+    space = OnticSpace(coins + (Factor(SHARED_FACTOR, ("1", "2")),))
     nu = subsystem_states()
     preparations = {
         "nu" + x + y: EpistemicState(

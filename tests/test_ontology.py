@@ -5,6 +5,8 @@ from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from onticbench import ontology
 from onticbench.hilbert import MeasurementBasis, born_probabilities, ket
@@ -435,6 +437,30 @@ class TestSimulate:
         # sqrt2 - 1 = 0.414...; 4000 draws put outcome 1 well inside (1300, 2000)
         assert 1300 < counts[0] < 2000
 
+    def test_words_come_in_bounded_blocks(self, monkeypatch):
+        # The stream is read in blocks of at most _BLOCK draws, and consumed
+        # exactly as by two getrandbits(64) calls per draw.
+        requests = []
+        real = ontology._substream
+
+        class Recording(random.Random):
+            def getrandbits(self, k):
+                requests.append(k)
+                return super().getrandbits(k)
+
+        def recording(seed, worker):
+            rng = Recording()
+            rng.setstate(real(seed, worker).getstate())
+            return rng
+
+        monkeypatch.setattr(ontology, "_substream", recording)
+        block = ontology._BLOCK
+        samples = 10 * block + 7
+        counts = simulate(build_toy_nlhv_model(), "nu00", "M", samples, 4)
+        assert sum(counts) == samples and counts[0] == 0
+        assert max(requests) <= 128 * block
+        assert sum(requests) == 128 * samples
+
     def test_idle_workers_are_not_seeded(self, monkeypatch):
         seeded = []
         real = ontology._substream
@@ -475,6 +501,36 @@ class TestCdf:
                     assert pick == self.exact_pick(r)
                     picked.add(pick)
         assert picked == set(range(len(self.WEIGHTS))) - {self.ZERO_ITEM}
+
+    @given(st.lists(st.tuples(st.integers(0, 50), st.integers(-20, 20), st.integers(1, 300)),
+                    min_size=1, max_size=6))
+    def test_thresholds_are_the_ceilings_of_the_running_sums(self, parts):
+        weights = [q(Fraction(a, d), Fraction(b, d)) for a, b, d in parts]
+        thresholds = ontology._thresholds(weights)
+        assert len(thresholds) == len(weights)
+        running = ZERO
+        for weight, threshold in zip(weights, thresholds):
+            running = running + weight
+            assert threshold - 1 < running * (1 << 64) <= threshold
+
+    @given(st.lists(st.lists(st.one_of(
+        st.integers(0, 1 << 64),
+        st.integers(0, 256).map(lambda b: b << 56),
+    ), min_size=1, max_size=5), min_size=1, max_size=4))
+    def test_guide_decides_every_unsplit_bucket(self, lists):
+        lists = [sorted(thresholds) for thresholds in lists]
+        guide, split = ontology._guide(lists)
+        cut_inside = {t >> 56 for thresholds in lists for t in thresholds if t % (1 << 56)}
+        for b in range(256):
+            assert bool(split[b]) == (b in cut_inside)
+            if split[b]:
+                continue
+            run_start = guide[b] << 56
+            assert guide[b] <= b
+            for thresholds in lists:
+                index = bisect_right(thresholds, run_start)
+                assert bisect_right(thresholds, b << 56) == index
+                assert bisect_right(thresholds, ((b + 1) << 56) - 1) == index
 
 
 def exact_counts(model, prep_label, meas_label, samples, seed, jobs):
@@ -529,15 +585,73 @@ def sqrt2_model() -> OntologicalModel:
     return OntologicalModel(GRID, {"p": prep}, {"M": ResponseFunctions(GRID, 3, rows)})
 
 
-class TestSimulateOracle:
-    CASES = ((build_toy_nlhv_model(), "nu00", "M", 0), (sqrt2_model(), "p", "M", 1))
+def bucket_edge_model() -> OntologicalModel:
+    """Thresholds on bucket boundaries (multiples of 1/256), strictly inside
+    buckets (1/3, sqrt2 - 1), and zero entries; outcome 4 is forbidden."""
+    space = OnticSpace((Factor("x", ("a", "b", "c", "d", "e", "f")),))
+    third = q(Fraction(1, 3))
+    prep = EpistemicState(space, {
+        ("a",): q(Fraction(1, 256)),
+        ("b",): third - q(Fraction(1, 256)),
+        ("c",): SQRT2 - ONE - third,
+        ("e",): q(Fraction(3, 2)) - SQRT2,
+        ("f",): HALF,
+    })
+    rows = {
+        ("a",): (q(Fraction(1, 256)), ZERO, q(Fraction(255, 256)), ZERO),
+        ("b",): (third, ZERO, ONE - third, ZERO),
+        ("c",): (SQRT2 - ONE, q(2) - SQRT2, ZERO, ZERO),
+        ("d",): (ZERO, ZERO, ZERO, ONE),
+        ("e",): (ZERO, ZERO, ONE, ZERO),
+        ("f",): (HALF, QUARTER, QUARTER, ZERO),
+    }
+    return OntologicalModel(space, {"p": prep}, {"M": ResponseFunctions(space, 4, rows)})
 
-    @pytest.mark.parametrize("case", range(len(CASES)), ids=["toy-nlhv", "sqrt2"])
+
+def many_points_model() -> OntologicalModel:
+    """301 equally weighted points: a threshold lies strictly inside every
+    support bucket, so each draw takes the exact path.  Outcome 1 is forbidden."""
+    space = OnticSpace((Factor("x", tuple(f"p{i}" for i in range(301))),))
+    prep = EpistemicState(space, {point: q(Fraction(1, 301)) for point in space.points})
+    rows = {
+        point: (ZERO, q(Fraction(i % 7, 7)), ONE - q(Fraction(i % 7, 7)))
+        for i, point in enumerate(space.points)
+    }
+    return OntologicalModel(space, {"p": prep}, {"M": ResponseFunctions(space, 3, rows)})
+
+
+class TestSimulateOracle:
+    CASES = (
+        (build_toy_nlhv_model(), "nu00", "M", 0),
+        (sqrt2_model(), "p", "M", 1),
+        (bucket_edge_model(), "p", "M", 3),
+    )
+    BLOCK = ontology._BLOCK
+
+    @pytest.mark.parametrize("case", range(len(CASES)), ids=["toy-nlhv", "sqrt2", "bucket-edges"])
     @pytest.mark.parametrize("seed", (0, 7, (1 << 64) - 1))
     def test_counts_match_exact_oracle(self, case, seed):
         model, prep_label, meas_label, forbidden = self.CASES[case]
+        # jobs 3 and 7 against 0-2 samples leave workers idle.
         for jobs in (1, 2, 3, 7):
             for samples in (0, 1, 2, 999):
                 counts = simulate(model, prep_label, meas_label, samples, seed, jobs)
                 assert counts == exact_counts(model, prep_label, meas_label, samples, seed, jobs)
                 assert counts[forbidden] == 0
+
+    @pytest.mark.parametrize("case", range(len(CASES)), ids=["toy-nlhv", "sqrt2", "bucket-edges"])
+    @pytest.mark.parametrize("samples, jobs", [
+        (BLOCK - 1, 1), (BLOCK, 1), (BLOCK + 1, 1), (2 * BLOCK + 3, 1), (2 * BLOCK + 3, 2),
+    ])
+    def test_block_boundaries(self, case, samples, jobs):
+        model, prep_label, meas_label, forbidden = self.CASES[case]
+        counts = simulate(model, prep_label, meas_label, samples, 5, jobs)
+        assert counts == exact_counts(model, prep_label, meas_label, samples, 5, jobs)
+        assert counts[forbidden] == 0
+
+    @pytest.mark.parametrize("samples, jobs", [(0, 1), (1, 1), (400, 1), (401, 3), (5, 9)])
+    def test_support_past_one_byte(self, samples, jobs):
+        model = many_points_model()
+        counts = simulate(model, "p", "M", samples, 11, jobs)
+        assert counts == exact_counts(model, "p", "M", samples, 11, jobs)
+        assert counts[0] == 0

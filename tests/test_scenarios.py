@@ -31,7 +31,6 @@ from onticbench.scenarios import (
     build_toy_nlhv_model,
     pbr_prep_order,
     subsystem_states,
-    toy_space,
 )
 
 BORN_ROWS = (
