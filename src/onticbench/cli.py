@@ -497,6 +497,22 @@ def _run(argv: Sequence[str] | None) -> int:
     if not getattr(args, "handler", None):
         parser.print_help()
         return 2
+    # Sums of loadable numerals can print with more digits than Python's
+    # int-to-str limit, so lift it for the handler and the print; argv is
+    # parsed by now, and the loader bounds every numeral it reads.  Python
+    # 3.10.0-3.10.6 has neither the limit nor the function.
+    previous = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if previous is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _report(args)
+    finally:
+        if previous is not None:
+            sys.set_int_max_str_digits(previous)
+
+
+def _report(args: argparse.Namespace) -> int:
+    """Run the command's handler and print its report; the exit code."""
     try:
         code, payload, lines = args.handler(args)
     except (ValueError, OSError) as exc:

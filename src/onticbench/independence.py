@@ -3,7 +3,8 @@
 ``check_local_independence`` is PBR's preparation independence: the joint
 distribution must be the product of the subsystem distributions.  The
 paper's weaker principle is the same check on the accessible marginal;
-``analyze_independence`` sums out the inaccessible factors before it.
+``analyze_independence`` sums out the inaccessible factors before it.  Both
+checks compare the joint with one product, computed over the supports.
 
 A joint distribution can be locally independent while failing to be a
 product over its full factor list; the gap is exactly what relational
@@ -15,9 +16,18 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 
-from .numerics import ONE, QSqrt2, ZERO
+from .numerics import QSqrt2, ZERO
 from .ontology import EpistemicState, OnticSpace, OntologicalModel, Point, format_point
 from .verdicts import Record, Verdict, _set
+
+
+def _product(states: Sequence[EpistemicState]) -> dict[Point, QSqrt2]:
+    """The product's weights, keyed by the concatenated points, over the supports."""
+    first, *rest = states
+    weights = first.weights
+    for state in rest:
+        weights = {p + q: w * v for p, w in weights.items() for q, v in state.weights.items()}
+    return weights
 
 
 def product_state(mu: EpistemicState, nu: EpistemicState) -> EpistemicState:
@@ -25,13 +35,7 @@ def product_state(mu: EpistemicState, nu: EpistemicState) -> EpistemicState:
     shared = set(mu.space.factor_names) & set(nu.space.factor_names)
     if shared:
         raise ValueError(f"factor names must be disjoint, both sides have {sorted(shared)}")
-    space = OnticSpace(mu.space.factors + nu.space.factors)
-    weights = {
-        p + q: wp * wq
-        for p, wp in mu.weights.items()
-        for q, wq in nu.weights.items()
-    }
-    return EpistemicState(space, weights)
+    return EpistemicState(OnticSpace(mu.space.factors + nu.space.factors), _product((mu, nu)))
 
 
 def marginalize(joint: EpistemicState, keep: Sequence[str]) -> EpistemicState:
@@ -50,27 +54,28 @@ def marginalize(joint: EpistemicState, keep: Sequence[str]) -> EpistemicState:
     return EpistemicState(space, totals)
 
 
-def _first_mismatch(
-    joint: EpistemicState, factors: Sequence[tuple[EpistemicState, slice]], what: str
-) -> Verdict:
-    """Compare the joint with the product of ``factors`` point by point, in canonical order.
+def _first_mismatch(joint: EpistemicState, expected: Mapping[Point, QSqrt2], what: str) -> Verdict:
+    """Compare the joint's weights with ``expected``, the product's.
 
-    Each factor is a state and the slice that picks its point out of a joint
-    point.  The verdict's witnesses carry the first counterexample point with
-    the two values; ``what`` names the product side in the failure text.
+    Neither table holds an exact zero (a product of nonzero field elements
+    is nonzero), so they are equal exactly when the distributions are.  The
+    witness is the first point in canonical order whose weights differ,
+    with the two values; ``what`` names the product side in the failure text.
     """
-    for point in joint.space.points:
-        joint_w = joint.weight(point)
-        product_w = ONE
-        for state, part in factors:
-            product_w = product_w * state.weight(point[part])
-        if joint_w != product_w:
-            return Verdict(
-                False,
-                (f"at {format_point(point)}: joint weight {joint_w}, {what} {product_w}",),
-                ((point, joint_w, product_w),),
-            )
-    return Verdict(True)
+    weights = joint.weights
+    if weights == expected:
+        return Verdict(True)
+    point = min(
+        (p for p in weights.keys() | expected.keys()
+         if weights.get(p, ZERO) != expected.get(p, ZERO)),
+        key=joint.space.point_index,
+    )
+    joint_w, product_w = weights.get(point, ZERO), expected.get(point, ZERO)
+    return Verdict(
+        False,
+        (f"at {format_point(point)}: joint weight {joint_w}, {what} {product_w}",),
+        ((point, joint_w, product_w),),
+    )
 
 
 def check_local_independence(
@@ -86,10 +91,7 @@ def check_local_independence(
             "joint space must be the subsystem spaces in order: "
             f"{[f.name for f in expected_factors]} vs {list(joint.space.factor_names)}"
         )
-    split = len(mu.space.factors)
-    return _first_mismatch(
-        joint, ((mu, slice(split)), (nu, slice(split, None))), "product weight"
-    )
+    return _first_mismatch(joint, _product((mu, nu)), "product weight")
 
 
 def check_full_independence(joint: EpistemicState) -> Verdict:
@@ -98,23 +100,15 @@ def check_full_independence(joint: EpistemicState) -> Verdict:
     The marginals are the only possible factors, so this decides whether
     any product decomposition over the full factor list exists.
     """
-    factors = [
-        (marginalize(joint, (name,)), slice(i, i + 1))
-        for i, name in enumerate(joint.space.factor_names)
-    ]
-    return _first_mismatch(joint, factors, "marginal product")
+    marginals = [marginalize(joint, (name,)) for name in joint.space.factor_names]
+    return _first_mismatch(joint, _product(marginals), "marginal product")
 
 
 def classical_overlap(mu: EpistemicState, nu: EpistemicState) -> QSqrt2:
     """sum_p min(mu(p), nu(p)): 1 iff equal, 0 iff disjoint supports."""
     if mu.space != nu.space:
         raise ValueError("overlap requires a shared ontic space")
-    total = ZERO
-    for point in mu.support():
-        other = nu.weights.get(point)
-        if other is not None:
-            total = total + min(mu.weights[point], other)
-    return total
+    return sum((min(w, nu.weights[p]) for p, w in mu.weights.items() if p in nu.weights), ZERO)
 
 
 # ---- model-level report ------------------------------------------------------

@@ -755,6 +755,31 @@ class TestExitContract:
         assert code == 2
         assert re.match(r"error: line \d+, column \d+: ", err)
 
+    def test_exit_codes_under_a_low_digit_limit(self, capsys, tmp_path):
+        # Each of nu00's two long weights has a 4300-digit denominator, which
+        # loads; their sum's has over 8600, past the default print limit.
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this Python has no int-to-str digit limit")
+        head, sep, tail = GOLDEN.read_text(encoding="utf-8").partition("preparation nu00\n")
+        tail = tail.replace("(HH,HH,1) 1/4", "(HH,HH,1) 1/" + "9" * 4300, 1)
+        tail = tail.replace("(HH,HT,1) 1/4", "(HH,HT,1) 1/" + "7" * 4300, 1)
+        path = tmp_path / "long-sum.model"
+        path.write_text(head + sep + tail, encoding="utf-8")
+        previous = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(0)
+            unlimited = invoke(capsys, "validate", str(path))
+            sys.set_int_max_str_digits(640)
+            limited = invoke(capsys, "validate", str(path))
+            code, out, err = invoke(capsys, "predict", str(path), "--prep", "nu00", "--meas", "M")
+            assert sys.get_int_max_str_digits() == 640
+        finally:
+            sys.set_int_max_str_digits(previous)
+        assert limited == unlimited
+        assert limited[0] == 1
+        assert (code, out) == (2, "")
+        assert err.startswith("error: preparation nu00: ")
+
     @pytest.mark.parametrize("command", ["synthesize", "nogo"])
     def test_internal_failure_exits_two(self, capsys, monkeypatch, command):
         def failing(*args, **kwargs):

@@ -4,7 +4,7 @@ from fractions import Fraction
 from functools import reduce
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from onticbench.independence import (
@@ -238,8 +238,8 @@ class TestClassicalOverlap:
 
 # ---- the two product checks as they were, kept as an oracle -------------------
 # Each check wrote its own product closure and handed it to one comparison
-# loop.  The shared (state, slice) product must give the same verdict,
-# failure text and witness.
+# loop over the whole space.  Comparing the joint's weights with one product
+# over the supports must give the same verdict, failure text and witness.
 
 
 def _closure_first_mismatch(joint, product, what):
@@ -312,14 +312,61 @@ def same_verdict(new, old):
     return (new.ok, new.failures, new.witnesses) == (old.ok, old.failures, old.witnesses)
 
 
+# f0's marginal weighs a at 1/4 - 1/4 = 0, so the first mismatch, (a,c),
+# lies outside the product's support.
+CANCELLING = EpistemicState(
+    OnticSpace((Factor("f0", ("a", "b")), Factor("f1", ("c", "d")))),
+    {("a", "c"): QUARTER, ("a", "d"): -QUARTER, ("b", "c"): HALF, ("b", "d"): HALF},
+)
+# small_joints draws at least two factors; the full check takes one too.
+ONE_FACTOR = EpistemicState(
+    OnticSpace((Factor("f0", ("v0", "v1", "v2")),)), {("v0",): QUARTER, ("v2",): HALF + QUARTER}
+)
+
+
 class TestSameAsClosureProducts:
     @settings(max_examples=300, deadline=None)
     @given(joint=small_joints())
+    @example(joint=CANCELLING)
+    @example(joint=ONE_FACTOR)
     def test_same_verdicts(self, joint):
         names = joint.space.factor_names
-        mu = marginalize(joint, names[:1])
-        nu = marginalize(joint, names[1:])
-        assert same_verdict(
-            check_local_independence(joint, mu, nu), _closure_preparation(joint, mu, nu)
-        )
+        if len(names) > 1:
+            mu = marginalize(joint, names[:1])
+            nu = marginalize(joint, names[1:])
+            assert same_verdict(
+                check_local_independence(joint, mu, nu), _closure_preparation(joint, mu, nu)
+            )
         assert same_verdict(check_full_independence(joint), _closure_full(joint))
+
+
+# ---- overlap as it was, kept as an oracle: a walk over mu's support ------------
+
+
+def _support_walk_overlap(mu, nu):
+    total = ZERO
+    for point in mu.support():
+        other = nu.weights.get(point)
+        if other is not None:
+            total = total + min(mu.weights[point], other)
+    return total
+
+
+@st.composite
+def state_pairs(draw):
+    """Two states on one space of 1-2 factors; weights may be negative or zero."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
+    space = OnticSpace(
+        tuple(Factor(f"f{i}", tuple(f"v{j}" for j in range(n))) for i, n in enumerate(sizes))
+    )
+    signed = st.builds(lambda w, negate: -w if negate else w, WEIGHTS, st.booleans())
+    return tuple(EpistemicState(space, {p: draw(signed) for p in space.points}) for _ in "mn")
+
+
+class TestOverlapSameAsSupportWalk:
+    @settings(max_examples=300, deadline=None)
+    @given(pair=state_pairs())
+    def test_same_overlap(self, pair):
+        mu, nu = pair
+        assert classical_overlap(mu, nu) == _support_walk_overlap(mu, nu)
+        assert classical_overlap(nu, mu) == _support_walk_overlap(nu, mu)
