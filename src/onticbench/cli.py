@@ -399,9 +399,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser: ``--format`` (all nine), ``MODEL | --builtin`` (all but
     demo-pbr), ``--prep``/``--meas`` (predict, simulate) and the Born-row
     ``--preps`` (synthesize, nogo).  The parser holds only constants: the
-    sorted builtin names, the ``_cmd_*`` handlers and ``_seed``.  argparse
-    looks up ``sys.stdout`` and ``sys.stderr`` when it prints, so redirected
-    streams still work.
+    sorted builtin names, the ``_cmd_*`` handlers, ``_seed`` and
+    ``_samples``.  argparse looks up ``sys.stdout`` and ``sys.stderr`` when
+    it prints, so redirected streams still work.
     """
     parser = argparse.ArgumentParser(
         prog="onticbench",
@@ -453,7 +453,7 @@ def _build_parser() -> argparse.ArgumentParser:
             model_parent, born_rows_parent)
     p = command("simulate", _cmd_simulate, "draw exact seeded samples and compare frequencies",
                 model_parent, pair_parent)
-    p.add_argument("--samples", type=int, default=100000)
+    p.add_argument("--samples", type=_samples, default=100000)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument(
         "--jobs", type=int, default=1,
@@ -469,6 +469,17 @@ def _seed(text: str) -> int:
     value = int(text)
     if not 0 <= value < 2**64:
         raise argparse.ArgumentTypeError("seed must fit in an unsigned 64-bit integer")
+    return value
+
+
+# At about 120 ns per draw, the largest count runs for about two minutes.
+MAX_SAMPLES = 10**9
+
+
+def _samples(text: str) -> int:
+    value = int(text)
+    if value > MAX_SAMPLES:
+        raise argparse.ArgumentTypeError(f"sample count must be at most {MAX_SAMPLES}")
     return value
 
 

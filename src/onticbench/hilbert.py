@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .numerics import ONE, QSqrt2, ZERO, INV_SQRT2, as_qsqrt2
+from .numerics import ONE, QSqrt2, ZERO, INV_SQRT2, as_qsqrt2, qdot
 from .verdicts import Record, Verdict, _set
 
 
@@ -44,7 +44,7 @@ class StateVector(Record):
         return len(self.amplitudes)
 
     def norm_squared(self) -> QSqrt2:
-        return sum((a * a for a in self.amplitudes), ZERO)
+        return qdot(self.amplitudes, self.amplitudes)
 
 
 class MeasurementBasis(Record):
@@ -79,7 +79,7 @@ def inner_product(first: StateVector, second: StateVector) -> QSqrt2:
     """<first|second>."""
     if first.dim != second.dim:
         raise ValueError(f"dimension mismatch: {first.dim} vs {second.dim}")
-    return sum((a * b for a, b in zip(first.amplitudes, second.amplitudes)), ZERO)
+    return qdot(first.amplitudes, second.amplitudes)
 
 
 def tensor_product(first: StateVector, second: StateVector) -> StateVector:

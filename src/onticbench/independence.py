@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 
-from .numerics import QSqrt2, ZERO
+from .numerics import QSqrt2, ZERO, qsum
 from .ontology import EpistemicState, OnticSpace, OntologicalModel, Point, format_point
 from .verdicts import Record, Verdict, _set
 
@@ -47,11 +47,10 @@ def marginalize(joint: EpistemicState, keep: Sequence[str]) -> EpistemicState:
         raise ValueError(f"duplicate factor names in {keep}")
     space = joint.space.subspace(keep)  # validates the names
     positions = [joint.space.factor_names.index(name) for name in space.factor_names]
-    totals: dict[Point, QSqrt2] = {}
+    groups: dict[Point, list[QSqrt2]] = {}
     for point, weight in joint.weights.items():
-        reduced = tuple(point[i] for i in positions)
-        totals[reduced] = totals.get(reduced, ZERO) + weight
-    return EpistemicState(space, totals)
+        groups.setdefault(tuple([point[i] for i in positions]), []).append(weight)
+    return EpistemicState(space, {point: qsum(ws) for point, ws in groups.items()})
 
 
 def _first_mismatch(joint: EpistemicState, expected: Mapping[Point, QSqrt2], what: str) -> Verdict:
@@ -108,7 +107,7 @@ def classical_overlap(mu: EpistemicState, nu: EpistemicState) -> QSqrt2:
     """sum_p min(mu(p), nu(p)): 1 iff equal, 0 iff disjoint supports."""
     if mu.space != nu.space:
         raise ValueError("overlap requires a shared ontic space")
-    return sum((min(w, nu.weights[p]) for p, w in mu.weights.items() if p in nu.weights), ZERO)
+    return qsum([min(w, nu.weights[p]) for p, w in mu.weights.items() if p in nu.weights])
 
 
 # ---- model-level report ------------------------------------------------------

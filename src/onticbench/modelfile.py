@@ -224,14 +224,16 @@ def _measurement_entries(
     values: dict[str, QSqrt2],
     cells: int,
 ):
-    """(outcome count or None, filler, {(outcome, point): value}).
+    """(outcome count or None, filler, {point: row}).
 
-    ``cells`` counts the response cells of the earlier measurements; an
-    ``outcomes K`` line that takes the model past MAX_CELLS is an error.
+    A row is a K-list for each point an entry names, with None in the cells
+    no entry sets.  ``cells`` counts the response cells of the earlier
+    measurements; an ``outcomes K`` line that takes the model past
+    MAX_CELLS is an error, raised before any row is allocated.
     """
     outcome_count: int | None = None
     filler = ZERO
-    entries: dict[tuple[int, Point], QSqrt2] = {}
+    rows: dict[Point, list[QSqrt2 | None]] = {}
     numerals: dict[str, int] = {}  # outcome token -> outcome, once it passed
     seen = set()  # 'outcomes' and 'filler' come at most once
     for line, text, col in body:
@@ -295,17 +297,20 @@ def _measurement_entries(
         point = points.get(parts[1]) or _parse_point(
             parts[1], space, points, line, text, col, len(parts[0])
         )
-        if (outcome, point) in entries:
+        row = rows.get(point)
+        if row is None:
+            row = rows[point] = [None] * outcome_count
+        elif row[outcome - 1] is not None:
             raise ModelFormatError(
                 f"duplicate entry for outcome {outcome} at {format_point(point)}",
                 line,
                 col,
             )
         value = values.get(parts[2])
-        entries[(outcome, point)] = (
+        row[outcome - 1] = (
             value if value is not None else _parse_value(parts[2], values, line, text, col)
         )
-    return outcome_count, filler, entries
+    return outcome_count, filler, rows
 
 
 def _section_label(kind: str, args: list[str], space, seen: dict, line: int) -> str:
@@ -377,9 +382,11 @@ def loads(text: str) -> OntologicalModel:
                 raise ModelFormatError(f"unterminated {kind} section", line)
             if outcomes is None:
                 raise ModelFormatError(f"measurement {label!r} declares no outcome count", line)
-            rows = {p: [filler] * outcomes for p in space.points}
-            for (k, point), value in entries.items():
-                rows[point][k - 1] = value
+            # The filler line may follow the entries, so unset cells are
+            # filled only now; points no entry names share one row.
+            rows = dict.fromkeys(space.points, (filler,) * outcomes)
+            for point, row in entries.items():
+                rows[point] = tuple([filler if v is None else v for v in row])
             measurements[label] = ResponseFunctions(space, outcomes, rows, filler)
             cells += outcomes * space.size
         else:

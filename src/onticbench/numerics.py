@@ -424,3 +424,40 @@ def is_distribution(values) -> bool:
             return False
         a_sum += a if d == den else a * (den // d)
     return a_sum == den and not b_sum
+
+
+# The package's exact sums scale their terms to the lcm of the denominators,
+# add in two integer accumulators and reduce once; the form _make returns is
+# canonical, so the result is the QSqrt2 that a running sum gives.
+
+
+def qsum(values) -> QSqrt2:
+    """The exact sum of QSqrt2 values; ZERO for none."""
+    values = tuple(values)
+    den = math.lcm(*[v._d for v in values])
+    a = b = 0
+    for v in values:
+        scale = den // v._d
+        a += v._a * scale
+        b += v._b * scale
+    return _make(a, b, den)
+
+
+def qdot(xs, ys) -> QSqrt2:
+    """The exact sum of x*y over paired QSqrt2 values; ZERO for none.
+
+    Zero terms are skipped.  Unequal lengths raise ValueError.  A product
+    (a + b*sqrt2)(c + e*sqrt2)/(d*f) is (ac + 2be + (ae + bc)*sqrt2)/(d*f).
+    """
+    terms = [
+        (x._a * y._a + 2 * x._b * y._b, x._a * y._b + x._b * y._a, x._d * y._d)
+        for x, y in zip(xs, ys, strict=True)
+        if (x._a or x._b) and (y._a or y._b)
+    ]
+    den = math.lcm(*[d for _, _, d in terms])
+    a = b = 0
+    for ta, tb, d in terms:
+        scale = den // d
+        a += ta * scale
+        b += tb * scale
+    return _make(a, b, den)

@@ -35,7 +35,9 @@ from collections.abc import Iterable, Mapping, Sequence
 from itertools import chain
 from operator import index
 
-from .numerics import ONE, QSqrt2, ZERO, as_qsqrt2, ceil_sqrt2, is_distribution, is_probability
+from .numerics import (
+    ONE, QSqrt2, ZERO, as_qsqrt2, ceil_sqrt2, is_distribution, is_probability, qdot, qsum,
+)
 from .verdicts import Record, Verdict, _set
 
 Point = tuple[str, ...]
@@ -160,7 +162,7 @@ class EpistemicState(Record):
         return tuple(p for p in self.space.points if p in self.weights)
 
     def total(self) -> QSqrt2:
-        return sum(self.weights.values(), ZERO)
+        return qsum(self.weights.values())
 
 
 class ResponseFunctions(Record):
@@ -302,7 +304,7 @@ def validate_responses(responses: ResponseFunctions) -> Verdict:
                     f"response for outcome {k} at {format_point(point)} is {value}, outside [0, 1]"
                 )
                 bad = True
-        total = sum(row, ZERO)
+        total = qsum(row)
         if total != ONE:
             failures.append(f"responses at {format_point(point)} sum to {total}, not 1")
             bad = True
@@ -320,12 +322,9 @@ def predicted_statistics(
     """Law of total probability: p(k) = sum_p mu(p) * xi_k(p), exactly."""
     prep = model.preparation(prep_label)
     meas = model.measurement(meas_label)
-    totals = [ZERO] * meas.outcome_count
-    for point, weight in prep.weights.items():
-        row = meas.rows[point]
-        for i in range(meas.outcome_count):
-            totals[i] = totals[i] + weight * row[i]
-    return totals
+    weights = list(prep.weights.values())
+    rows = [meas.rows[point] for point in prep.weights]
+    return [qdot(weights, [row[i] for row in rows]) for i in range(meas.outcome_count)]
 
 
 class PredictionCell(Record):

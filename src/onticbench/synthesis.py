@@ -58,7 +58,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import index
 
-from .numerics import ONE, QSqrt2, ZERO, as_qsqrt2, as_rational
+from .numerics import ONE, QSqrt2, ZERO, as_qsqrt2, as_rational, qsum
 from .ontology import (
     EpistemicState,
     OnticSpace,
@@ -105,7 +105,7 @@ class SynthesisSpec(Record):
         for (label, _), row in zip(self.preparations, self.targets):
             if len(row) != self.outcome_count:
                 raise ValueError(f"target row for {label!r} has wrong length")
-            total = sum(row, ZERO)
+            total = qsum(row)
             if total != ONE:
                 raise ValueError(f"target row for {label!r} sums to {total}, not 1")
 

@@ -825,6 +825,41 @@ class TestSimulate:
         assert sum(doc["counts"]) == 500
 
 
+class TestSamplesBound:
+    """--samples above MAX_SAMPLES exits 2 from argparse, before any draw."""
+
+    ARGV = ("simulate", "--builtin", "toy-nlhv", "--prep", "nu00", "--meas", "M", "--samples")
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "simulate", lambda *args: calls.append(args))
+        return calls
+
+    def test_one_past_the_bound(self, capsys, draws):
+        code, out, err = invoke(capsys, *self.ARGV, str(cli.MAX_SAMPLES + 1))
+        assert (code, out, draws) == (2, "", [])
+        assert f"sample count must be at most {cli.MAX_SAMPLES}" in err
+
+    @pytest.mark.parametrize("limit", ["default", 0])
+    def test_count_of_5000_digits(self, capsys, draws, limit):
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this Python has no int-to-str digit limit")
+        previous = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(
+                sys.int_info.default_max_str_digits if limit == "default" else limit
+            )
+            code, out, err = invoke(capsys, *self.ARGV, "9" * 5000)
+        finally:
+            sys.set_int_max_str_digits(previous)
+        assert (code, out, draws) == (2, "", [])
+        assert "argument --samples" in err
+
+    def test_the_bound_itself_is_accepted(self):
+        assert cli._samples(str(cli.MAX_SAMPLES)) == cli.MAX_SAMPLES
+
+
 class TestDemo:
     def test_exit_zero(self, capsys):
         code, out, _ = invoke(capsys, "demo-pbr")

@@ -24,7 +24,19 @@ from onticbench.numerics import (
     ZERO,
     is_distribution,
     is_probability,
+    qdot,
+    qsum,
 )
+from onticbench.independence import classical_overlap, marginalize
+from onticbench.ontology import (
+    EpistemicState,
+    Factor,
+    OnticSpace,
+    OntologicalModel,
+    ResponseFunctions,
+    predicted_statistics,
+)
+from onticbench.scenarios import build_toy_nlhv_model
 
 
 def q(rat, irr=0):
@@ -242,6 +254,97 @@ class TestIsDistribution:
         assert {(d, i) for d, i in zip(decided, irrational)} == {
             (True, True), (True, False), (False, True), (False, False)
         }
+
+
+# Sum terms: exact zeros, small signed values with sqrt2 parts, and values
+# whose denominators exceed 2**64.
+long_rationals = st.builds(
+    Fraction, st.integers(-(2**70), 2**70), st.integers(2**64 + 1, 2**72)
+)
+sum_terms = st.one_of(
+    st.just(ZERO),
+    elements,
+    st.builds(QSqrt2, long_rationals, st.one_of(rationals, long_rationals)),
+)
+
+
+def padded_sqrt2_model(seed: str) -> OntologicalModel:
+    """toy-nlhv times a uniform 16-value factor; each preparation moves a
+    seeded c*sqrt2 of weight between two pad values of one support point."""
+    rng = random.Random(seed)
+    toy = build_toy_nlhv_model()
+    pad = Factor("lambda_p", tuple(f"p{i}" for i in range(16)))
+    space = OnticSpace(toy.space.factors + (pad,))
+    share = QSqrt2(Fraction(1, 16))
+    preparations = {}
+    for label, state in toy.preparations.items():
+        weights = {p + (e,): w * share for p, w in state.weights.items() for e in pad.labels}
+        base = rng.choice(state.support())
+        source, sink = rng.sample(pad.labels, 2)
+        moved = q(0, Fraction(rng.randint(1, 3), rng.choice([128, 256, 1024])))
+        weights[base + (source,)] -= moved
+        weights[base + (sink,)] += moved
+        preparations[label] = EpistemicState(space, weights)
+    measurements = {
+        label: ResponseFunctions(
+            space, meas.outcome_count,
+            {p + (e,): row for p, row in meas.rows.items() for e in pad.labels},
+        )
+        for label, meas in toy.measurements.items()
+    }
+    return OntologicalModel(space, preparations, measurements)
+
+
+class TestExactSums:
+    """qsum and qdot equal running sums of field elements, term by term."""
+
+    @given(st.lists(sum_terms, max_size=12))
+    def test_qsum_is_the_running_sum(self, values):
+        assert qsum(values) == sum(values, ZERO)
+
+    @given(st.lists(st.tuples(sum_terms, sum_terms), max_size=12))
+    def test_qdot_is_the_running_sum_of_products(self, pairs):
+        xs = [x for x, _ in pairs]
+        ys = [y for _, y in pairs]
+        assert qdot(xs, ys) == sum((x * y for x, y in zip(xs, ys)), ZERO)
+
+    def test_no_terms_sum_to_zero(self):
+        assert qsum([]) == ZERO
+        assert qdot([], []) == ZERO
+        assert qdot([ZERO, HALF], [SQRT2, ZERO]) == ZERO
+
+    def test_qdot_refuses_unequal_lengths(self):
+        with pytest.raises(ValueError):
+            qdot([HALF, HALF], [ONE])
+        with pytest.raises(ValueError):
+            qdot([], [ONE])
+
+    def test_layers_agree_with_per_term_sums(self):
+        model = padded_sqrt2_model("exact-sums")
+        states = model.preparations
+        assert any(w.irr for state in states.values() for w in state.weights.values())
+        for label, state in states.items():
+            assert state.total() == sum(state.weights.values(), ZERO)
+            for meas_label, meas in model.measurements.items():
+                expected = [ZERO] * meas.outcome_count
+                for point, weight in state.weights.items():
+                    for i, value in enumerate(meas.rows[point]):
+                        expected[i] = expected[i] + weight * value
+                assert predicted_statistics(model, label, meas_label) == expected
+            for keep in (("lambda1", "lambda2"), ("lambda_s",), ("lambda_p",)):
+                positions = [model.space.factor_names.index(name) for name in keep]
+                expected = {}
+                for point, weight in state.weights.items():
+                    reduced = tuple(point[i] for i in positions)
+                    expected[reduced] = expected.get(reduced, ZERO) + weight
+                expected = {p: w for p, w in expected.items() if w}
+                assert marginalize(state, keep).weights == expected
+            for other in states.values():
+                expected = ZERO
+                for point, weight in state.weights.items():
+                    if point in other.weights:
+                        expected = expected + min(weight, other.weights[point])
+                assert classical_overlap(state, other) == expected
 
 
 class TestHashing:
