@@ -77,7 +77,6 @@ from .scenarios import (
     lhv_synthesis_spec,
     pbr_synthesis_spec,
     subsystem_states,
-    toy_synthesis_spec,
 )
 from .modelfile import (
     ModelFormatError,
@@ -109,7 +108,7 @@ __all__ = [
     "extract_responses", "responses_to_witness",
     "PbrScenario", "build_pbr_quantum_scenario", "build_toy_nlhv_model",
     "build_pbr_lhv_model", "subsystem_states",
-    "toy_synthesis_spec", "lhv_synthesis_spec", "pbr_synthesis_spec", "forbidden_cells",
+    "lhv_synthesis_spec", "pbr_synthesis_spec", "forbidden_cells",
     "ModelFormatError", "ModelValidationError",
     "loads", "dumps", "read_model", "load_model", "validate_model",
 ]

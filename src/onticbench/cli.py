@@ -23,7 +23,7 @@ from collections.abc import Callable, Sequence
 
 from .independence import analyze_independence, classical_overlap
 from .modelfile import load_model, read_model, validate_model
-from .numerics import QSqrt2, ZERO
+from .numerics import QSqrt2, ZERO, _quoted, is_count
 from .ontology import (
     OntologicalModel,
     check_born_agreement,
@@ -399,9 +399,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser: ``--format`` (all nine), ``MODEL | --builtin`` (all but
     demo-pbr), ``--prep``/``--meas`` (predict, simulate) and the Born-row
     ``--preps`` (synthesize, nogo).  The parser holds only constants: the
-    sorted builtin names, the ``_cmd_*`` handlers, ``_seed`` and
-    ``_samples``.  argparse looks up ``sys.stdout`` and ``sys.stderr`` when
-    it prints, so redirected streams still work.
+    sorted builtin names, the ``_cmd_*`` handlers and the ``_count`` types
+    of ``--samples``, ``--seed`` and ``--jobs``, each with its bound.
+    argparse looks up ``sys.stdout`` and ``sys.stderr`` when it prints, so
+    redirected streams still work.
     """
     parser = argparse.ArgumentParser(
         prog="onticbench",
@@ -453,10 +454,11 @@ def _build_parser() -> argparse.ArgumentParser:
             model_parent, born_rows_parent)
     p = command("simulate", _cmd_simulate, "draw exact seeded samples and compare frequencies",
                 model_parent, pair_parent)
-    p.add_argument("--samples", type=_samples, default=100000)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--samples", type=_count("sample count", MAX_SAMPLES), default=100000)
+    p.add_argument("--seed", type=_count("seed", 2**64 - 1), default=0)
+    # A worker past the sample count never draws: this bound changes no answer.
     p.add_argument(
-        "--jobs", type=int, default=1,
+        "--jobs", type=_count("jobs", MAX_SAMPLES), default=1,
         help="split the draws into JOBS seeded sub-streams 'SEED:w' (w = 0..JOBS-1); "
         "they run one after another in this process, not as parallel workers",
     )
@@ -465,22 +467,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _seed(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError("seed must fit in an unsigned 64-bit integer")
-    return value
-
-
 # At about 120 ns per draw, the largest count runs for about two minutes.
 MAX_SAMPLES = 10**9
 
 
-def _samples(text: str) -> int:
-    value = int(text)
-    if value > MAX_SAMPLES:
-        raise argparse.ArgumentTypeError(f"sample count must be at most {MAX_SAMPLES}")
-    return value
+def _count(what: str, bound: int) -> Callable[[str], int]:
+    """The argparse type of a count from 0 to ``bound``, read as a model
+    file reads one (numerics.is_count).  A token with more significant
+    digits than ``bound`` is refused before int() sees it, so no digit
+    limit changes the answer; an error quotes at most 40 characters."""
+    digits = len(str(bound))
+
+    def count(text: str) -> int:
+        if not is_count(text):
+            raise argparse.ArgumentTypeError(
+                f"{what} must be written with the digits 0-9 only, got {_quoted(text)}"
+            )
+        if len(text.lstrip("0")) > digits or int(text) > bound:
+            raise argparse.ArgumentTypeError(f"{what} must be at most {bound}, got {_quoted(text)}")
+        return int(text)
+
+    return count
 
 
 def run(argv: Sequence[str] | None = None) -> int:

@@ -52,10 +52,10 @@ Repeated content is cheap.  loads() parses each distinct point token,
 value text and outcome numeral once per call and shares the result (a
 padded model repeats a few values over many lines), so a line whose
 tokens were all read before costs dict lookups only; a column is computed
-only for an error.  ResponseFunctions checks a whole table at once and
-walks it point by point only to name a fault, and the validators decide
-each row in integers (numerics.is_distribution), walking a row value by
-value only to name the faults of one that fails.
+only for an error.  ResponseFunctions checks a table in one walk, one
+index lookup per point and one type test per value, and the validators
+decide each row in integers (numerics.is_distribution), walking a row
+value by value only to name the faults of one that fails.
 
 read_model() is the one place a model file is opened and decoded: it
 reads a path and hands the text to loads().  load_model() additionally
@@ -67,7 +67,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
-from .numerics import QSqrt2, ZERO
+from .numerics import QSqrt2, ZERO, is_count
 from .ontology import (
     EpistemicState,
     Factor,
@@ -143,12 +143,6 @@ def _parse_point(
     else:
         message = f"expected a point like (a,b), got {token!r}"
     raise ModelFormatError(message, line, col + text.index(token, after))
-
-
-def _is_count(token: str) -> bool:
-    # str.isdigit alone also admits non-ASCII digits, such as superscripts,
-    # that int() refuses.
-    return token.isascii() and token.isdigit()
 
 
 # A count with more digits than MAX_CELLS, once its leading zeros are
@@ -245,7 +239,7 @@ def _measurement_entries(
                     raise ModelFormatError(f"duplicate {parts[0]!r} line", line, col)
                 seen.add(parts[0])
             if parts[0] == "outcomes":
-                digits = parts[1].lstrip("0") if len(parts) == 2 and _is_count(parts[1]) else ""
+                digits = parts[1].lstrip("0") if len(parts) == 2 and is_count(parts[1]) else ""
                 if not digits:
                     raise ModelFormatError("expected 'outcomes K'", line, col)
                 if len(digits) > _COUNT_DIGITS:
@@ -277,7 +271,7 @@ def _measurement_entries(
                 raise ModelFormatError("'outcomes K' must precede entries", line, col)
             if len(parts) != 3:
                 raise ModelFormatError("expected 'OUTCOME POINT VALUE'", line, col)
-            if not _is_count(parts[0]):
+            if not is_count(parts[0]):
                 raise ModelFormatError(
                     f"expected an outcome number, got {parts[0]!r}", line, col
                 )

@@ -46,6 +46,12 @@ MAX_NUMERAL_DIGITS = 4300
 _LONG_NUMERAL_RE = re.compile(f"[0-9]{{{MAX_NUMERAL_DIGITS + 1},}}")
 
 
+def is_count(token: str) -> bool:
+    """A count as a model file writes one: ASCII digits, no sign, space or '_'."""
+    # str.isdigit alone also admits non-ASCII digits, such as superscripts.
+    return token.isascii() and token.isdigit()
+
+
 def _quoted(text: str) -> str:
     """repr(text), cut to its first 40 characters and its length when longer."""
     if len(text) <= 40:

@@ -10,17 +10,17 @@ A model is a triple (space, preparations, measurements):
   * a response function family assigns each point a length-K outcome
     distribution, stored densely.
 
-Constructors check shape only.  ResponseFunctions decides a whole table
-at once and walks it point by point only to coerce values or name a
-fault; EpistemicState tests each point with one index lookup.
-OnticSpace.check_point names a point that is not in the space for both,
-and for every lookup that takes a point.  The model loader checks each
-point itself first, so that its error can name the line and column.
-Validators return verdicts rather than raising, so a malformed model can
-be loaded, inspected, and reported on.  The quantum side enters only as
-data: check_born_agreement compares a model's predictions cell by cell
-with target rows, one exact outcome distribution per preparation, such as
-the Born rows of a quantum scenario.
+Constructors check shape only, each record in one walk over its mapping:
+EpistemicState and ResponseFunctions test each point with one index
+lookup and each value with one type test.  OnticSpace.check_point names
+a point that is not in the space for both, and for every lookup that
+takes a point.  The model loader checks each point itself first, so that
+its error can name the line and column.  Validators return verdicts
+rather than raising, so a malformed model can be loaded, inspected, and
+reported on.  The quantum side enters only as data: check_born_agreement
+compares a model's predictions cell by cell with target rows, one exact
+outcome distribution per preparation, such as the Born rows of a quantum
+scenario.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import sys
 from bisect import bisect_right
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
-from itertools import chain
+from itertools import chain, product
 from operator import index
 
 from .numerics import (
@@ -88,10 +88,8 @@ class OnticSpace(Record):
         names = [f.name for f in factors]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate factor names: {names}")
-        points: list[Point] = [()]
-        for factor in factors:
-            points = [p + (label,) for p in points for label in factor.labels]
-        _set(self, "_points", tuple(points))
+        points = tuple(product(*[f.labels for f in factors]))
+        _set(self, "_points", points)
         _set(self, "_index", {p: i for i, p in enumerate(points)})
 
     @property
@@ -173,11 +171,12 @@ class ResponseFunctions(Record):
     for unlisted entries in the text form, so dumps round-trip; it carries
     no semantic weight once rows are dense.
 
-    Construction decides the whole mapping at once: its keys are exactly
-    the space's points, as plain tuples, and every row is a tuple or list
-    of K QSqrt2 values.  Any other mapping is walked point by point, which
-    coerces int and Fraction values and names the first foreign point,
-    wrong-length row or missing point.
+    Construction walks the mapping once, as EpistemicState does: any key
+    but a plain-tuple point of the space goes through check_point, any row
+    but a tuple is copied to one, and a row with a value that is not a
+    QSqrt2 is rebuilt through as_qsqrt2 before its length is tested.  It
+    names the first foreign point or wrong-length row in mapping order,
+    then the first missing point in space order.
     """
 
     _fields = ("space", "outcome_count", "rows", "filler")
@@ -194,31 +193,28 @@ class ResponseFunctions(Record):
         if outcome_count < 1:
             raise ValueError("a measurement needs at least one outcome")
         filler = as_qsqrt2(filler)
-        table = rows.values()
-        if (
-            set(map(type, rows)) == {tuple}
-            and rows.keys() == space._index.keys()
-            and set(map(type, table)) <= {tuple, list}
-            and set(map(len, table)) == {outcome_count}
-            and set(map(type, chain.from_iterable(table))) == {QSqrt2}
-        ):
-            dense = dict(zip(rows, map(tuple, table)))
-        else:
-            dense = {}
-            for point, row in rows.items():
+        known = space._index
+        dense: dict[Point, tuple[QSqrt2, ...]] = {}
+        for point, row in rows.items():
+            if type(point) is not tuple or point not in known:
                 point = space.check_point(point)
-                row = tuple(as_qsqrt2(v) for v in row)
-                if len(row) != outcome_count:
-                    raise ValueError(
-                        f"row at {format_point(point)} has {len(row)} entries, "
-                        f"expected {outcome_count}"
-                    )
-                dense[point] = row
-            missing = [p for p in space.points if p not in dense]
-            if missing:
+            if type(row) is not tuple:
+                row = tuple(row)
+            for value in row:
+                if type(value) is not QSqrt2:
+                    row = tuple(map(as_qsqrt2, row))
+                    break
+            if len(row) != outcome_count:
                 raise ValueError(
-                    f"rows missing for {len(missing)} points, first {format_point(missing[0])}"
+                    f"row at {format_point(point)} has {len(row)} entries, "
+                    f"expected {outcome_count}"
                 )
+            dense[point] = row
+        if len(dense) != space.size:
+            missing = next(p for p in space.points if p not in dense)
+            raise ValueError(
+                f"rows missing for {space.size - len(dense)} points, first {format_point(missing)}"
+            )
         _set(self, "space", space)
         _set(self, "outcome_count", outcome_count)
         _set(self, "rows", dense)

@@ -189,12 +189,6 @@ def pbr_synthesis_spec(
     return SynthesisSpec(model.space, preps, len(born_table[0]), born_table)
 
 
-def toy_synthesis_spec() -> SynthesisSpec:
-    """Relational space, four composite preparations, Born-table targets."""
-    born = build_pbr_quantum_scenario().born_table
-    return pbr_synthesis_spec(build_toy_nlhv_model(), PREP_ORDER, born)
-
-
 def lhv_synthesis_spec() -> SynthesisSpec:
     """Local coin space, four marginal preparations, Born-table targets."""
     born = build_pbr_quantum_scenario().born_table

@@ -39,8 +39,8 @@ from onticbench.scenarios import (
     build_toy_nlhv_model,
     forbidden_cells,
     lhv_synthesis_spec,
+    pbr_synthesis_spec,
     subsystem_states,
-    toy_synthesis_spec,
 )
 from onticbench.synthesis import (
     FeasibilityResult,
@@ -166,7 +166,9 @@ def test_criterion_4_nogo_certification():
     lhv_verified = verify_certificate(lhv_lp, lhv_result).ok
     floor = solve_min_violation(lhv_spec, forbidden_cells(MARGINAL_PREP_ORDER)).value
 
-    toy_spec = toy_synthesis_spec()
+    toy_spec = pbr_synthesis_spec(
+        build_toy_nlhv_model(), PREP_ORDER, build_pbr_quantum_scenario().born_table
+    )
     toy_lp = build_synthesis_lp(toy_spec)
     toy_result = solve_feasibility(toy_lp)
     tables = build_toy_nlhv_model().measurements[MEASUREMENT_LABEL]

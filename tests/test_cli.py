@@ -11,7 +11,7 @@ import subprocess
 import sys
 import textwrap
 import time
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -825,15 +825,50 @@ class TestSimulate:
         assert sum(doc["counts"]) == 500
 
 
+@contextmanager
+def int_digit_limit(limit):
+    """Run the body under the interpreter's int-to-str digit limit ``limit``,
+    "default" for Python's default; skip where Python has no such limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int-to-str digit limit")
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits if limit == "default" else limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+# Tokens that int() takes, or takes under some digit limit, and that a model
+# file refuses as a count.
+NOT_COUNTS = {
+    "5000-nines": "9" * 5000,
+    "letters": "abc",
+    "plus-sign": "+5",
+    "space": " 7",
+    "underscore": "1_000",
+    "arabic-indic-digits": "\u0661\u0660",
+    "negative": "-1",
+}
+
+
 class TestSamplesBound:
-    """--samples above MAX_SAMPLES exits 2 from argparse, before any draw."""
+    """--samples, --seed and --jobs each take a count by the model file's rule
+    (ASCII digits only) up to its bound; argparse refuses any other token
+    before a draw, with a short message, under any digit limit."""
 
     ARGV = ("simulate", "--builtin", "toy-nlhv", "--prep", "nu00", "--meas", "M", "--samples")
+    BOUNDS = {"--samples": cli.MAX_SAMPLES, "--seed": 2**64 - 1, "--jobs": cli.MAX_SAMPLES}
 
     @pytest.fixture
     def draws(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(cli, "simulate", lambda *args: calls.append(args))
+
+        def recorder(model, *args):
+            calls.append(args)
+            return [0] * 4
+
+        monkeypatch.setattr(cli, "simulate", recorder)
         return calls
 
     def test_one_past_the_bound(self, capsys, draws):
@@ -843,21 +878,32 @@ class TestSamplesBound:
 
     @pytest.mark.parametrize("limit", ["default", 0])
     def test_count_of_5000_digits(self, capsys, draws, limit):
-        if not hasattr(sys, "set_int_max_str_digits"):
-            pytest.skip("this Python has no int-to-str digit limit")
-        previous = sys.get_int_max_str_digits()
-        try:
-            sys.set_int_max_str_digits(
-                sys.int_info.default_max_str_digits if limit == "default" else limit
-            )
+        with int_digit_limit(limit):
             code, out, err = invoke(capsys, *self.ARGV, "9" * 5000)
-        finally:
-            sys.set_int_max_str_digits(previous)
         assert (code, out, draws) == (2, "", [])
         assert "argument --samples" in err
 
-    def test_the_bound_itself_is_accepted(self):
-        assert cli._samples(str(cli.MAX_SAMPLES)) == cli.MAX_SAMPLES
+    @pytest.mark.parametrize("limit", ["default", 0])
+    @pytest.mark.parametrize("token", [*NOT_COUNTS, "bound+1"])
+    @pytest.mark.parametrize("option", BOUNDS)
+    def test_refused_before_any_draw(self, capsys, draws, option, token, limit):
+        value = str(self.BOUNDS[option] + 1) if token == "bound+1" else NOT_COUNTS[token]
+        with int_digit_limit(limit):
+            code, out, err = invoke(capsys, *self.ARGV, "10", option, value)
+        assert (code, out, draws) == (2, "", [])
+        last = err.splitlines()[-1]
+        assert f"argument {option}: " in last
+        assert len(last) < 300
+        assert not re.search(r"(?<!\w)_[A-Za-z]", last), last
+
+    def test_the_bound_itself_is_accepted(self, capsys, draws):
+        for option, bound in self.BOUNDS.items():
+            code, _, err = invoke(capsys, *self.ARGV[:-1], option, str(bound))
+            assert (code, err) == (0, "")
+        # (prep, meas, samples, seed, jobs) of each call
+        assert [args[2:] for args in draws] == [
+            (cli.MAX_SAMPLES, 0, 1), (100000, 2**64 - 1, 1), (100000, 0, cli.MAX_SAMPLES),
+        ]
 
 
 class TestDemo:

@@ -3,15 +3,18 @@
 import random
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import chain
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from onticbench import ontology
 from onticbench.hilbert import MeasurementBasis, born_probabilities, ket
 from onticbench.modelfile import loads
-from onticbench.numerics import HALF, ONE, QSqrt2, QUARTER, SQRT2, ZERO, is_probability
+from onticbench.numerics import (
+    HALF, ONE, QSqrt2, QUARTER, SQRT2, ZERO, as_qsqrt2, is_probability,
+)
 from onticbench.ontology import (
     EpistemicState,
     Factor,
@@ -330,6 +333,98 @@ class TestConstructorsBuildAndName:
             assert str(err.value) == expected
         else:
             assert _stored(build()) == expected
+
+
+def _previous_response_rows(space, outcome_count, rows):
+    """The rows ResponseFunctions stored before it checked each row in one
+    walk: a whole-table test, else a point-by-point walk.  Kept verbatim as
+    the oracle for TestResponseRowsSameAsTwoPaths."""
+    table = rows.values()
+    if (
+        set(map(type, rows)) == {tuple}
+        and rows.keys() == space._index.keys()
+        and set(map(type, table)) <= {tuple, list}
+        and set(map(len, table)) == {outcome_count}
+        and set(map(type, chain.from_iterable(table))) == {QSqrt2}
+    ):
+        dense = dict(zip(rows, map(tuple, table)))
+    else:
+        dense = {}
+        for point, row in rows.items():
+            point = space.check_point(point)
+            row = tuple(as_qsqrt2(v) for v in row)
+            if len(row) != outcome_count:
+                raise ValueError(
+                    f"row at {format_point(point)} has {len(row)} entries, "
+                    f"expected {outcome_count}"
+                )
+            dense[point] = row
+        missing = [p for p in space.points if p not in dense]
+        if missing:
+            raise ValueError(
+                f"rows missing for {len(missing)} points, first {format_point(missing[0])}"
+            )
+    return dense
+
+
+_EXACT = [ONE, ZERO, HALF, SQRT2 - ONE]
+_COERCED = [1, 0, Fraction(1, 3), 0.5]
+_FOREIGN = [("r3", "c1"), ("r1",), ("r1", "c1", "c1"), _PointSubclass(("r0", "c0"))]
+
+
+@st.composite
+def response_recipes(draw):
+    """[key, row kind, values] entries for a two-outcome table on GRID.
+
+    A whole, exact table in a drawn order, on which the oracle's
+    whole-table test passes, then up to four changes, each of which makes
+    that test fail: a tuple-subclass key, an iterator row, a value that
+    must be coerced, a wrong length, a missing point or a foreign one.
+    """
+    entries = [
+        [point, draw(st.sampled_from([tuple, list])), [draw(st.sampled_from(_EXACT)) for _ in "ab"]]
+        for point in draw(st.permutations(GRID.points))
+    ]
+    for _ in range(draw(st.integers(0, 4))):
+        change = draw(st.sampled_from(["key", "iter", "value", "length", "drop", "foreign"]))
+        if change == "foreign":
+            foreign = [draw(st.sampled_from(_FOREIGN)), tuple, [ONE, ZERO]]
+            entries.insert(draw(st.integers(0, len(entries))), foreign)
+        elif entries:
+            entry = draw(st.sampled_from(entries))
+            if change == "key":
+                entry[0] = _PointSubclass(entry[0])
+            elif change == "iter":
+                entry[1] = iter
+            elif change == "value" and entry[2]:
+                entry[2][draw(st.integers(0, len(entry[2]) - 1))] = draw(st.sampled_from(_COERCED))
+            elif change == "length":
+                entry[2] = entry[2][:1] if draw(st.booleans()) else entry[2] + [ZERO]
+            elif change == "drop":
+                entries.remove(entry)
+    return [(key, kind, tuple(values)) for key, kind, values in entries]
+
+
+def _rows_or_fault(build, recipe) -> list | tuple:
+    """What build stores for a fresh mapping of the recipe, or its first fault."""
+    try:
+        return _stored(build(GRID, 2, {key: kind(values) for key, kind, values in recipe}))
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+class TestResponseRowsSameAsTwoPaths:
+    @settings(max_examples=500, deadline=None)
+    @example(recipe=[(p, tuple, (HALF, HALF)) for p in GRID.points])
+    @example(recipe=[(p, list, (HALF, HALF)) for p in GRID.points])
+    @example(recipe=[(p, tuple, (HALF, HALF)) for p in GRID.points[1:]])
+    @example(recipe=[(GRID.points[0], tuple, (0.5,))]
+             + [(p, tuple, (HALF, HALF)) for p in GRID.points[1:]])
+    @given(recipe=response_recipes())
+    def test_same_rows_or_same_fault(self, recipe):
+        expected = _rows_or_fault(_previous_response_rows, recipe)
+        stored = _rows_or_fault(lambda *args: ResponseFunctions(*args).rows, recipe)
+        assert stored == expected
 
 
 class TestModel:

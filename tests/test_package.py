@@ -30,6 +30,7 @@ DELETED = [
     (scenarios, "coin_pair_space"),
     (scenarios, "support_union"),
     (scenarios, "pbr_born_pairing"),
+    (scenarios, "toy_synthesis_spec"),
     (independence, "check_preparation_independence"),
     (independence, "single_factor_marginals"),
     (synthesis, "min_violation"),

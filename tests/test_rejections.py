@@ -21,7 +21,9 @@ from onticbench.ontology import (
     ResponseFunctions,
     simulate,
 )
-from onticbench.scenarios import build_toy_nlhv_model, toy_synthesis_spec
+from onticbench.scenarios import (
+    PREP_ORDER, build_pbr_quantum_scenario, build_toy_nlhv_model, pbr_synthesis_spec,
+)
 from onticbench.synthesis import (
     Constraint,
     FeasibilityResult,
@@ -42,8 +44,15 @@ HEADER = "onticbench-model 1\n\n"
 SPACE_SECTION = "space\n  factor x a b\nend\n"
 
 
+def toy_spec():
+    """toy-nlhv's four preparations, in Born-row order, against the Born table."""
+    return pbr_synthesis_spec(
+        build_toy_nlhv_model(), PREP_ORDER, build_pbr_quantum_scenario().born_table
+    )
+
+
 def _toy_witness(responses):
-    return responses_to_witness(toy_synthesis_spec(), responses)
+    return responses_to_witness(toy_spec(), responses)
 
 
 def _toy_responses(outcome_count, value):
@@ -92,7 +101,7 @@ CASES = [
      lambda: analyze_independence(build_toy_nlhv_model(), ("lambda1", "lambda_s")),
      ValueError, "fewer than two accessible factors"),
     # synthesis
-    ("prep-index-unknown", lambda: toy_synthesis_spec().prep_index("nope"),
+    ("prep-index-unknown", lambda: toy_spec().prep_index("nope"),
      ValueError, "unknown preparation 'nope'"),
     ("duplicate-constraint-ids",
      lambda: LPProblem(("x0",), (Constraint("c", ((0, 1),), 1, "eq"),
@@ -102,15 +111,15 @@ CASES = [
      lambda: LPProblem(("x0", "x1"), (), objective=(1,)),
      ValueError, "objective length"),
     ("forbidden-cell-out-of-range",
-     lambda: build_min_violation_lp(toy_synthesis_spec(), (("nu00", 5),)),
+     lambda: build_min_violation_lp(toy_spec(), (("nu00", 5),)),
      ValueError, "out of range 1..4"),
     ("forbidden-cell-twice",
-     lambda: build_min_violation_lp(toy_synthesis_spec(), (("nu00", 1), ("nu00", 1))),
+     lambda: build_min_violation_lp(toy_spec(), (("nu00", 1), ("nu00", 1))),
      ValueError, "listed twice"),
-    ("short-witness", lambda: extract_responses(toy_synthesis_spec(), (Fraction(0),) * 3),
+    ("short-witness", lambda: extract_responses(toy_spec(), (Fraction(0),) * 3),
      ValueError, "witness has 3 values"),
     ("witness-from-other-space",
-     lambda: responses_to_witness(toy_synthesis_spec(), ResponseFunctions(SPACE, 4, {
+     lambda: responses_to_witness(toy_spec(), ResponseFunctions(SPACE, 4, {
          p: (ONE, ZERO, ZERO, ZERO) for p in SPACE.points})),
      ValueError, "different space"),
     ("witness-outcome-count", lambda: _toy_witness(_toy_responses(2, HALF)),
@@ -161,7 +170,7 @@ def test_rejected(call, error, fragment):
     ids=["no-witness", "no-certificate"],
 )
 def test_result_without_evidence_fails_verification(result, failure):
-    lp = build_synthesis_lp(toy_synthesis_spec())
+    lp = build_synthesis_lp(toy_spec())
     verdict = verify_certificate(lp, result)
     assert verdict == Verdict(False, (failure,))
     assert not verdict

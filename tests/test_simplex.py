@@ -271,7 +271,10 @@ def padded_lhv_floor_lp():
 # The builtin LPs, with dozens of pivots each, and two larger LPs whose
 # rows gain and lose the entering column over many pivots; the drawn ones
 # stay small.
-TOY_LP = synthesis.build_synthesis_lp(scenarios.toy_synthesis_spec())
+TOY_LP = synthesis.build_synthesis_lp(scenarios.pbr_synthesis_spec(
+    scenarios.build_toy_nlhv_model(), scenarios.PREP_ORDER,
+    scenarios.build_pbr_quantum_scenario().born_table,
+))
 LHV_LP = synthesis.build_synthesis_lp(scenarios.lhv_synthesis_spec())
 LHV_FLOOR_LP = synthesis.build_min_violation_lp(
     scenarios.lhv_synthesis_spec(), scenarios.forbidden_cells(scenarios.MARGINAL_PREP_ORDER)

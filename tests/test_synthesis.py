@@ -25,10 +25,11 @@ from onticbench.scenarios import (
     MARGINAL_PREP_ORDER,
     MEASUREMENT_LABEL,
     PREP_ORDER,
+    build_pbr_quantum_scenario,
     build_toy_nlhv_model,
     forbidden_cells,
     lhv_synthesis_spec,
-    toy_synthesis_spec,
+    pbr_synthesis_spec,
 )
 from onticbench.synthesis import (
     Constraint,
@@ -48,6 +49,13 @@ from onticbench.verdicts import Verdict
 SIXTEENTH = QSqrt2(Fraction(1, 16))
 
 
+def toy_spec():
+    """toy-nlhv's four preparations, in Born-row order, against the Born table."""
+    return pbr_synthesis_spec(
+        build_toy_nlhv_model(), PREP_ORDER, build_pbr_quantum_scenario().born_table
+    )
+
+
 def small_space(n_points: int) -> OnticSpace:
     return OnticSpace((Factor("p", tuple(f"p{i}" for i in range(n_points))),))
 
@@ -58,7 +66,7 @@ def point_mass(space: OnticSpace, point) -> EpistemicState:
 
 class TestLpConstruction:
     def test_toy_dimensions(self):
-        lp = build_synthesis_lp(toy_synthesis_spec())
+        lp = build_synthesis_lp(toy_spec())
         # 4 outcomes x 32 points; 32 normalization rows + 16 rational target rows
         assert len(lp.variables) == 128
         assert len(lp.constraints) == 48
@@ -213,10 +221,10 @@ def _assert_rows(lp: LPProblem, expected: list) -> None:
 
 
 _BUILD_CASES = {
-    "toy-nlhv": toy_synthesis_spec,
+    "toy-nlhv": toy_spec,
     "pbr-lhv": lhv_synthesis_spec,
     "padded": lambda: _padded(lhv_synthesis_spec()),
-    "sqrt2-shifted": lambda: _sqrt2_shifted(toy_synthesis_spec()),
+    "sqrt2-shifted": lambda: _sqrt2_shifted(toy_spec()),
     "sqrt2-weights": _sqrt2_weights,
 }
 
@@ -251,7 +259,7 @@ def lhv_solved():
 
 @pytest.fixture(scope="module")
 def toy_solved():
-    spec = toy_synthesis_spec()
+    spec = toy_spec()
     lp = build_synthesis_lp(spec)
     return spec, lp, solve_feasibility(lp)
 
@@ -352,7 +360,7 @@ class TestRelationalWitness:
         assert verdict.ok
 
     def test_violation_floor_is_zero(self):
-        assert solve_min_violation(toy_synthesis_spec(), forbidden_cells(PREP_ORDER)).value == ZERO
+        assert solve_min_violation(toy_spec(), forbidden_cells(PREP_ORDER)).value == ZERO
 
 
 class TestIrrationalHandling:
@@ -396,11 +404,11 @@ class TestIrrationalHandling:
 
 class TestMinViolationEdges:
     def test_no_forbidden_cells(self):
-        result = solve_min_violation(toy_synthesis_spec(), ())
+        result = solve_min_violation(toy_spec(), ())
         assert result.value == ZERO
 
     def test_no_forbidden_cells_result_verifies(self):
-        result = solve_min_violation(toy_synthesis_spec(), ())
+        result = solve_min_violation(toy_spec(), ())
         assert verify_certificate(result.lp, result.raw).ok
 
     def test_point_mass_conflict_floor(self):
