@@ -27,7 +27,6 @@ from .hilbert import (
     inner_product,
     ket,
     ket_product,
-    tensor_product,
 )
 from .ontology import (
     EpistemicState,
@@ -94,7 +93,7 @@ __all__ = [
     "QSqrt2", "ZERO", "ONE", "HALF", "QUARTER", "SQRT2", "INV_SQRT2",
     "is_probability", "Verdict",
     "StateVector", "MeasurementBasis", "ket", "ket_product",
-    "inner_product", "tensor_product", "born_probabilities", "check_orthonormal",
+    "inner_product", "born_probabilities", "check_orthonormal",
     "Factor", "OnticSpace", "EpistemicState", "ResponseFunctions", "OntologicalModel",
     "PredictionCell", "PredictionReport", "format_point",
     "validate_epistemic", "validate_responses", "predicted_statistics",

@@ -473,8 +473,8 @@ MAX_SAMPLES = 10**9
 
 def _count(what: str, bound: int) -> Callable[[str], int]:
     """The argparse type of a count from 0 to ``bound``, read as a model
-    file reads one (numerics.is_count).  A token with more significant
-    digits than ``bound`` is refused before int() sees it, so no digit
+    file reads one (numerics.is_count).  int() sees only the significant
+    digits, and only when they are no more than ``bound``'s, so no digit
     limit changes the answer; an error quotes at most 40 characters."""
     digits = len(str(bound))
 
@@ -483,9 +483,9 @@ def _count(what: str, bound: int) -> Callable[[str], int]:
             raise argparse.ArgumentTypeError(
                 f"{what} must be written with the digits 0-9 only, got {_quoted(text)}"
             )
-        if len(text.lstrip("0")) > digits or int(text) > bound:
+        if len(significant := text.lstrip("0") or "0") > digits or int(significant) > bound:
             raise argparse.ArgumentTypeError(f"{what} must be at most {bound}, got {_quoted(text)}")
-        return int(text)
+        return int(significant)
 
     return count
 

@@ -24,19 +24,18 @@ from .verdicts import Record, Verdict, _set
 class StateVector(Record):
     """A pure state as a tuple of exact amplitudes.
 
-    Normalization (norm squared exactly one) is checked at construction.
-    ``validate=False`` skips the check; tensor_product passes it, because a
-    product of unit vectors is a unit vector.
+    Every StateVector is a unit vector: construction checks that its norm
+    squared is exactly one, so every inner product has |<a|b>|^2 <= 1.
     """
 
     _fields = ("amplitudes",)
 
-    def __init__(self, amplitudes: Sequence[QSqrt2], validate: bool = True) -> None:
+    def __init__(self, amplitudes: Sequence[QSqrt2]) -> None:
         amps = tuple(as_qsqrt2(a) for a in amplitudes)
         if not amps:
             raise ValueError("a state vector needs at least one amplitude")
         _set(self, "amplitudes", amps)
-        if validate and self.norm_squared() != ONE:
+        if self.norm_squared() != ONE:
             raise ValueError(f"state vector is not normalized: |psi|^2 = {self.norm_squared()}")
 
     @property
@@ -51,7 +50,7 @@ class MeasurementBasis(Record):
     """An orthonormal basis listed in outcome order (outcome k = vector k-1).
 
     Construction insists the vectors form a complete orthonormal basis;
-    check_orthonormal reports on any other list of vectors.
+    check_orthonormal reports the pairs of any list that are not orthogonal.
     """
 
     _fields = ("outcomes",)
@@ -82,11 +81,6 @@ def inner_product(first: StateVector, second: StateVector) -> QSqrt2:
     return qdot(first.amplitudes, second.amplitudes)
 
 
-def tensor_product(first: StateVector, second: StateVector) -> StateVector:
-    amps = [a * b for a in first.amplitudes for b in second.amplitudes]
-    return StateVector(tuple(amps), validate=False)
-
-
 def born_probabilities(state: StateVector, basis: MeasurementBasis) -> list[QSqrt2]:
     """The outcome distribution (<xi_k|psi>^2) for k = 1..K."""
     if state.dim != basis.dim:
@@ -96,15 +90,14 @@ def born_probabilities(state: StateVector, basis: MeasurementBasis) -> list[QSqr
 
 
 def check_orthonormal(vecs: Sequence[StateVector]) -> Verdict:
-    """Check <xi_i|xi_j> = delta_ij exactly, listing every failing pair."""
+    """List each pair i < j with <xi_i|xi_j> != 0; <xi_i|xi_i> = 1 is StateVector's own check."""
     failures: list[str] = []
     witnesses: list[tuple[int, int]] = []
     for i in range(len(vecs)):
-        for j in range(i, len(vecs)):
+        for j in range(i + 1, len(vecs)):
             ip = inner_product(vecs[i], vecs[j])
-            expected = ONE if i == j else ZERO
-            if ip != expected:
-                failures.append(f"<xi_{i + 1}|xi_{j + 1}> = {ip}, expected {expected}")
+            if ip:
+                failures.append(f"<xi_{i + 1}|xi_{j + 1}> = {ip}, expected 0")
                 witnesses.append((i + 1, j + 1))
     return Verdict(not failures, tuple(failures), tuple(witnesses))
 
@@ -117,20 +110,23 @@ _NAMED_KETS = {
 }
 
 
+def _named(name: str) -> tuple[QSqrt2, QSqrt2]:
+    if name not in _NAMED_KETS:
+        raise ValueError(f"unknown ket name {name!r}; expected one of 0, 1, +, -")
+    return _NAMED_KETS[name]
+
+
 def ket(name: str) -> StateVector:
     """One of the named qubit states "0", "1", "+", "-"."""
-    try:
-        return StateVector(_NAMED_KETS[name])
-    except KeyError:
-        raise ValueError(f"unknown ket name {name!r}; expected one of 0, 1, +, -") from None
+    return StateVector(_named(name))
 
 
 def ket_product(names: str) -> StateVector:
     """Tensor product of named qubit states, e.g. "0+" = |0> (x) |+>."""
     if not names:
         raise ValueError("empty ket product")
-    state = ket(names[0])
-    for name in names[1:]:
-        state = tensor_product(state, ket(name))
-    return state
+    amps = _named(names[0])
+    for pair in map(_named, names[1:]):
+        amps = [a * b for a in amps for b in pair]
+    return StateVector(amps)
 

@@ -21,13 +21,20 @@ from .ontology import EpistemicState, OnticSpace, OntologicalModel, Point, forma
 from .verdicts import Record, Verdict, _set
 
 
-def _product(states: Sequence[EpistemicState]) -> dict[Point, QSqrt2]:
-    """The product's weights, keyed by the concatenated points, over the supports."""
-    first, *rest = states
-    weights = first.weights
-    for state in rest:
-        weights = {p + q: w * v for p, w in weights.items() for q, v in state.weights.items()}
+def _product(tables: Sequence[Mapping[Point, QSqrt2]]) -> Mapping[Point, QSqrt2]:
+    """The product of weight tables, keyed by the concatenated points, over the supports."""
+    weights, *rest = tables
+    for table in rest:
+        weights = {p + q: w * v for p, w in weights.items() for q, v in table.items()}
     return weights
+
+
+def _marginal(weights: Mapping[Point, QSqrt2], positions: Sequence[int]) -> dict[Point, QSqrt2]:
+    """The nonzero sums of ``weights`` grouped by the coordinates at ``positions``."""
+    groups: dict[Point, list[QSqrt2]] = {}
+    for point, weight in weights.items():
+        groups.setdefault(tuple([point[i] for i in positions]), []).append(weight)
+    return {point: total for point, ws in groups.items() if (total := qsum(ws))}
 
 
 def product_state(mu: EpistemicState, nu: EpistemicState) -> EpistemicState:
@@ -35,7 +42,8 @@ def product_state(mu: EpistemicState, nu: EpistemicState) -> EpistemicState:
     shared = set(mu.space.factor_names) & set(nu.space.factor_names)
     if shared:
         raise ValueError(f"factor names must be disjoint, both sides have {sorted(shared)}")
-    return EpistemicState(OnticSpace(mu.space.factors + nu.space.factors), _product((mu, nu)))
+    space = OnticSpace(mu.space.factors + nu.space.factors)
+    return EpistemicState(space, _product((mu.weights, nu.weights)))
 
 
 def marginalize(joint: EpistemicState, keep: Sequence[str]) -> EpistemicState:
@@ -47,10 +55,7 @@ def marginalize(joint: EpistemicState, keep: Sequence[str]) -> EpistemicState:
         raise ValueError(f"duplicate factor names in {keep}")
     space = joint.space.subspace(keep)  # validates the names
     positions = [joint.space.factor_names.index(name) for name in space.factor_names]
-    groups: dict[Point, list[QSqrt2]] = {}
-    for point, weight in joint.weights.items():
-        groups.setdefault(tuple([point[i] for i in positions]), []).append(weight)
-    return EpistemicState(space, {point: qsum(ws) for point, ws in groups.items()})
+    return EpistemicState(space, _marginal(joint.weights, positions))
 
 
 def _first_mismatch(joint: EpistemicState, expected: Mapping[Point, QSqrt2], what: str) -> Verdict:
@@ -90,7 +95,7 @@ def check_local_independence(
             "joint space must be the subsystem spaces in order: "
             f"{[f.name for f in expected_factors]} vs {list(joint.space.factor_names)}"
         )
-    return _first_mismatch(joint, _product((mu, nu)), "product weight")
+    return _first_mismatch(joint, _product((mu.weights, nu.weights)), "product weight")
 
 
 def check_full_independence(joint: EpistemicState) -> Verdict:
@@ -99,7 +104,7 @@ def check_full_independence(joint: EpistemicState) -> Verdict:
     The marginals are the only possible factors, so this decides whether
     any product decomposition over the full factor list exists.
     """
-    marginals = [marginalize(joint, (name,)) for name in joint.space.factor_names]
+    marginals = [_marginal(joint.weights, (i,)) for i in range(len(joint.space.factors))]
     return _first_mismatch(joint, _product(marginals), "marginal product")
 
 

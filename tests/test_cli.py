@@ -896,6 +896,22 @@ class TestSamplesBound:
         assert len(last) < 300
         assert not re.search(r"(?<!\w)_[A-Za-z]", last), last
 
+    @pytest.mark.parametrize("limit", ["default", 0])
+    @pytest.mark.parametrize("option", BOUNDS)
+    def test_zero_padded_count(self, capsys, draws, option, limit):
+        padded = "0" * 5000
+        with int_digit_limit(limit):
+            code, out, err = invoke(capsys, *self.ARGV, "10", option, padded + "3")
+            assert (code, err) == (0, "")
+            code, out, err = invoke(
+                capsys, *self.ARGV, "10", option, padded + str(self.BOUNDS[option] + 1)
+            )
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()[-1]) < 300
+        # (samples, seed, jobs) of the one call: the padded 3 is read as 3.
+        expected = {"--samples": (3, 0, 1), "--seed": (10, 3, 1), "--jobs": (10, 0, 3)}
+        assert [args[2:] for args in draws] == [expected[option]]
+
     def test_the_bound_itself_is_accepted(self, capsys, draws):
         for option, bound in self.BOUNDS.items():
             code, _, err = invoke(capsys, *self.ARGV[:-1], option, str(bound))

@@ -1,8 +1,8 @@
 """Tests for exact state vectors, bases, and Born probabilities."""
 
-from fractions import Fraction
-
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from onticbench.hilbert import (
     MeasurementBasis,
@@ -12,13 +12,8 @@ from onticbench.hilbert import (
     inner_product,
     ket,
     ket_product,
-    tensor_product,
 )
 from onticbench.numerics import HALF, INV_SQRT2, ONE, QSqrt2, QUARTER, ZERO
-
-
-def q(rat, irr=0):
-    return QSqrt2(Fraction(rat), Fraction(irr))
 
 
 def real(value) -> QSqrt2:
@@ -32,6 +27,13 @@ XI_2 = StateVector((real(HALF), real(-HALF), real(HALF), real(HALF)))
 XI_3 = StateVector((real(HALF), real(HALF), real(-HALF), real(HALF)))
 XI_4 = StateVector((real(INV_SQRT2), real(ZERO), real(ZERO), real(-INV_SQRT2)))
 XI_BASIS = MeasurementBasis((XI_1, XI_2, XI_3, XI_4))
+
+NAMED = {
+    "0": (ONE, ZERO),
+    "1": (ZERO, ONE),
+    "+": (INV_SQRT2, INV_SQRT2),
+    "-": (INV_SQRT2, -INV_SQRT2),
+}
 
 PRODUCT_STATES = [ket_product(name) for name in ("00", "0+", "+0", "++")]
 
@@ -49,10 +51,6 @@ class TestStateVector:
     def test_norm_enforced(self):
         with pytest.raises(ValueError, match="norm"):
             StateVector((real(ONE), real(ONE)))
-
-    def test_validate_false_allows_unnormalized(self):
-        s = StateVector((real(ONE), real(ONE)), validate=False)
-        assert s.norm_squared() == q(2)
 
     def test_named_kets_normalized(self):
         for name in "01+-":
@@ -74,16 +72,57 @@ class TestInnerProduct:
             inner_product(ket("0"), ket_product("00"))
 
 
-class TestTensorProduct:
+class TestKetProduct:
     def test_first_factor_varies_slowest(self):
-        s = tensor_product(ket("0"), ket("1"))
-        assert s.amplitudes == (real(ZERO), real(ONE), real(ZERO), real(ZERO))
-
-    def test_matches_ket_product(self):
-        assert tensor_product(ket("+"), ket("-")) == ket_product("+-")
+        assert ket_product("01").amplitudes == (real(ZERO), real(ONE), real(ZERO), real(ZERO))
 
     def test_norm_multiplicative(self):
-        assert tensor_product(ket("+"), ket("+")).norm_squared() == ONE
+        assert ket_product("++").norm_squared() == ONE
+
+    @settings(max_examples=200, deadline=None)
+    @given(names=st.text("01+-", min_size=1, max_size=4))
+    def test_same_as_kronecker_fold(self, names):
+        # Amplitude i is the product of each factor's amplitude at its bit of
+        # i, the first factor's bit the most significant.
+        amps = []
+        for i in range(2 ** len(names)):
+            value = ONE
+            for k, name in enumerate(names):
+                value = value * NAMED[name][(i >> (len(names) - 1 - k)) & 1]
+            amps.append(value)
+        state = ket_product(names)
+        assert state.amplitudes == tuple(amps)
+        assert state.dim == 2 ** len(names)
+        assert state.norm_squared() == ONE
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        names=st.text("01+-", max_size=3),
+        position=st.integers(0, 3),
+        letter=st.sampled_from(["x", "2", " ", "\u0661"]),
+    )
+    def test_unknown_letter_anywhere(self, names, position, letter):
+        position = min(position, len(names))
+        names = names[:position] + letter + names[position:]
+        expected = f"unknown ket name {letter!r}; expected one of 0, 1, +, -"
+        with pytest.raises(ValueError) as info:
+            ket_product(names)
+        assert str(info.value) == expected
+
+    @pytest.mark.parametrize(
+        "make, name, message",
+        [
+            (ket, "", "unknown ket name ''; expected one of 0, 1, +, -"),
+            (ket, "01", "unknown ket name '01'; expected one of 0, 1, +, -"),
+            (ket, "x", "unknown ket name 'x'; expected one of 0, 1, +, -"),
+            (ket_product, "", "empty ket product"),
+            (ket_product, "0x", "unknown ket name 'x'; expected one of 0, 1, +, -"),
+        ],
+    )
+    def test_refusal_texts(self, make, name, message):
+        with pytest.raises(ValueError) as info:
+            make(name)
+        assert str(info.value) == message
 
 
 class TestOrthonormality:
@@ -95,11 +134,23 @@ class TestOrthonormality:
         assert not verdict.ok
         assert (1, 2) in verdict.witnesses
 
-    def test_unnormalized_vector_reported(self):
-        long = StateVector((real(ONE), real(ONE)), validate=False)
-        verdict = check_orthonormal((long, ket("1")))
-        assert not verdict.ok
-        assert (1, 1) in verdict.witnesses
+    @settings(max_examples=200, deadline=None)
+    @given(names=st.lists(st.text("01+-", min_size=2, max_size=2), max_size=5))
+    def test_witnesses_are_the_distinct_nonorthogonal_pairs(self, names):
+        vecs = [ket_product(name) for name in names]
+        amps = [v.amplitudes for v in vecs]
+        pairs = [
+            (i + 1, j + 1, sum((x * y for x, y in zip(amps[i], amps[j])), ZERO))
+            for i in range(len(vecs))
+            for j in range(len(vecs))
+            if i < j
+        ]
+        verdict = check_orthonormal(vecs)
+        assert verdict.witnesses == tuple((i, j) for i, j, ip in pairs if ip != ZERO)
+        assert verdict.failures == tuple(
+            f"<xi_{i}|xi_{j}> = {ip}, expected 0" for i, j, ip in pairs if ip != ZERO
+        )
+        assert verdict.ok == (not verdict.witnesses)
 
     def test_constructor_rejects_bad_basis(self):
         with pytest.raises(ValueError):

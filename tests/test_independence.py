@@ -15,7 +15,7 @@ from onticbench.independence import (
     marginalize,
     product_state,
 )
-from onticbench.numerics import HALF, ONE, QSqrt2, QUARTER, ZERO
+from onticbench.numerics import HALF, ONE, QSqrt2, QUARTER, ZERO, qsum
 from onticbench.ontology import EpistemicState, Factor, OnticSpace, format_point
 from onticbench.verdicts import Verdict
 from onticbench.scenarios import (
@@ -295,10 +295,10 @@ def any_state(draw, factors):
 
 
 @st.composite
-def small_joints(draw):
-    """A joint on 2-3 factors: arbitrary, a product of the first factor and
-    the rest, or a product of every factor."""
-    sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
+def small_joints(draw, max_factors=3):
+    """A joint on 2 to ``max_factors`` factors: arbitrary, a product of the
+    first factor and the rest, or a product of every factor."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=max_factors))
     factors = [Factor(f"f{i}", tuple(f"v{j}" for j in range(n))) for i, n in enumerate(sizes)]
     kind = draw(st.sampled_from(["any", "split", "product"]))
     if kind == "any":
@@ -338,6 +338,40 @@ class TestSameAsClosureProducts:
                 check_local_independence(joint, mu, nu), _closure_preparation(joint, mu, nu)
             )
         assert same_verdict(check_full_independence(joint), _closure_full(joint))
+
+
+# ---- full independence as it was, kept as an oracle: one marginalize per --------
+# factor, each building its subspace and an EpistemicState on it.
+
+
+def _per_factor_marginal(joint, name):
+    space = joint.space.subspace((name,))
+    positions = [joint.space.factor_names.index(n) for n in space.factor_names]
+    groups = {}
+    for point, weight in joint.weights.items():
+        groups.setdefault(tuple([point[i] for i in positions]), []).append(weight)
+    return EpistemicState(space, {point: qsum(ws) for point, ws in groups.items()})
+
+
+def _per_factor_full(joint):
+    marginals = [_per_factor_marginal(joint, name) for name in joint.space.factor_names]
+    weights = marginals[0].weights
+    for state in marginals[1:]:
+        weights = {p + q: w * v for p, w in weights.items() for q, v in state.weights.items()}
+    return _closure_first_mismatch(
+        joint, lambda point: weights.get(point, ZERO), "marginal product"
+    )
+
+
+class TestFullSameAsPerFactorMarginals:
+    @settings(max_examples=300, deadline=None)
+    @given(joint=small_joints(max_factors=4))
+    @example(joint=CANCELLING)
+    @example(joint=ONE_FACTOR)
+    def test_same_verdict(self, joint):
+        assert same_verdict(check_full_independence(joint), _per_factor_full(joint))
+        for name in joint.space.factor_names:
+            assert marginalize(joint, (name,)) == _per_factor_marginal(joint, name)
 
 
 # ---- overlap as it was, kept as an oracle: a walk over mu's support ------------

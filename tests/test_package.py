@@ -26,6 +26,7 @@ DELETED = [
     (numerics, "qmin"),
     (hilbert, "parse_state"),
     (hilbert, "format_state"),
+    (hilbert, "tensor_product"),
     (scenarios, "build_lhv_restriction"),
     (scenarios, "coin_pair_space"),
     (scenarios, "support_union"),
@@ -58,6 +59,7 @@ class TestPublicSurface:
         assert not hasattr(hilbert.MeasurementBasis, "outcome_count")
         assert not hasattr(ontology.OnticSpace, "project")
         assert "validate" not in inspect.signature(hilbert.MeasurementBasis).parameters
+        assert "validate" not in inspect.signature(hilbert.StateVector).parameters
         assert "inaccessible" not in inspect.signature(independence.check_local_independence).parameters
 
 

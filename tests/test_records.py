@@ -221,7 +221,7 @@ CASES = {
 REQUIRED = inspect.Parameter.empty
 SIGNATURES = {
     "Verdict": [("ok", REQUIRED), ("failures", ()), ("witnesses", ())],
-    "StateVector": [("amplitudes", REQUIRED), ("validate", True)],
+    "StateVector": [("amplitudes", REQUIRED)],
     "MeasurementBasis": [("outcomes", REQUIRED)],
     "Factor": [("name", REQUIRED), ("labels", REQUIRED)],
     "OnticSpace": [("factors", REQUIRED)],
@@ -339,8 +339,6 @@ def test_keyword_construction(name):
     a = make()
     cls = type(a)
     kwargs = {p: getattr(a, p) for p, _ in SIGNATURES[name] if hasattr(a, p)}
-    if cls is StateVector:
-        kwargs["validate"] = True
     b = cls(**kwargs)
     assert b == a and repr(b) == repr(a)
 
@@ -355,9 +353,6 @@ def test_defaults():
     assert ResponseFunctions(space=space(), outcome_count=2, rows=rows).filler == ZERO
     with pytest.raises(ValueError, match="not normalized"):
         StateVector(amplitudes=(ONE, ONE))
-    unnormalized = StateVector(amplitudes=(ONE, ONE), validate=False)
-    assert unnormalized.norm_squared() == ONE + ONE
-    assert "validate" not in unnormalized.__dict__
     with pytest.raises(TypeError):
         Verdict()
     with pytest.raises(TypeError):
