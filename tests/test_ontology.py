@@ -1,9 +1,12 @@
 """Tests for ontic spaces, epistemic states, response functions, and sampling."""
 
+import importlib.util
 import random
 from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction
 from itertools import chain
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -614,14 +617,14 @@ class TestCdf:
     ), min_size=1, max_size=5), min_size=1, max_size=4))
     def test_guide_decides_every_unsplit_bucket(self, lists):
         lists = [sorted(thresholds) for thresholds in lists]
-        guide, split = ontology._guide(lists)
+        starts, guide, split = ontology._guide(lists)
         cut_inside = {t >> 56 for thresholds in lists for t in thresholds if t % (1 << 56)}
         for b in range(256):
             assert bool(split[b]) == (b in cut_inside)
             if split[b]:
                 continue
-            run_start = guide[b] << 56
-            assert guide[b] <= b
+            run_start = starts[guide[b]] << 56
+            assert starts[guide[b]] <= b
             for thresholds in lists:
                 index = bisect_right(thresholds, run_start)
                 assert bisect_right(thresholds, b << 56) == index
@@ -715,15 +718,124 @@ def many_points_model() -> OntologicalModel:
     return OntologicalModel(space, {"p": prep}, {"M": ResponseFunctions(space, 3, rows)})
 
 
-class TestSimulateOracle:
-    CASES = (
-        (build_toy_nlhv_model(), "nu00", "M", 0),
-        (sqrt2_model(), "p", "M", 1),
-        (bucket_edge_model(), "p", "M", 3),
+def steps(*cuts):
+    """The weights whose running sums are cuts, then 1."""
+    return [end - start for start, end in zip((ZERO, *cuts), (*cuts, ONE))]
+
+
+def line_model(point_cuts, rows) -> OntologicalModel:
+    """One point per weight of steps(*point_cuts); point i answers rows[i]."""
+    weights = steps(*point_cuts)
+    space = OnticSpace((Factor("x", tuple(f"p{i}" for i in range(len(weights)))),))
+    prep = EpistemicState(space, dict(zip(space.points, weights)))
+    xi = ResponseFunctions(space, len(rows[0]), dict(zip(space.points, rows)))
+    return OntologicalModel(space, {"p": prep}, {"M": xi})
+
+
+def code_model(point_cuts, row_cuts) -> OntologicalModel:
+    """Row i splits at row_cuts[i], between outcomes 1 and 2 at even i and
+    outcomes 2 and 3 at odd i; outcome 4 is forbidden."""
+    rows = [
+        (c, ONE - c, ZERO, ZERO) if i % 2 == 0 else (ZERO, c, ONE - c, ZERO)
+        for i, c in enumerate(row_cuts)
+    ]
+    return line_model(point_cuts, rows)
+
+
+def edges(*numerators):
+    return [q(Fraction(k, 256)) for k in numerators]
+
+
+def codes_255_model() -> OntologicalModel:
+    """15 point runs and 17 row runs, one of them a split bucket (1/3)."""
+    return code_model(edges(*range(1, 15)), edges(*range(16, 225, 16)) + [q(Fraction(1, 3))])
+
+
+def codes_256_model() -> OntologicalModel:
+    """16 point runs, one a split bucket (sqrt2 - 1), and 16 row runs, one a
+    split bucket (1/3): the largest code is 255."""
+    return code_model(
+        edges(*range(1, 14)) + [SQRT2 - ONE],
+        edges(*range(16, 209, 16)) + [q(Fraction(1, 3))] + edges(16),
     )
+
+
+def codes_258_model() -> OntologicalModel:
+    """86 point runs and 3 row runs: the codes do not fit in a byte."""
+    return code_model(edges(*range(1, 86)), [HALF] * 85 + [QUARTER])
+
+
+def outcomes_model(reachable) -> OntologicalModel:
+    """One point answering ``reachable`` outcomes, each of the last
+    reachable - 1 in one bucket of its own; the last outcome is forbidden."""
+    cuts = edges(*range(257 - reachable, 256))
+    return line_model([], [(*steps(*cuts), ZERO)])
+
+
+def far_outcomes_model() -> OntologicalModel:
+    """300 outcomes, three of them reachable: indexes 0, 257 and 299."""
+    row = [ZERO] * 300
+    row[0], row[257], row[299] = q(Fraction(7, 8)), q(Fraction(1, 16)), q(Fraction(1, 16))
+    return line_model([], [tuple(row)])
+
+
+# Cuts on bucket edges, just past them, strictly inside buckets, irrational,
+# and two 10^-30 apart that round to one threshold: a weight never drawn.
+CUTS = st.one_of(
+    st.integers(1, 255).map(lambda k: q(Fraction(k, 256))),
+    st.integers(1, 255).map(lambda k: q(Fraction(k, 256) + Fraction(1, 10**30))),
+    st.fractions(Fraction(1, 1000), Fraction(999, 1000), max_denominator=1000).map(q),
+    st.integers(1, 99).map(lambda k: q(0, Fraction(k, 142))),
+    st.sampled_from((q(Fraction(1, 3)), q(Fraction(1, 3) + Fraction(1, 10**30)))),
+)
+
+
+def cut_lists(min_size, max_size):
+    return st.lists(CUTS, min_size=min_size, max_size=max_size, unique=True).map(sorted)
+
+
+def bench_inputs():
+    """The benchmark's input builders, bench/inputs.py."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def pair_tally_used(monkeypatch, model, prep_label, meas_label) -> bool:
+    """Whether ``simulate`` tallies draws with the pair Counter, not the byte code."""
+    updates = []
+
+    class Recording(Counter):
+        def update(self, iterable=None, /, **kwds):
+            if iterable is not None:
+                updates.append(iterable)
+            super().update(iterable, **kwds)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ontology, "Counter", Recording)
+        simulate(model, prep_label, meas_label, 10, 0)
+    return bool(updates)
+
+
+class TestSimulateOracle:
+    CASES = {
+        "toy-nlhv": (build_toy_nlhv_model(), "nu00", "M", 0),
+        "sqrt2": (sqrt2_model(), "p", "M", 1),
+        "bucket-edges": (bucket_edge_model(), "p", "M", 3),
+        "codes-255": (codes_255_model(), "p", "M", 3),
+        "codes-256": (codes_256_model(), "p", "M", 3),
+        "codes-258": (codes_258_model(), "p", "M", 3),
+        "outcomes-at-bound": (outcomes_model(ontology._COUNT_PASSES), "p", "M", ontology._COUNT_PASSES),
+        "outcomes-past-bound": (
+            outcomes_model(ontology._COUNT_PASSES + 1), "p", "M", ontology._COUNT_PASSES + 1,
+        ),
+        "far-outcomes": (far_outcomes_model(), "p", "M", 256),
+    }
     BLOCK = ontology._BLOCK
 
-    @pytest.mark.parametrize("case", range(len(CASES)), ids=["toy-nlhv", "sqrt2", "bucket-edges"])
+    @pytest.mark.parametrize("case", CASES)
     @pytest.mark.parametrize("seed", (0, 7, (1 << 64) - 1))
     def test_counts_match_exact_oracle(self, case, seed):
         model, prep_label, meas_label, forbidden = self.CASES[case]
@@ -734,7 +846,7 @@ class TestSimulateOracle:
                 assert counts == exact_counts(model, prep_label, meas_label, samples, seed, jobs)
                 assert counts[forbidden] == 0
 
-    @pytest.mark.parametrize("case", range(len(CASES)), ids=["toy-nlhv", "sqrt2", "bucket-edges"])
+    @pytest.mark.parametrize("case", CASES)
     @pytest.mark.parametrize("samples, jobs", [
         (BLOCK - 1, 1), (BLOCK, 1), (BLOCK + 1, 1), (2 * BLOCK + 3, 1), (2 * BLOCK + 3, 2),
     ])
@@ -744,9 +856,56 @@ class TestSimulateOracle:
         assert counts == exact_counts(model, prep_label, meas_label, samples, 5, jobs)
         assert counts[forbidden] == 0
 
+    @settings(max_examples=60, deadline=None)
+    @given(point_cuts=st.integers(0, 40).flatmap(lambda n: cut_lists(n, n)), data=st.data(),
+           seed=st.integers(0, (1 << 64) - 1), jobs=st.integers(1, 2))
+    def test_drawn_models_match_exact_oracle(self, point_cuts, data, seed, jobs):
+        # Up to 41 points with up to four outcomes each; outcome 5 is forbidden.
+        row_cuts = data.draw(st.lists(cut_lists(0, 3), min_size=len(point_cuts) + 1,
+                                      max_size=len(point_cuts) + 1))
+        rows = [(*steps(*cuts), *[ZERO] * (4 - len(cuts))) for cuts in row_cuts]
+        model = line_model(point_cuts, rows)
+        counts = simulate(model, "p", "M", 300, seed, jobs)
+        assert counts == exact_counts(model, "p", "M", 300, seed, jobs)
+        assert counts[4] == 0
+
     @pytest.mark.parametrize("samples, jobs", [(0, 1), (1, 1), (400, 1), (401, 3), (5, 9)])
     def test_support_past_one_byte(self, samples, jobs):
         model = many_points_model()
         counts = simulate(model, "p", "M", samples, 11, jobs)
         assert counts == exact_counts(model, "p", "M", samples, 11, jobs)
         assert counts[0] == 0
+
+    # The pair Counter tallies only where the codes pass a byte or the
+    # reachable outcomes pass _COUNT_PASSES.
+    PAIR_TALLY = {
+        "toy-nlhv": False, "sqrt2": False, "bucket-edges": False,
+        "codes-255": False, "codes-256": False, "codes-258": True,
+        "outcomes-at-bound": False, "outcomes-past-bound": True, "far-outcomes": False,
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_tally_taken(self, monkeypatch, case):
+        model, prep_label, meas_label, _ = self.CASES[case]
+        assert pair_tally_used(monkeypatch, model, prep_label, meas_label) == self.PAIR_TALLY[case]
+
+    @pytest.mark.parametrize("case, runs", [
+        ("codes-255", (15, 17)), ("codes-256", (16, 16)), ("codes-258", (86, 3)),
+    ])
+    def test_code_models_have_their_runs(self, case, runs):
+        model, prep_label, meas_label, _ = self.CASES[case]
+        prep, meas = model.preparations[prep_label], model.measurements[meas_label]
+        support = prep.support()
+        points = ontology._thresholds(prep.weights[p] for p in support)
+        rows = [ontology._thresholds(meas.rows[p]) for p in support]
+        starts = ontology._guide([points])[0], ontology._guide(rows)[0]
+        assert tuple(map(len, starts)) == runs
+
+    def test_support_past_one_byte_takes_pair_counter(self, monkeypatch):
+        assert pair_tally_used(monkeypatch, many_points_model(), "p", "M")
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bench_models_take_byte_tally(self, monkeypatch, seed):
+        inputs = bench_inputs()
+        assert not pair_tally_used(monkeypatch, inputs.sqrt2_sampling_model(seed), "nu00", "M")
+        assert not pair_tally_used(monkeypatch, inputs.padded_sqrt2_model(seed), "nu00", "M")
