@@ -467,9 +467,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# At about 66 ns per draw (toy-nlhv, CPython 3.11), the largest count runs
-# for about a minute; on a support whose every bucket is split, each draw
-# takes the two bisections, about 1 us, and it runs for some 17 minutes.
+# At about 60 ns per draw (toy-nlhv, CPython 3.11, 2-core x86-64), the
+# largest count runs for about a minute; on a support whose every bucket is
+# split, each draw takes the two bisections, about 0.9 us, and it runs for
+# some 15 minutes.
 MAX_SAMPLES = 10**9
 
 

@@ -28,9 +28,7 @@ from __future__ import annotations
 import math
 import random
 import re
-import sys
 from bisect import bisect_right
-from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from itertools import chain, product
 from operator import index
@@ -407,46 +405,39 @@ def check_born_agreement(
 # splits, unless t is a multiple of 2^56.  In a run of buckets that no
 # threshold cuts, every word has the same bisect_right index in every list
 # as the run's first word.  So per word one 256-entry table maps a top byte
-# to the number of its run, and another marks the split buckets.
+# to the number of its run, and every split bucket to the lane's mark, the
+# number of runs: at most 255 whenever a bucket is split.
 #
 # Words come up to _BLOCK draws at a time from one getrandbits(128 * n) call
 # read little-endian, which on CPython gives the words of 2n successive
 # getrandbits(64) calls: bytes 16i..16i+7 are draw i's first word, the next
 # 8 its second.
 #
-# A block is tallied one byte per draw.  With R1 runs for the first word and
-# R2 for the second, a draw's runs (o1, o2) get the code o1*R2 + o2: two
-# lane tables map a top byte to o1*R2 and to o2, and the two translated
-# blocks, read as ints, are added once.  No code exceeds R1*R2 - 1, so while
-# R1*R2 <= 256 no byte carries into the next.  A 256-entry slot table maps
-# each code to a slot of its outcome, decided once per call by the two
-# bisections on its runs' first words, or to 255 where either run is a split
-# bucket.  The codes are translated through it, and one bytes.count per slot
-# adds up an outcome; each draw marked 255 takes the two bisections on its
-# full words.  Where one byte cannot win, for R1*R2 > 256 or past
-# _COUNT_PASSES reachable outcomes, a Counter tallies the (o1, o2) pairs read
-# as 16-bit keys instead, and each unsplit pair is decided once after the
-# last block; a draw with a split bucket again takes the bisections on its
-# full words.
+# A block is tallied one byte per draw, in one pass or more.  Call a lane's
+# run numbers and its mark its ids: I for the first word and W for the
+# second.  A draw with ids (i, j) gets the code i*W + j: two lane tables map
+# a top byte to i*W and to j, and the two translated blocks, read as ints,
+# are added once.  While I*W <= 256 no byte carries into the next and one
+# pass takes every point id; otherwise each pass takes 256 // W - 1 of them,
+# and the point ids of the other passes share the next block of W codes.  A
+# 256-entry slot table maps each code to a slot of its outcome, decided once
+# per call by the two bisections on its runs' first words; to 254 in that
+# shared block, for the draws another pass counts; and to 255 for a code with
+# a mark and for any outcome past a pass's 254th.  The codes are translated
+# through it, one bytes.count per slot adds up an outcome, and each draw
+# marked 255 takes the two bisections on its full words.  With W > 128 no
+# point id fits beside the shared block, so one pass marks every draw 255.
 #
-# Either way the law, and so every count, is that of one pair of bisections
-# per draw; the exact_counts oracle in tests/test_ontology.py, which draws
-# with getrandbits(64), checks the word order on every Python version
-# tested.  Exactness has a converse: a positive weight below 2^-64 can get a
+# The law, and so every count, is that of one pair of bisections per draw;
+# the exact_counts oracle in tests/test_ontology.py, which draws with
+# getrandbits(64), checks the word order on every Python version tested.
+# Exactness has a converse: a positive weight below 2^-64 can get a
 # zero-width interval (its threshold equal to the one before it), and then
 # it is never drawn; a weight of at least 2^-64 always spans a word.
 _DYADIC_BITS = 64
 _BUCKET_SHIFT = _DYADIC_BITS - 8
 _BUCKET_MASK = (1 << _BUCKET_SHIFT) - 1
 _BLOCK = 4096
-# The most reachable outcomes the byte tally counts, one bytes.count pass
-# each.  Over whole blocks (CPython 3.11, 2-core x86-64) a draw costs about
-# 60 + 0.55*S ns on the byte tally with S outcomes, against about 100 ns on
-# the pair Counter at its cheapest: every key below 256, a cached int, as
-# when each row is deterministic (R2 = 1).  So the passes stop paying near
-# S = 76, and 64 keeps a margin.  With keys of 256 or more the Counter costs
-# 150-210 ns a draw, and the byte tally would win further out still.
-_COUNT_PASSES = 64
 
 
 def _thresholds(weights: Iterable[QSqrt2]) -> list[int]:
@@ -467,54 +458,70 @@ def _thresholds(weights: Iterable[QSqrt2]) -> list[int]:
     return thresholds
 
 
-def _guide(lists: Iterable[Sequence[int]]) -> tuple[list[int], bytearray, bytearray]:
-    """The runs of some threshold lists (see above): (starts, guide, split).
+def _guide(lists: Iterable[Sequence[int]]) -> tuple[list[int], bytearray]:
+    """The runs of some threshold lists (see above): (starts, guide).
 
-    starts[k] is the first bucket of run k, guide[b] the number of the run
-    that holds bucket b, and split[b] is 255 when a threshold lies strictly
-    inside bucket b, else 0.  A split bucket is a run of its own.
+    starts[k] is the first bucket of run k, and guide[b] the number of the
+    run that holds bucket b, or the mark len(starts) where a threshold lies
+    strictly inside bucket b.
     """
     thresholds = set(chain.from_iterable(lists))
     inside = {t >> _BUCKET_SHIFT for t in thresholds if t & _BUCKET_MASK}
     edges = sorted({t >> _BUCKET_SHIFT for t in thresholds} | {b + 1 for b in inside} | {0, 256})
+    starts: list[int] = []
     guide = bytearray(256)
-    for run, (low, high) in enumerate(zip(edges, edges[1:])):
-        guide[low:high] = bytes((run,)) * (high - low)
-    split = bytearray(256)
+    for low, high in zip(edges, edges[1:]):
+        if low not in inside:
+            guide[low:high] = bytes((len(starts),)) * (high - low)
+            starts.append(low)
     for b in inside:
-        split[b] = 0xFF
-    return edges[:-1], guide, split
+        guide[b] = len(starts)
+    return starts, guide
 
 
-def _byte_tally(
+def _ids(runs: tuple[list[int], bytearray]) -> int:
+    """A lane's ids: its runs, and its mark where a bucket is split."""
+    starts, guide = runs
+    return len(starts) + (len(starts) < 256 and len(starts) in guide)
+
+
+def _passes(
     points: list[int],
     rows: list[list[int]],
-    point_runs: tuple[list[int], bytearray, bytearray],
-    row_runs: tuple[list[int], bytearray, bytearray],
-) -> tuple[bytearray, bytearray, bytearray, list[int]] | None:
-    """The one-byte tally's tables (see above): (point lane, row lane, slots,
-    outcomes), outcomes[s] being slot s's outcome index; None where the pair
-    Counter tallies instead."""
-    point_starts, point_guide, point_split = point_runs
-    row_starts, row_guide, row_split = row_runs
-    width = len(row_starts)
-    if len(point_starts) * width > 256:
-        return None
-    # Each unsplit row run: its number and its first word.
-    row_keys = [
-        (run, start << _BUCKET_SHIFT) for run, start in enumerate(row_starts) if not row_split[start]
-    ]
-    slots = bytearray(b"\xff" * 256)
-    slot_of: dict[int, int] = {}
-    for base, start in zip(range(0, 256, width), point_starts):
-        if not point_split[start]:
-            row = rows[bisect_right(points, start << _BUCKET_SHIFT)]
-            for run, key in row_keys:
-                slots[base + run] = slot_of.setdefault(bisect_right(row, key), len(slot_of))
-            if len(slot_of) > _COUNT_PASSES:
-                return None
-    point_lane = point_guide.translate(bytes(range(0, 256, width)).ljust(256, b"\0"))
-    return point_lane, row_guide, slots, list(slot_of)
+    point_runs: tuple[list[int], bytearray],
+    row_runs: tuple[list[int], bytearray],
+) -> list[tuple[bytes, bytearray, list[int]]]:
+    """The tally's passes (see above), each (point lane, slots, outcomes),
+    outcomes[s] being slot s's outcome index."""
+    point_starts, point_guide = point_runs
+    ids, width = _ids(point_runs), _ids(row_runs)
+    if ids * width <= 256:
+        step = ids
+    elif width <= 128:
+        step = 256 // width - 1
+    else:
+        return [(bytes(256), bytearray(b"\xff" * 256), [])]
+    # Each row run: its number and its first word.
+    row_keys = [(run, start << _BUCKET_SHIFT) for run, start in enumerate(row_runs[0])]
+    passes = []
+    for low in range(0, ids, step):
+        taken = range(low, min(low + step, ids))
+        slots = bytearray(b"\xff" * 256)
+        slot_of: dict[int, int] = {}
+        for base, point_id in zip(range(0, 256, width), taken):
+            if point_id < len(point_starts):
+                row = rows[bisect_right(points, point_starts[point_id] << _BUCKET_SHIFT)]
+                for run, key in row_keys:
+                    slots[base + run] = slot_of.setdefault(bisect_right(row, key), len(slot_of))
+        if len(slot_of) > 254:
+            # Only a lone pass has this many outcomes: bisect past its 254th.
+            slots = slots.translate(bytes(range(254)) + b"\xff\xff")
+        skip = len(taken) * width
+        if step < ids:
+            slots[skip : skip + width] = b"\xfe" * width
+        lane = bytes((i - low) * width if i in taken else skip for i in range(ids))
+        passes.append((point_guide.translate(lane.ljust(256, b"\0")), slots, list(slot_of)[:254]))
+    return passes
 
 
 def _substream(seed: int, worker: int) -> random.Random:
@@ -553,14 +560,11 @@ def simulate(
     support = prep.support()
     points = _thresholds(prep.weights[p] for p in support)
     rows = [_thresholds(meas.rows[p]) for p in support]
-    point_runs = _guide([points])
     row_runs = _guide(rows)
-    point_starts, point_guide, point_split = point_runs
-    row_starts, row_guide, row_split = row_runs
-    tally = _byte_tally(points, rows, point_runs, row_runs)
+    passes = _passes(points, rows, _guide([points]), row_runs)
+    row_lane = row_runs[1]
 
     counts = [0] * meas.outcome_count
-    pairs: Counter[int] = Counter()
     base, extra = divmod(samples, jobs)
     # Workers past the sample count draw nothing, so they are never seeded.
     for worker in range(min(jobs, samples)):
@@ -570,35 +574,16 @@ def simulate(
             n = min(left, _BLOCK)
             left -= n
             raw = draw(128 * n).to_bytes(16 * n, "little")
-            first, second = raw[7::16], raw[15::16]
-            if tally:
-                point_lane, row_lane, slots, outcomes = tally
-                codes = int.from_bytes(first.translate(point_lane), "little") + int.from_bytes(
-                    second.translate(row_lane), "little"
-                )
-                # Slot 255 marks the draws with a split bucket.
+            first = raw[7::16]
+            row_codes = int.from_bytes(raw[15::16].translate(row_lane), "little")
+            for point_lane, slots, outcomes in passes:
+                codes = int.from_bytes(first.translate(point_lane), "little") + row_codes
+                # Slot 255 marks the draws this pass bisects, 254 those another pass counts.
                 marked = codes.to_bytes(n, "little").translate(slots)
                 for slot, outcome in enumerate(outcomes):
                     counts[outcome] += marked.count(slot)
-            else:
-                keys = bytearray(2 * n)
-                keys[0::2] = first.translate(point_guide)
-                keys[1::2] = second.translate(row_guide)
-                pairs.update(memoryview(keys).cast("H"))
-                # A byte of the two split masks OR-ed is 255 exactly where either is.
-                marked = (
-                    int.from_bytes(first.translate(point_split), "little")
-                    | int.from_bytes(second.translate(row_split), "little")
-                ).to_bytes(n, "little")
-            for match in re.finditer(b"\xff", marked):
-                i = 16 * match.start()
-                row = rows[bisect_right(points, int.from_bytes(raw[i : i + 8], "little"))]
-                counts[bisect_right(row, int.from_bytes(raw[i + 8 : i + 16], "little"))] += 1
-    for key, count in pairs.items():
-        # The cast read each pair of bytes in native order; this undoes it.
-        first_run, second_run = key.to_bytes(2, sys.byteorder)
-        first, second = point_starts[first_run], row_starts[second_run]
-        if not (point_split[first] or row_split[second]):
-            row = rows[bisect_right(points, first << _BUCKET_SHIFT)]
-            counts[bisect_right(row, second << _BUCKET_SHIFT)] += count
+                for match in re.finditer(b"\xff", marked):
+                    i = 16 * match.start()
+                    row = rows[bisect_right(points, int.from_bytes(raw[i : i + 8], "little"))]
+                    counts[bisect_right(row, int.from_bytes(raw[i + 8 : i + 16], "little"))] += 1
     return counts

@@ -3,7 +3,6 @@
 import importlib.util
 import random
 from bisect import bisect_right
-from collections import Counter
 from fractions import Fraction
 from itertools import chain
 from pathlib import Path
@@ -617,11 +616,12 @@ class TestCdf:
     ), min_size=1, max_size=5), min_size=1, max_size=4))
     def test_guide_decides_every_unsplit_bucket(self, lists):
         lists = [sorted(thresholds) for thresholds in lists]
-        starts, guide, split = ontology._guide(lists)
+        starts, guide = ontology._guide(lists)
         cut_inside = {t >> 56 for thresholds in lists for t in thresholds if t % (1 << 56)}
         for b in range(256):
-            assert bool(split[b]) == (b in cut_inside)
-            if split[b]:
+            # Every split bucket, and no other, holds the lane's mark len(starts).
+            assert (guide[b] == len(starts)) == (b in cut_inside)
+            if b in cut_inside:
                 continue
             run_start = starts[guide[b]] << 56
             assert starts[guide[b]] <= b
@@ -747,13 +747,13 @@ def edges(*numerators):
 
 
 def codes_255_model() -> OntologicalModel:
-    """15 point runs and 17 row runs, one of them a split bucket (1/3)."""
+    """15 point ids and 17 row ids, one of them the mark of a split bucket (1/3)."""
     return code_model(edges(*range(1, 15)), edges(*range(16, 225, 16)) + [q(Fraction(1, 3))])
 
 
 def codes_256_model() -> OntologicalModel:
-    """16 point runs, one a split bucket (sqrt2 - 1), and 16 row runs, one a
-    split bucket (1/3): the largest code is 255."""
+    """16 point ids, one the mark of a split bucket (sqrt2 - 1), and 16 row
+    ids, one the mark of a split bucket (1/3): the largest code is 255."""
     return code_model(
         edges(*range(1, 14)) + [SQRT2 - ONE],
         edges(*range(16, 209, 16)) + [q(Fraction(1, 3))] + edges(16),
@@ -761,8 +761,17 @@ def codes_256_model() -> OntologicalModel:
 
 
 def codes_258_model() -> OntologicalModel:
-    """86 point runs and 3 row runs: the codes do not fit in a byte."""
+    """86 point ids and 3 row ids: the codes do not fit in a byte, so the
+    tally takes two passes of 84 point ids and 2."""
     return code_model(edges(*range(1, 86)), [HALF] * 85 + [QUARTER])
+
+
+def marked_passes_model() -> OntologicalModel:
+    """72 point runs and the mark of a split bucket (200/256 + 1/768), and 4
+    row ids, the last the mark of a split bucket (1/3): two passes, of 63
+    point ids and of 10, the mark last."""
+    row_cuts = [HALF if i % 5 else q(Fraction(1, 3)) for i in range(72)]
+    return code_model(edges(*range(1, 71)) + [q(Fraction(200, 256) + Fraction(1, 768))], row_cuts)
 
 
 def outcomes_model(reachable) -> OntologicalModel:
@@ -770,6 +779,15 @@ def outcomes_model(reachable) -> OntologicalModel:
     reachable - 1 in one bucket of its own; the last outcome is forbidden."""
     cuts = edges(*range(257 - reachable, 256))
     return line_model([], [(*steps(*cuts), ZERO)])
+
+
+def wide_rows_model() -> OntologicalModel:
+    """Two points whose rows take 129 runs and the mark of a split bucket
+    (1/3): with 130 row ids, every draw takes the bisections.  Outcome 131 is
+    forbidden."""
+    wide = (*steps(*edges(*range(1, 130))), ZERO)
+    third = (q(Fraction(1, 3)), ONE - q(Fraction(1, 3)), *[ZERO] * 129)
+    return line_model([HALF], [wide, third])
 
 
 def far_outcomes_model() -> OntologicalModel:
@@ -803,20 +821,20 @@ def bench_inputs():
     return module
 
 
-def pair_tally_used(monkeypatch, model, prep_label, meas_label) -> bool:
-    """Whether ``simulate`` tallies draws with the pair Counter, not the byte code."""
-    updates = []
+def tally_passes(monkeypatch, model, prep_label, meas_label) -> list:
+    """The passes, each (point lane, slots, outcomes), that ``simulate``
+    tallies a model's draws in."""
+    built = []
+    build = ontology._passes
 
-    class Recording(Counter):
-        def update(self, iterable=None, /, **kwds):
-            if iterable is not None:
-                updates.append(iterable)
-            super().update(iterable, **kwds)
+    def recording(*args):
+        built.extend(build(*args))
+        return built
 
     with monkeypatch.context() as patch:
-        patch.setattr(ontology, "Counter", Recording)
+        patch.setattr(ontology, "_passes", recording)
         simulate(model, prep_label, meas_label, 10, 0)
-    return bool(updates)
+    return built
 
 
 class TestSimulateOracle:
@@ -827,11 +845,12 @@ class TestSimulateOracle:
         "codes-255": (codes_255_model(), "p", "M", 3),
         "codes-256": (codes_256_model(), "p", "M", 3),
         "codes-258": (codes_258_model(), "p", "M", 3),
-        "outcomes-at-bound": (outcomes_model(ontology._COUNT_PASSES), "p", "M", ontology._COUNT_PASSES),
-        "outcomes-past-bound": (
-            outcomes_model(ontology._COUNT_PASSES + 1), "p", "M", ontology._COUNT_PASSES + 1,
-        ),
+        # A pass counts at most 254 outcomes: the 255th takes the bisections.
+        "outcomes-at-bound": (outcomes_model(254), "p", "M", 254),
+        "outcomes-past-bound": (outcomes_model(255), "p", "M", 255),
         "far-outcomes": (far_outcomes_model(), "p", "M", 256),
+        "marked-passes": (marked_passes_model(), "p", "M", 3),
+        "wide-rows": (wide_rows_model(), "p", "M", 130),
     }
     BLOCK = ontology._BLOCK
 
@@ -876,36 +895,45 @@ class TestSimulateOracle:
         assert counts == exact_counts(model, "p", "M", samples, 11, jobs)
         assert counts[0] == 0
 
-    # The pair Counter tallies only where the codes pass a byte or the
-    # reachable outcomes pass _COUNT_PASSES.
-    PAIR_TALLY = {
-        "toy-nlhv": False, "sqrt2": False, "bucket-edges": False,
-        "codes-255": False, "codes-256": False, "codes-258": True,
-        "outcomes-at-bound": False, "outcomes-past-bound": True, "far-outcomes": False,
+    # One pass takes every point id while the codes fit in a byte.
+    PASSES = {
+        "toy-nlhv": 1, "sqrt2": 1, "bucket-edges": 1, "codes-255": 1, "codes-256": 1, "codes-258": 2,
+        "outcomes-at-bound": 1, "outcomes-past-bound": 1, "far-outcomes": 1, "marked-passes": 2,
+        "wide-rows": 1,
     }
 
     @pytest.mark.parametrize("case", CASES)
     def test_tally_taken(self, monkeypatch, case):
         model, prep_label, meas_label, _ = self.CASES[case]
-        assert pair_tally_used(monkeypatch, model, prep_label, meas_label) == self.PAIR_TALLY[case]
+        assert len(tally_passes(monkeypatch, model, prep_label, meas_label)) == self.PASSES[case]
 
     @pytest.mark.parametrize("case, runs", [
         ("codes-255", (15, 17)), ("codes-256", (16, 16)), ("codes-258", (86, 3)),
+        ("marked-passes", (73, 4)),
     ])
     def test_code_models_have_their_runs(self, case, runs):
+        # A lane's ids are its runs and, where a bucket is split, its mark.
         model, prep_label, meas_label, _ = self.CASES[case]
         prep, meas = model.preparations[prep_label], model.measurements[meas_label]
         support = prep.support()
         points = ontology._thresholds(prep.weights[p] for p in support)
         rows = [ontology._thresholds(meas.rows[p]) for p in support]
-        starts = ontology._guide([points])[0], ontology._guide(rows)[0]
-        assert tuple(map(len, starts)) == runs
+        assert (ontology._ids(ontology._guide([points])), ontology._ids(ontology._guide(rows))) == runs
 
-    def test_support_past_one_byte_takes_pair_counter(self, monkeypatch):
-        assert pair_tally_used(monkeypatch, many_points_model(), "p", "M")
+    @pytest.mark.parametrize("case", ["many-points", "wide-rows"])
+    def test_every_draw_marked(self, monkeypatch, case):
+        model = many_points_model() if case == "many-points" else wide_rows_model()
+        [(_, slots, outcomes)] = tally_passes(monkeypatch, model, "p", "M")
+        assert outcomes == [] and set(slots) == {255}
+
+    def test_last_pass_holds_the_point_mark(self, monkeypatch):
+        first, last = tally_passes(monkeypatch, marked_passes_model(), "p", "M")
+        # Point ids 0-62, then 63-72 with the mark 72 at codes 36-39.
+        assert set(first[1][252:256]) == {254} and set(last[1][40:44]) == {254}
+        assert set(last[1][36:40]) == {255} and 255 not in first[1][:252:4]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_bench_models_take_byte_tally(self, monkeypatch, seed):
         inputs = bench_inputs()
-        assert not pair_tally_used(monkeypatch, inputs.sqrt2_sampling_model(seed), "nu00", "M")
-        assert not pair_tally_used(monkeypatch, inputs.padded_sqrt2_model(seed), "nu00", "M")
+        for model in (inputs.sqrt2_sampling_model(seed), inputs.padded_sqrt2_model(seed)):
+            assert len(tally_passes(monkeypatch, model, "nu00", "M")) == 1
