@@ -203,9 +203,9 @@ def analyze_independence(
     for label in labels:
         joint = preparations[label]
         local = marginalize(joint, accessible) if inaccessible else joint
-        mu = marginalize(local, accessible[:1])
-        nu = marginalize(local, accessible[1:])
-        local_v = check_local_independence(local, mu, nu)
+        mu = _marginal(local.weights, (0,))
+        nu = _marginal(local.weights, range(1, len(accessible)))
+        local_v = _first_mismatch(local, _product((mu, nu)), "product weight")
         states[label] = StateIndependence(local_v, check_full_independence(joint))
     overlaps: dict[tuple[str, str], QSqrt2] = {}
     for i, a in enumerate(labels):

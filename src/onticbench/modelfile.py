@@ -123,23 +123,17 @@ def _parse_point(
     """The point a first-seen token names, stored in ``points``.
 
     ``token`` is the first field of the line ``text`` (starting at column
-    ``col``) at or after offset ``after``; the labels are walked, and the
-    column computed, only to name a bad token.
+    ``col``) at or after offset ``after``; the column is computed only to
+    name a bad token, whose fault ``OnticSpace.check_point`` words.
     """
     if token.startswith("(") and token.endswith(")"):
-        labels = tuple(token[1:-1].split(","))
-        if labels in space._index:
+        try:
+            labels = space.check_point(token[1:-1].split(","))
+        except ValueError as err:
+            message = str(err)
+        else:
             points[token] = labels
             return labels
-        if len(labels) != len(space.factors):
-            message = (
-                f"point {token} has {len(labels)} coordinates, space has {len(space.factors)}"
-            )
-        else:
-            coord, factor = next(
-                (c, f) for c, f in zip(labels, space.factors) if c not in f.labels
-            )
-            message = f"factor {factor.name!r} has no label {coord!r}"
     else:
         message = f"expected a point like (a,b), got {token!r}"
     raise ModelFormatError(message, line, col + text.index(token, after))

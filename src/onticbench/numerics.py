@@ -9,8 +9,10 @@ only for display, via :meth:`QSqrt2.to_float`.
 An element is stored in integers, as ``(a + b*sqrt2)/d`` with ``d > 0`` and
 ``gcd(a, b, d) == 1``.  That form is unique, so equality is componentwise;
 the four operations are integer products reduced by one gcd, and the sign
-is decided by comparing ``a*a`` with ``2*b*b``.  The rational and sqrt2
-parts are available as Fractions through ``rat`` and ``irr``.
+is decided by comparing ``a*a`` with ``2*b*b``.  ``<`` is the one order
+test; ``functools.total_ordering`` derives ``<=``, ``>`` and ``>=`` from it
+and ``==``.  The rational and sqrt2 parts are available as Fractions
+through ``rat`` and ``irr``.
 
 Values render as ``a + b*sqrt2`` with rationals written ``p/q``, e.g.
 ``1/2``, ``sqrt2/2``, ``3*sqrt2/4``, ``1/3 + sqrt2/7``, ``1 - sqrt2``.
@@ -19,6 +21,7 @@ Values render as ``a + b*sqrt2`` with rationals written ``p/q``, e.g.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from fractions import Fraction
@@ -95,6 +98,7 @@ def _ratio(text: str):
     return int(num), int(den) if den else 1
 
 
+@functools.total_ordering
 class QSqrt2:
     """The field element ``rat + irr*sqrt2``, stored as ``(a + b*sqrt2)/d``.
 
@@ -211,10 +215,7 @@ class QSqrt2:
             other = _coerce(other)
             if other is None:
                 return NotImplemented
-        d, e = self._d, other._d
-        if d == e:
-            return _make(self._a - other._a, self._b - other._b, d)
-        return _make(self._a * e - other._a * d, self._b * e - other._b * d, d * e)
+        return self + -other
 
     def __rsub__(self, other) -> "QSqrt2":
         other = _coerce(other)
@@ -280,30 +281,13 @@ class QSqrt2:
             return hash(self._a) if self._d == 1 else hash(Fraction(self._a, self._d))
         return hash((self.rat, self.irr))
 
-    def _cmp(self, other):
-        """The sign of self - other, or None for an operand of another type."""
+    def __lt__(self, other) -> bool:
         if type(other) is not QSqrt2:
             other = _coerce(other)
             if other is None:
-                return None
+                return NotImplemented
         d, e = self._d, other._d
-        return _sign(self._a * e - other._a * d, self._b * e - other._b * d)
-
-    def __lt__(self, other) -> bool:
-        s = self._cmp(other)
-        return NotImplemented if s is None else s < 0
-
-    def __le__(self, other) -> bool:
-        s = self._cmp(other)
-        return NotImplemented if s is None else s <= 0
-
-    def __gt__(self, other) -> bool:
-        s = self._cmp(other)
-        return NotImplemented if s is None else s > 0
-
-    def __ge__(self, other) -> bool:
-        s = self._cmp(other)
-        return NotImplemented if s is None else s >= 0
+        return _sign(self._a * e - other._a * d, self._b * e - other._b * d) < 0
 
     def __bool__(self) -> bool:
         return bool(self._a or self._b)

@@ -12,15 +12,14 @@ A model is a triple (space, preparations, measurements):
 
 Constructors check shape only, each record in one walk over its mapping:
 EpistemicState and ResponseFunctions test each point with one index
-lookup and each value with one type test.  OnticSpace.check_point names
-a point that is not in the space for both, and for every lookup that
-takes a point.  The model loader checks each point itself first, so that
-its error can name the line and column.  Validators return verdicts
-rather than raising, so a malformed model can be loaded, inspected, and
-reported on.  The quantum side enters only as data: check_born_agreement
-compares a model's predictions cell by cell with target rows, one exact
-outcome distribution per preparation, such as the Born rows of a quantum
-scenario.
+lookup and each value with one type test.  OnticSpace.check_point says
+why a point is not in the space, for both, for every lookup that takes a
+point, and for the model loader, which adds the line and column to its
+error.  Validators return verdicts rather than raising, so a malformed
+model can be loaded, inspected, and reported on.  The quantum side enters
+only as data: check_born_agreement compares a model's predictions cell
+by cell with target rows, one exact outcome distribution per preparation,
+such as the Born rows of a quantum scenario.
 """
 
 from __future__ import annotations
@@ -104,11 +103,21 @@ class OnticSpace(Record):
         return tuple(f.name for f in self.factors)
 
     def check_point(self, point: Sequence[str]) -> Point:
-        """The point as a tuple; ValueError unless it belongs to this space."""
+        """The point as a tuple; ValueError unless it belongs to this space.
+
+        The error names a wrong coordinate count, or else the first factor
+        that lacks its coordinate.
+        """
         point = tuple(point)
-        if point not in self._index:
-            raise ValueError(f"point {format_point(point)} is not in the space")
-        return point
+        if point in self._index:
+            return point
+        if len(point) != len(self.factors):
+            raise ValueError(
+                f"point {format_point(point)} has {len(point)} coordinates, "
+                f"space has {len(self.factors)}"
+            )
+        coord, factor = next((c, f) for c, f in zip(point, self.factors) if c not in f.labels)
+        raise ValueError(f"factor {factor.name!r} has no label {coord!r}")
 
     def point_index(self, point: Point) -> int:
         return self._index[self.check_point(point)]

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from functools import reduce
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,7 +17,13 @@ from onticbench.independence import (
     product_state,
 )
 from onticbench.numerics import HALF, ONE, QSqrt2, QUARTER, ZERO, qsum
-from onticbench.ontology import EpistemicState, Factor, OnticSpace, format_point
+from onticbench.ontology import (
+    EpistemicState,
+    Factor,
+    OnticSpace,
+    OntologicalModel,
+    format_point,
+)
 from onticbench.verdicts import Verdict
 from onticbench.scenarios import (
     PREP_ORDER,
@@ -404,3 +411,28 @@ class TestOverlapSameAsSupportWalk:
         mu, nu = pair
         assert classical_overlap(mu, nu) == _support_walk_overlap(mu, nu)
         assert classical_overlap(nu, mu) == _support_walk_overlap(nu, mu)
+
+
+# ---- the local check as it was, kept as an oracle: the accessible marginal ----
+# split into two marginalize'd states, each on a fresh subspace.
+
+
+def _marginalized_local(joint, hidden):
+    accessible = [n for n in joint.space.factor_names if n not in hidden]
+    local = marginalize(joint, accessible) if hidden else joint
+    mu = marginalize(local, accessible[:1])
+    nu = marginalize(local, accessible[1:])
+    return check_local_independence(local, mu, nu)
+
+
+class TestLocalSameAsMarginalizedStates:
+    @settings(max_examples=200, deadline=None)
+    @given(joint=small_joints(max_factors=4))
+    @example(joint=CANCELLING)
+    def test_same_verdict(self, joint):
+        names = joint.space.factor_names
+        model = OntologicalModel(joint.space, {"p": joint}, {})
+        for k in range(len(names) - 1):
+            for hidden in combinations(names, k):
+                local = analyze_independence(model, hidden).states["p"].locally_independent
+                assert same_verdict(local, _marginalized_local(joint, hidden))

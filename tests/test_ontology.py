@@ -313,7 +313,7 @@ class TestConstructorsBuildAndName:
             ),
             pytest.param(
                 lambda: ResponseFunctions(TWO, 2, {("c",): (ONE, ZERO), ("a",): (ONE,)}),
-                "point (c) is not in the space",
+                "factor 'x' has no label 'c'",
                 id="foreign-point-before-wrong-length",
             ),
             pytest.param(
@@ -323,8 +323,13 @@ class TestConstructorsBuildAndName:
             ),
             pytest.param(
                 lambda: EpistemicState(TWO, {("a",): HALF, ("c",): HALF}),
-                "point (c) is not in the space",
+                "factor 'x' has no label 'c'",
                 id="foreign-point-in-state",
+            ),
+            pytest.param(
+                lambda: EpistemicState(TWO, {("a",): HALF, ("a", "b"): HALF}),
+                "point (a,b) has 2 coordinates, space has 1",
+                id="wrong-arity-point-in-state",
             ),
         ],
     )
